@@ -3,6 +3,7 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,78 @@ def test_stdin_input(capsys, monkeypatch):
     code, got = run_json(capsys, "saf", "-", "s")
     assert code == 0
     assert got[0]["coeff"] == "2/1"
+
+
+# ------------------------------------------------------------- golden output
+
+# Exact exit code and stdout of every subcommand but selftest, in both output
+# forms, plus three error payloads.  DOC, BAD and TRACE stand for the document
+# fixture, a document whose foam has an out-of-range dot, and a file holding
+# the trace that `flip-reduce DOC dotted` prints.  The expected bytes in
+# golden_cli.json were recorded once and are never rewritten by the test.
+
+GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+
+BAD_DOC = """
+foam bad {
+  start [];
+  cup 0 1 u;
+  dot 5;
+  cap 0;
+  end;
+}
+"""
+
+_GOLDEN_CALLS = [
+    ("saf", "DOC", "s"),
+    ("compose", "DOC", "s", "s"),
+    ("apply", "DOC", "s", "1/2"),
+    ("closure", "DOC", "s"),
+    ("nu", "DOC", "u"),
+    ("classify", "DOC", "u"),
+    ("classify", "DOC", "tri"),
+    ("classify", "DOC", "br"),
+    ("tripods", "DOC", "tri"),
+    ("bracket-simplify", "DOC", "br"),
+    ("theta", "DOC", "br"),
+    ("theta", "DOC", "tri"),
+    ("make-positive", "DOC", "br"),
+    ("make-positive", "DOC", "tri"),
+    ("flip-reduce", "DOC", "dotted"),
+    ("validate-trace", "DOC", "dotted", "TRACE"),
+    ("gamma", "DOC", "labeled"),
+    ("zerofoam", "DOC", "+1 +1*r2 -1/2"),
+    ("verify-z4",),
+]
+
+GOLDEN_ARGV = [
+    call + ("--output", form) for call in _GOLDEN_CALLS for form in ("json", "text")
+] + [
+    ("saf", "DOC", "nope"),
+    ("saf", "DOC", "u"),
+    ("nu", "BAD", "bad"),
+]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGV, ids=" ".join)
+def test_golden_output(capsys, doc, tmp_path, argv):
+    bad = tmp_path / "bad.dsl"
+    bad.write_text(BAD_DOC)
+    trace = tmp_path / "trace.json"
+    flip = json.loads(GOLDEN["flip-reduce DOC dotted --output json"]["stdout"])
+    trace.write_text(json.dumps(flip["trace"]))
+    paths = {"DOC": doc, "BAD": str(bad), "TRACE": str(trace)}
+    code, out = run(capsys, *(paths.get(a, a) for a in argv))
+    want = GOLDEN[" ".join(argv)]
+    assert (code, out) == (want["exit"], want["stdout"])
+
+
+def test_golden_covers_every_subcommand():
+    from foamcalc.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in GOLDEN_ARGV} == set(sub.choices) - {"selftest"}
+    assert sorted(GOLDEN) == sorted(" ".join(argv) for argv in GOLDEN_ARGV)
 
 
 # ------------------------------------------------------------- failure paths

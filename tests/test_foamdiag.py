@@ -9,23 +9,29 @@ from foamcalc import (
     Cross,
     Cup,
     Dir,
+    Document,
     Dot,
     DslSemanticError,
     FoamDiagram,
+    GroupLabel,
     Iet,
+    Label,
     Merge,
     NonPositiveWeight,
     OpenDiagram,
     Order,
     Split,
+    Strand,
     UnsupportedDecoration,
     WedgeValue,
     circle,
     classify,
     disjoint_union,
+    event_to_json,
     iet_closure,
     mirror,
     nu,
+    print_document,
     saf,
     u_diagram,
     wedge,
@@ -178,6 +184,70 @@ def test_two_circles_crossing_twice(w, basis):
         ],
     )
     assert nu(d).is_zero()
+
+
+# ------------------------------------------------------------ event kinds
+
+
+def _every_kind(w, basis):
+    """An open diagram holding one event of each of the seven kinds."""
+    return FoamDiagram(
+        basis,
+        [Strand(w("1"), Dir.UP)],
+        [
+            Cup(0, w("1 + 1*r2"), Dir.DOWN),
+            Split(1, Order.L, w("1")),
+            Cross(1),
+            Dot(0),
+            Label(2, GroupLabel((1, -2), (3,))),
+            Merge(1, Order.R),
+            Cap(0),
+        ],
+    )
+
+
+def test_every_event_kind_json_and_text(w, basis):
+    d = _every_kind(w, basis)
+    assert [event_to_json(e) for e in d.events] == [
+        {"event": "cup", "pos": 0, "weight": {"1": "1/1", "r2": "1/1"}, "dir": "d"},
+        {"event": "split", "pos": 1, "order": "L", "left": {"1": "1/1"}},
+        {"event": "cross", "pos": 1},
+        {"event": "dot", "pos": 0},
+        {"event": "label", "pos": 2, "free": [1, -2], "tors": [3]},
+        {"event": "merge", "pos": 1, "order": "R"},
+        {"event": "cap", "pos": 0},
+    ]
+    assert print_document(Document(basis, (("foam", "all", d),))) == (
+        "basis {\n"
+        "  r2 = 1.4142135623730951 digits 16;\n"
+        "}\n"
+        "foam all {\n"
+        "  start [1:u];\n"
+        "  cup 0 1+1*r2 d;\n"
+        "  split 1 L 1;\n"
+        "  cross 1;\n"
+        "  dot 0;\n"
+        "  label 2 (1,-2;3);\n"
+        "  merge 1 R;\n"
+        "  cap 0;\n"
+        "  end;\n"
+        "}\n"
+    )
+
+
+def test_mirror_of_every_event_kind(w, basis):
+    d = _every_kind(w, basis)
+    m = mirror(d)
+    assert [event_to_json(e) for e in m.events] == [
+        {"event": "cup", "pos": 1, "weight": {"1": "1/1", "r2": "1/1"}, "dir": "u"},
+        {"event": "split", "pos": 1, "order": "L", "left": {"r2": "1/1"}},
+        {"event": "cross", "pos": 1},
+        {"event": "dot", "pos": 3},
+        {"event": "label", "pos": 1, "free": [1, -2], "tors": [3]},
+        {"event": "merge", "pos": 1, "order": "R"},
+        {"event": "cap", "pos": 1},
+    ]
+    assert mirror(m) == d
 
 
 # ------------------------------------------------------------ zero foams

@@ -6,6 +6,7 @@ import pytest
 
 from foamcalc import (
     BracketSum,
+    Document,
     DslSemanticError,
     OpenDiagram,
     PCap,
@@ -20,7 +21,9 @@ from foamcalc import (
     classify_bracket,
     foam_make_positive,
     mirror_planar,
+    pevent_to_json,
     planar_classify,
+    print_document,
     psi_pair,
     standard_tripod,
     theta,
@@ -146,6 +149,50 @@ def test_planar_mirror_swaps_brackets(w):
     m = mirror_planar(f)
     assert tripod_decompose(m) == tripod_decompose(f).swap()
     assert theta(tripod_decompose(m)) == -theta(tripod_decompose(f))
+
+
+def _every_kind(w, basis):
+    """An open planar foam holding one event of each of the four kinds."""
+    return PlanarFoam(
+        basis,
+        [w("1")],
+        [PCup(0, w("1*r2")), PSplit(2, w("-1/2")), PMerge(2), PCap(0)],
+    )
+
+
+def test_every_event_kind_json_and_text(w, basis):
+    f = _every_kind(w, basis)
+    assert [pevent_to_json(e) for e in f.events] == [
+        {"event": "cup", "pos": 0, "weight": {"r2": "1/1"}},
+        {"event": "split", "pos": 2, "left": {"1": "-1/2"}},
+        {"event": "merge", "pos": 2},
+        {"event": "cap", "pos": 0},
+    ]
+    assert print_document(Document(basis, (("planarfoam", "all", f),))) == (
+        "basis {\n"
+        "  r2 = 1.4142135623730951 digits 16;\n"
+        "}\n"
+        "planarfoam all {\n"
+        "  start [1];\n"
+        "  cup 0 1*r2;\n"
+        "  split 2 -1/2;\n"
+        "  merge 2;\n"
+        "  cap 0;\n"
+        "  end;\n"
+        "}\n"
+    )
+
+
+def test_mirror_of_every_event_kind(w, basis):
+    f = _every_kind(w, basis)
+    m = mirror_planar(f)
+    assert [pevent_to_json(e) for e in m.events] == [
+        {"event": "cup", "pos": 1, "weight": {"r2": "1/1"}},
+        {"event": "split", "pos": 0, "left": {"1": "3/2"}},
+        {"event": "merge", "pos": 0},
+        {"event": "cap", "pos": 1},
+    ]
+    assert mirror_planar(m) == f
 
 
 # ------------------------------------------------------------- positivity
