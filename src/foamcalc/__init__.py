@@ -26,9 +26,6 @@ from .exterior import (
     TensorH1Value,
     WedgeValue,
     wedge,
-    wedge_add,
-    wedge_neg,
-    wedge_scale,
 )
 from .weights import (
     NEGATIVE,
@@ -38,11 +35,8 @@ from .weights import (
     Generator,
     GeneratorBasis,
     Weight,
-    weight_add,
     weight_cmp,
     weight_from_json,
-    weight_scale,
-    weight_sign,
 )
 from .iet import (
     Iet,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cmp_to_key, reduce
 from typing import Callable, Iterable
 
 from .decorated import (
@@ -140,7 +140,7 @@ def rand_iet_on_total(
         w = Weight(basis, coeffs)
         if not w.is_zero():
             cuts.add(w)
-    starts = sorted(cuts, key=lambda w: _cmp_key(w))
+    starts = sorted(cuts, key=cmp_to_key(weight_cmp))
     lengths = []
     prev = Weight(basis, {})
     for c in starts:
@@ -153,16 +153,6 @@ def rand_iet_on_total(
     if allow_flips and rng.random() < 0.5:
         flips = [rng.random() < 0.4 for _ in lengths]
     return Iet(lengths, perm, flips)
-
-
-class _cmp_key:
-    __slots__ = ("w",)
-
-    def __init__(self, w: Weight):
-        self.w = w
-
-    def __lt__(self, other: "_cmp_key") -> bool:
-        return weight_cmp(self.w, other.w) < 0
 
 
 def rand_closure(rng: random.Random, basis: GeneratorBasis, max_r: int = 3) -> FoamDiagram:
@@ -200,7 +190,7 @@ def _insert_dots(rng: random.Random, d: FoamDiagram, count: int) -> FoamDiagram:
     for _ in range(count):
         slots = [
             (s, len(sl))
-            for s, sl in enumerate(_slices_of(d.basis, d.start, events))
+            for s, sl in enumerate(FoamDiagram(d.basis, d.start, events).slices)
             if len(sl) > 0 and s <= len(events)
         ]
         if not slots:
@@ -208,15 +198,6 @@ def _insert_dots(rng: random.Random, d: FoamDiagram, count: int) -> FoamDiagram:
         s, width = rng.choice(slots)
         events.insert(s, Dot(rng.randrange(width)))
     return FoamDiagram(d.basis, d.start, events)
-
-
-def _slices_of(basis, start, events):
-    from .foamdiag import apply_event
-
-    out = [tuple(start)]
-    for e in events:
-        out.append(apply_event(out[-1], e))
-    return out
 
 
 def rand_dotted_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
@@ -312,7 +293,7 @@ def rand_labeled_diagram(
         tors = tuple(rng.randint(-5, 5) for _ in range(len(spec.torsion)))
         return GroupLabel(free, tors)
 
-    slices = _slices_of(basis, d.start, events)
+    slices = FoamDiagram(basis, d.start, events).slices
     slots = [s for s, sl in enumerate(slices) if len(sl) > 0 and s <= len(events)]
     for _ in range(rng.randint(1, 2)):
         s = rng.choice(slots)
@@ -320,7 +301,7 @@ def rand_labeled_diagram(
         p = rng.randrange(width)
         events.insert(s, Label(p, rand_label()))
         events.insert(s, Label(p, rand_label()))
-        slices = _slices_of(basis, d.start, events)
+        slices = FoamDiagram(basis, d.start, events).slices
         slots = [s for s, sl in enumerate(slices) if len(sl) > 0 and s <= len(events)]
     return FoamDiagram(basis, d.start, events)
 

@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from dataclasses import dataclass
+from typing import Callable
 
 from . import acceptance
 from .decorated import (
@@ -27,6 +28,7 @@ from .decorated import (
 from .decorated import gamma as gamma_fn
 from .dsl import (
     Document,
+    bracket_to_text,
     parse_document,
     parse_weight,
     print_document,
@@ -35,7 +37,7 @@ from .dsl import (
 from .errors import DslSemanticError, FoamError
 from .exterior import WedgeValue
 from .foamdiag import FoamDiagram, iet_closure, nu, zerofoam_class
-from .iet import Iet, iet_apply, iet_compose, saf
+from .iet import iet_apply, iet_compose, saf
 from .planar import (
     DEFAULT_EUCLID_BOUND,
     BracketSum,
@@ -66,13 +68,6 @@ class _CliError(Exception):
 # --- output helpers -----------------------------------------------------------
 
 
-def _emit(args, obj, text: str) -> None:
-    if args.output == "json":
-        print(json.dumps(obj, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
 def wedge_to_text(v: WedgeValue) -> str:
     entries = v.to_json()
     if not entries:
@@ -80,16 +75,24 @@ def wedge_to_text(v: WedgeValue) -> str:
     return " + ".join(f"{t['coeff']}*({t['left']}^{t['right']})" for t in entries)
 
 
-def bracket_to_text(s: BracketSum) -> str:
-    if not s.terms:
-        return "0"
-    return " + ".join(
-        f"{c}*[{weight_to_text(a)},{weight_to_text(b)}]" for c, a, b in s.terms
-    )
+# The (JSON object, text) result of each kind of value.
 
 
-def _item_text(doc: Document, kind: str, value) -> str:
-    return print_document(Document(doc.basis, ((kind, "result", value),)))
+def _item_result(doc: Document, kind: str, value) -> tuple:
+    text = print_document(Document(doc.basis, ((kind, "result", value),)))
+    return value.to_json(), text
+
+
+def _weight(w: Weight) -> tuple:
+    return w.to_json(), weight_to_text(w)
+
+
+def _wedge(v: WedgeValue) -> tuple:
+    return v.to_json(), wedge_to_text(v)
+
+
+def _brackets(s: BracketSum) -> tuple:
+    return s.to_json(), bracket_to_text(s)
 
 
 # --- document plumbing --------------------------------------------------------
@@ -119,67 +122,22 @@ def _resolve(doc: Document, name: str, kinds: tuple[str, ...]):
         raise DslSemanticError(
             f"item {name!r} has kind {kind}; this subcommand needs {' or '.join(kinds)}"
         )
-    return kind, value
+    return value
 
 
-# --- subcommand handlers ------------------------------------------------------
+# --- subcommands ----------------------------------------------------------------
 
 
-def _cmd_saf(args) -> int:
-    doc = _load_document(args)
-    _, t = _resolve(doc, args.item, ("iet",))
-    v = saf(t)
-    _emit(args, v.to_json(), wedge_to_text(v))
-    return 0
-
-
-def _cmd_compose(args) -> int:
-    doc = _load_document(args)
-    _, s = _resolve(doc, args.second, ("iet",))
-    _, t = _resolve(doc, args.first, ("iet",))
-    c = iet_compose(s, t)
-    _emit(args, c.to_json(), _item_text(doc, "iet", c))
-    return 0
-
-
-def _cmd_apply(args) -> int:
-    doc = _load_document(args)
-    _, t = _resolve(doc, args.item, ("iet",))
-    x = parse_weight(args.point, doc.basis)
-    y = iet_apply(t, x)
-    _emit(args, y.to_json(), weight_to_text(y))
-    return 0
-
-
-def _cmd_closure(args) -> int:
-    doc = _load_document(args)
-    _, t = _resolve(doc, args.item, ("iet",))
-    d = iet_closure(t)
-    _emit(args, d.to_json(), _item_text(doc, "foam", d))
-    return 0
-
-
-def _cmd_nu(args) -> int:
-    doc = _load_document(args)
-    _, d = _resolve(doc, args.item, ("foam",))
-    v = nu(d)
-    _emit(args, v.to_json(), wedge_to_text(v))
-    return 0
-
-
-def _cmd_classify(args) -> int:
-    doc = _load_document(args)
-    kind, item = _resolve(doc, args.item, ("foam", "planarfoam", "bracket"))
-    if kind == "foam":
+def _classify(args, doc, item) -> tuple:
+    if isinstance(item, FoamDiagram):
         v = nu(item)
         obj = {"nu": v.to_json(), "null_cobordant": v.is_zero()}
         text = (
             f"nu = {wedge_to_text(v)}; "
             f"null-cobordant: {'yes' if v.is_zero() else 'no'}"
         )
-        _emit(args, obj, text)
-        return 0
-    if kind == "planarfoam":
+        return obj, text
+    if isinstance(item, PlanarFoam):
         verdict = planar_classify(item, euclid_bound=args.euclid_bound)
     else:
         verdict = classify_bracket(item, euclid_bound=args.euclid_bound)
@@ -187,89 +145,46 @@ def _cmd_classify(args) -> int:
         f"verdict: {verdict.verdict}; theta = {wedge_to_text(verdict.theta)}; "
         f"residual = {bracket_to_text(verdict.residual)}"
     )
-    _emit(args, verdict.to_json(), text)
-    return 0
+    return verdict.to_json(), text
 
 
-def _cmd_tripods(args) -> int:
-    doc = _load_document(args)
-    _, f = _resolve(doc, args.item, ("planarfoam",))
-    s = tripod_decompose(f)
-    _emit(args, s.to_json(), bracket_to_text(s))
-    return 0
+def _make_positive(args, doc, item) -> tuple:
+    if isinstance(item, BracketSum):
+        return _brackets(bracket_sum_make_positive(item))
+    return _item_result(doc, "planarfoam", foam_make_positive(item))
 
 
-def _cmd_bracket_simplify(args) -> int:
-    doc = _load_document(args)
-    _, s = _resolve(doc, args.item, ("bracket",))
-    out = bracket_simplify(s, euclid_bound=args.euclid_bound)
-    _emit(args, out.to_json(), bracket_to_text(out))
-    return 0
-
-
-def _cmd_theta(args) -> int:
-    doc = _load_document(args)
-    kind, item = _resolve(doc, args.item, ("bracket", "planarfoam"))
-    s = item if kind == "bracket" else tripod_decompose(item)
-    v = theta(s)
-    _emit(args, v.to_json(), wedge_to_text(v))
-    return 0
-
-
-def _cmd_make_positive(args) -> int:
-    doc = _load_document(args)
-    kind, item = _resolve(doc, args.item, ("bracket", "planarfoam"))
-    if kind == "bracket":
-        out = bracket_sum_make_positive(item)
-        _emit(args, out.to_json(), bracket_to_text(out))
-    else:
-        out = foam_make_positive(item)
-        _emit(args, out.to_json(), _item_text(doc, "planarfoam", out))
-    return 0
-
-
-def _cmd_flip_reduce(args) -> int:
-    doc = _load_document(args)
-    _, d = _resolve(doc, args.item, ("foam",))
+def _flip_reduce(args, doc, d) -> tuple:
     trace = flip_reduce(d)
     lines = [f"{k}: {m.schema} at {m.index}" for k, m in enumerate(trace)]
     text = "\n".join([f"{len(trace)} steps"] + lines) if trace else "0 steps"
-    _emit(args, {"trace": trace_to_json(trace), "steps": len(trace)}, text)
-    return 0
+    return {"trace": trace_to_json(trace), "steps": len(trace)}, text
 
 
-def _cmd_validate_trace(args) -> int:
-    doc = _load_document(args)
-    _, d = _resolve(doc, args.item, ("foam",))
+def _validate_trace(args, doc, d, trace_path) -> tuple:
     try:
-        raw = _read_source(args.trace)
+        raw = _read_source(trace_path)
     except OSError as exc:
-        raise _CliError(1, FoamError(f"cannot read {args.trace}: {exc}")) from None
+        raise _CliError(1, FoamError(f"cannot read {trace_path}: {exc}")) from None
     try:
         data = json.loads(raw)
     except ValueError as exc:
         raise _CliError(2, DslSemanticError(f"trace is not JSON: {exc}")) from None
-    trace = trace_from_json(doc.basis, data)
-    chk = validate_trace(d, trace)
+    chk = validate_trace(d, trace_from_json(doc.basis, data))
     if chk.ok:
         text = f"ok ({chk.steps} steps)"
     else:
         text = f"failed at step {chk.failed_at}: {chk.reason}"
-    _emit(args, chk.to_json(), text)
-    return 0
+    return chk.to_json(), text
 
 
-def _cmd_gamma(args) -> int:
-    doc = _load_document(args)
-    _, d = _resolve(doc, args.item, ("foam",))
-    torsion = tuple(int(n) for n in args.torsion.split(",")) if args.torsion else ()
+def _gamma(args, doc, d) -> tuple:
     free_rank = args.free_rank
     if free_rank is None:
         free_rank = max(
             (len(e.g.free) for e in d.events if hasattr(e, "g")), default=0
         )
-    spec = AbelianGroupSpec(free_rank, torsion)
-    tensor, base = gamma_fn(d, spec)
+    tensor, base = gamma_fn(d, AbelianGroupSpec(free_rank, args.torsion))
     obj = {
         "tensor": [w.to_json() for w in tensor.components],
         "nu": base.to_json(),
@@ -279,14 +194,12 @@ def _cmd_gamma(args) -> int:
         + ", ".join(weight_to_text(w) for w in tensor.components)
         + f"]; nu = {wedge_to_text(base)}"
     )
-    _emit(args, obj, text)
-    return 0
+    return obj, text
 
 
-def _cmd_zerofoam(args) -> int:
-    doc = _load_document(args)
+def _zerofoam(args, doc, text) -> tuple:
     points = []
-    for token in args.points.replace(",", " ").split():
+    for token in text.replace(",", " ").split():
         if token[0] not in "+-":
             raise DslSemanticError(
                 f"point {token!r} must start with an explicit + or - sign"
@@ -295,31 +208,111 @@ def _cmd_zerofoam(args) -> int:
         points.append((sign, parse_weight(token[1:], doc.basis)))
     w = zerofoam_class(points)
     obj = {"class": w.to_json(), "zero": w.is_zero()}
-    text = f"class = {weight_to_text(w)}; zero: {'yes' if w.is_zero() else 'no'}"
-    _emit(args, obj, text)
-    return 0
+    return obj, f"class = {weight_to_text(w)}; zero: {'yes' if w.is_zero() else 'no'}"
 
 
-def _cmd_verify_z4(args) -> int:
+def _z4_ok(res: dict) -> bool:
+    return bool(
+        res["cocycle_ok"] and res["pairs_ok"] and res["bilin_ok"] and res["psi_1_3"] == 1
+    )
+
+
+def _verify_z4(args, doc) -> tuple:
     res = verify_z4()
-    ok = (
-        res["cocycle_ok"]
-        and res["pairs_ok"]
-        and res["bilin_ok"]
-        and res["psi_1_3"] == 1
-    )
-    _emit(args, res, Z4_SUMMARY if ok else f"FAILED: {res}")
-    return 0 if ok else 1
+    return res, Z4_SUMMARY if _z4_ok(res) else f"FAILED: {res}"
 
 
-def _cmd_selftest(args) -> int:
+def _selftest(args, doc) -> tuple:
     results = acceptance.run_all()
-    _emit(
-        args,
-        [r.to_json() for r in results],
-        "\n".join(r.line() for r in results),
-    )
-    return 0 if all(r.ok for r in results) else 1
+    return [r.to_json() for r in results], "\n".join(r.line() for r in results)
+
+
+@dataclass(frozen=True)
+class _Arg:
+    """A positional argument; ``kinds`` names the item kinds it resolves to,
+    and is empty for an argument passed through as text."""
+
+    name: str
+    kinds: tuple[str, ...] = ()
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand.  ``run(args, doc, *values)`` gets the parsed document
+    and the value of each positional after ``file``, and returns the JSON
+    object and the text form of the result.  A report command takes no
+    document, defaults to text, and exits 1 unless ``ok`` holds of its
+    result."""
+
+    name: str
+    help: str
+    args: tuple[_Arg, ...]
+    run: Callable[..., tuple]
+    ok: Callable[[object], bool] | None = None
+    options: tuple = ()  # extra (flag, add_argument keywords) pairs
+
+    @property
+    def report(self) -> bool:
+        return not self.args
+
+
+def _item(*kinds: str) -> tuple[_Arg, ...]:
+    """``file item``, the item being of one of the given kinds."""
+    return (_Arg("file"), _Arg("item", kinds))
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(n) for n in text.split(",")) if text else ()
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+COMMANDS = (
+    _Command("saf", "SAF invariant of a named IET", _item("iet"),
+             lambda args, doc, t: _wedge(saf(t))),
+    _Command("compose", "compose two named IETs (second . first)",
+             (_Arg("file"), _Arg("second", ("iet",)), _Arg("first", ("iet",))),
+             lambda args, doc, s, t: _item_result(doc, "iet", iet_compose(s, t))),
+    _Command("apply", "evaluate a named IET at a weight expression",
+             _item("iet") + (_Arg("point"),),
+             lambda args, doc, t, point: _weight(iet_apply(t, parse_weight(point, doc.basis)))),
+    _Command("closure", "foam diagram closing a named IET", _item("iet"),
+             lambda args, doc, t: _item_result(doc, "foam", iet_closure(t))),
+    _Command("nu", "nu invariant of a named closed foam", _item("foam"),
+             lambda args, doc, d: _wedge(nu(d))),
+    _Command("classify", "cobordism class of a foam, planar foam or bracket",
+             _item("foam", "planarfoam", "bracket"), _classify),
+    _Command("tripods", "tripod decomposition of a planar foam", _item("planarfoam"),
+             lambda args, doc, f: _brackets(tripod_decompose(f))),
+    _Command("bracket-simplify", "normal form of a bracket sum", _item("bracket"),
+             lambda args, doc, s: _brackets(bracket_simplify(s, args.euclid_bound))),
+    _Command("theta", "wedge image of a bracket sum or planar foam",
+             _item("bracket", "planarfoam"),
+             lambda args, doc, x: _wedge(theta(x if isinstance(x, BracketSum)
+                                               else tripod_decompose(x)))),
+    _Command("make-positive", "positive form of a bracket or planar foam",
+             _item("bracket", "planarfoam"), _make_positive),
+    _Command("flip-reduce", "elimination trace for a dotted foam", _item("foam"),
+             _flip_reduce),
+    _Command("validate-trace", "check a move trace ends empty",
+             _item("foam") + (_Arg("trace", help="JSON trace file, or - for stdin"),),
+             _validate_trace),
+    _Command("gamma", "label invariant of a decorated foam", _item("foam"), _gamma,
+             options=(("--free-rank", {"type": int, "default": None}),
+                      ("--torsion", {"type": _int_list, "default": (),
+                                     "help": "comma-separated torsion orders"}))),
+    _Command("zerofoam", "class of a signed weighted point collection",
+             (_Arg("file", help="document supplying the basis"),
+              _Arg("points", help="signed weights, e.g. '+1/2 -r2 +3'")),
+             _zerofoam),
+    _Command("verify-z4", "exhaustive finite-model check", (), _verify_z4, ok=_z4_ok),
+    _Command("selftest", "run the acceptance battery", (), _selftest,
+             ok=lambda results: all(r["ok"] for r in results)),
+)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -339,15 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
         " interval exchanges.",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str, report: bool = False):
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, report=report)
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        p.set_defaults(cmd=cmd)
         p.add_argument(
             "--output",
             choices=("json", "text"),
-            default=None,
-            help="result form (default: %s)" % ("text" if report else "json"),
+            default="text" if cmd.report else "json",
+            help="result form (default: %(default)s)",
         )
         p.add_argument(
             "--precision",
@@ -361,102 +353,55 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_EUCLID_BOUND,
             help="step bound for subtractive reduction",
         )
-        return p
-
-    p = add("saf", _cmd_saf, "SAF invariant of a named IET")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("compose", _cmd_compose, "compose two named IETs (second . first)")
-    p.add_argument("file")
-    p.add_argument("second")
-    p.add_argument("first")
-
-    p = add("apply", _cmd_apply, "evaluate a named IET at a weight expression")
-    p.add_argument("file")
-    p.add_argument("item")
-    p.add_argument("point")
-
-    p = add("closure", _cmd_closure, "foam diagram closing a named IET")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("nu", _cmd_nu, "nu invariant of a named closed foam")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("classify", _cmd_classify, "cobordism class of a foam, planar foam or bracket")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("tripods", _cmd_tripods, "tripod decomposition of a planar foam")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("bracket-simplify", _cmd_bracket_simplify, "normal form of a bracket sum")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("theta", _cmd_theta, "wedge image of a bracket sum or planar foam")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("make-positive", _cmd_make_positive, "positive form of a bracket or planar foam")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("flip-reduce", _cmd_flip_reduce, "elimination trace for a dotted foam")
-    p.add_argument("file")
-    p.add_argument("item")
-
-    p = add("validate-trace", _cmd_validate_trace, "check a move trace ends empty")
-    p.add_argument("file")
-    p.add_argument("item")
-    p.add_argument("trace", help="JSON trace file, or - for stdin")
-
-    p = add("gamma", _cmd_gamma, "label invariant of a decorated foam")
-    p.add_argument("file")
-    p.add_argument("item")
-    p.add_argument("--free-rank", type=int, default=None)
-    p.add_argument("--torsion", default="", help="comma-separated torsion orders")
-
-    p = add("zerofoam", _cmd_zerofoam, "class of a signed weighted point collection")
-    p.add_argument("file", help="document supplying the basis")
-    p.add_argument("points", help="signed weights, e.g. '+1/2 -r2 +3'")
-
-    add("verify-z4", _cmd_verify_z4, "exhaustive finite-model check", report=True)
-    add("selftest", _cmd_selftest, "run the acceptance battery", report=True)
-
+        for a in cmd.args:
+            p.add_argument(a.name, help=a.help)
+        for flag, keywords in cmd.options:
+            p.add_argument(flag, **keywords)
     return top
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.output is None:
-        args.output = "text" if args.report else "json"
+def _error(err: FoamError) -> str:
+    return json.dumps({"error": err.code, "message": str(err)})
+
+
+def _run(cmd: _Command, args) -> tuple[int, str]:
+    """Exit code and stdout text of one subcommand call."""
     if args.precision is None:
         env = os.environ.get("FOAMCALC_PRECISION")
         if env:
             try:
                 args.precision = _positive_int(env)
             except (ValueError, argparse.ArgumentTypeError):
-                print(
-                    json.dumps(
-                        {
-                            "error": "semantic",
-                            "message": "FOAMCALC_PRECISION must be a positive integer",
-                        }
-                    )
+                return 2, _error(
+                    DslSemanticError("FOAMCALC_PRECISION must be a positive integer")
                 )
-                return 2
     try:
-        return args.handler(args)
+        doc = _load_document(args) if cmd.args else None
+        values = []
+        for a in cmd.args[1:]:
+            value = getattr(args, a.name)
+            values.append(_resolve(doc, value, a.kinds) if a.kinds else value)
+        obj, text = cmd.run(args, doc, *values)
     except _CliError as exc:
-        print(json.dumps({"error": exc.err.code, "message": str(exc.err)}))
-        return exc.exit_code
+        return exc.exit_code, _error(exc.err)
     except FoamError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}))
+        return 1, _error(exc)
+    out = json.dumps(obj, indent=2, sort_keys=True) if args.output == "json" else text
+    return (0 if cmd.ok is None or cmd.ok(obj) else 1), out
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    code, out = _run(args.cmd, args)
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    return code
 
 
 if __name__ == "__main__":

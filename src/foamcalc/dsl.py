@@ -42,7 +42,7 @@ document exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -54,28 +54,17 @@ from .errors import (
     PrecisionExhausted,
 )
 from .foamdiag import (
-    Cap,
-    Cross,
-    Cup,
+    EVENT_KINDS,
     Dir,
-    Dot,
-    Event,
     FoamDiagram,
-    Label,
-    Merge,
     Order,
-    Split,
     Strand,
     apply_event,
 )
 from .iet import Iet
 from .planar import (
+    PEVENT_KINDS,
     BracketSum,
-    PCap,
-    PCup,
-    PEvent,
-    PMerge,
-    PSplit,
     PlanarFoam,
     apply_pevent,
 )
@@ -87,9 +76,10 @@ ITEM_KINDS = ("iet", "foam", "planarfoam", "bracket")
 
 # Words with a fixed grammatical role; generators may not shadow them.
 RESERVED = frozenset(
-    ("basis", "lengths", "perm", "flips", "digits", "start", "end",
-     "merge", "split", "cross", "cup", "cap", "dot", "label",
-     "u", "d", "L", "R") + ITEM_KINDS
+    ("basis", "lengths", "perm", "flips", "digits", "start", "end")
+    + ITEM_KINDS
+    + tuple(cls.keyword for cls in EVENT_KINDS + PEVENT_KINDS)
+    + tuple(x.value for x in (*Dir, *Order))
 )
 
 _MAX_EXPR_DEPTH = 64
@@ -416,136 +406,55 @@ class _Parser:
         self.fail("expected flag L or R", t)
         raise AssertionError("unreachable")
 
-    def parse_foam(self, basis: GeneratorBasis, name: str) -> FoamDiagram:
+    def parse_diagram(
+        self, basis: GeneratorBasis, kind: str, name: str
+    ) -> FoamDiagram | PlanarFoam:
+        calc = _CALCULI[kind]
         self.expect_sym("{")
         kw = self.expect_ident("'start'")
         if kw.text != "start":
             self.fail("expected 'start'", kw)
         self.expect_sym("[")
-        strands = self.comma_list(lambda: self._strand(basis), "]")
+        start = self.comma_list(lambda: calc.read_strand(self, basis), "]")
         self.expect_sym("]")
         self.expect_sym(";")
-        events: list[Event] = []
-        cur = tuple(strands)
-        while True:
-            kw = self.expect_ident("an event keyword")
-            if kw.text == "end":
-                self.expect_sym(";")
-                break
-            e = self._foam_event(basis, kw)
-            try:
-                cur = apply_event(cur, e)
-            except PrecisionExhausted:
-                raise
-            except FoamError as exc:
-                raise DslSemanticError(
-                    f"in foam {name!r}: event {len(events)}"
-                    f" (line {kw.line}): {exc}"
-                ) from None
-            events.append(e)
-        self.expect_sym("}")
-        return FoamDiagram(basis, strands, events)
-
-    def _strand(self, basis: GeneratorBasis) -> Strand:
-        w = self.weight_expr(basis)
-        self.expect_sym(":")
-        return Strand(w, self._dir())
-
-    def _foam_event(self, basis: GeneratorBasis, kw: _Tok) -> Event:
-        word = kw.text
-        if word == "merge":
-            pos = self.nonneg_int("a position")
-            o = self._order()
-            self.expect_sym(";")
-            return Merge(pos, o)
-        if word == "split":
-            pos = self.nonneg_int("a position")
-            o = self._order()
-            w = self.weight_expr(basis)
-            self.expect_sym(";")
-            return Split(pos, o, w)
-        if word == "cross":
-            pos = self.nonneg_int("a position")
-            self.expect_sym(";")
-            return Cross(pos)
-        if word == "cup":
-            pos = self.nonneg_int("a position")
-            w = self.weight_expr(basis)
-            d = self._dir()
-            self.expect_sym(";")
-            return Cup(pos, w, d)
-        if word == "cap":
-            pos = self.nonneg_int("a position")
-            self.expect_sym(";")
-            return Cap(pos)
-        if word == "dot":
-            pos = self.nonneg_int("a position")
-            self.expect_sym(";")
-            return Dot(pos)
-        if word == "label":
-            pos = self.nonneg_int("a position")
-            self.expect_sym("(")
-            free = self.comma_list(lambda: self.signed_int("an integer"), ";")
-            self.expect_sym(";")
-            tors = self.comma_list(lambda: self.signed_int("an integer"), ")")
-            self.expect_sym(")")
-            self.expect_sym(";")
-            return Label(pos, GroupLabel(tuple(free), tuple(tors)))
-        self.fail("unknown event", kw)
-        raise AssertionError("unreachable")
-
-    def parse_planarfoam(self, basis: GeneratorBasis, name: str) -> PlanarFoam:
-        self.expect_sym("{")
-        kw = self.expect_ident("'start'")
-        if kw.text != "start":
-            self.fail("expected 'start'", kw)
-        self.expect_sym("[")
-        start = self.comma_list(lambda: self.weight_expr(basis), "]")
-        self.expect_sym("]")
-        self.expect_sym(";")
-        events: list[PEvent] = []
+        events: list = []
         cur = tuple(start)
         while True:
             kw = self.expect_ident("an event keyword")
             if kw.text == "end":
                 self.expect_sym(";")
                 break
-            e = self._planar_event(basis, kw)
+            cls = calc.events.get(kw.text)
+            if cls is None:
+                self.fail(calc.unknown, kw)
+            e = cls(*[read(self, basis) for _, read, _ in _FIELD_CODECS[cls]])
+            self.expect_sym(";")
             try:
-                cur = apply_pevent(cur, e)
+                cur = calc.apply(cur, e)
             except PrecisionExhausted:
                 raise
             except FoamError as exc:
                 raise DslSemanticError(
-                    f"in planarfoam {name!r}: event {len(events)}"
+                    f"in {kind} {name!r}: event {len(events)}"
                     f" (line {kw.line}): {exc}"
                 ) from None
             events.append(e)
         self.expect_sym("}")
-        return PlanarFoam(basis, start, events)
+        return calc.build(basis, start, events)
 
-    def _planar_event(self, basis: GeneratorBasis, kw: _Tok) -> PEvent:
-        word = kw.text
-        if word == "merge":
-            pos = self.nonneg_int("a position")
-            self.expect_sym(";")
-            return PMerge(pos)
-        if word == "split":
-            pos = self.nonneg_int("a position")
-            w = self.weight_expr(basis)
-            self.expect_sym(";")
-            return PSplit(pos, w)
-        if word == "cup":
-            pos = self.nonneg_int("a position")
-            w = self.weight_expr(basis)
-            self.expect_sym(";")
-            return PCup(pos, w)
-        if word == "cap":
-            pos = self.nonneg_int("a position")
-            self.expect_sym(";")
-            return PCap(pos)
-        self.fail("unknown planar event", kw)
-        raise AssertionError("unreachable")
+    def _strand(self, basis: GeneratorBasis) -> Strand:
+        w = self.weight_expr(basis)
+        self.expect_sym(":")
+        return Strand(w, self._dir())
+
+    def _group_label(self, basis: GeneratorBasis) -> GroupLabel:
+        self.expect_sym("(")
+        free = self.comma_list(lambda: self.signed_int("an integer"), ";")
+        self.expect_sym(";")
+        tors = self.comma_list(lambda: self.signed_int("an integer"), ")")
+        self.expect_sym(")")
+        return GroupLabel(tuple(free), tuple(tors))
 
     def parse_bracket(self, basis: GeneratorBasis, name: str) -> BracketSum:
         self.expect_sym("=")
@@ -621,10 +530,8 @@ def parse_document(text: str, precision_cap: int | None = None) -> Document:
         names.add(name)
         if kw.text == "iet":
             value: Item = p.parse_iet(basis, name)
-        elif kw.text == "foam":
-            value = p.parse_foam(basis, name)
-        elif kw.text == "planarfoam":
-            value = p.parse_planarfoam(basis, name)
+        elif kw.text in _CALCULI:
+            value = p.parse_diagram(basis, kw.text, name)
         else:
             value = p.parse_bracket(basis, name)
         items.append((kw.text, name, value))
@@ -674,36 +581,75 @@ def weight_to_text(w: Weight) -> str:
     return "".join(parts)
 
 
-def _event_text(e: Event) -> str:
-    if isinstance(e, Merge):
-        return f"merge {e.pos} {e.order.value}"
-    if isinstance(e, Split):
-        return f"split {e.pos} {e.order.value} {weight_to_text(e.left)}"
-    if isinstance(e, Cross):
-        return f"cross {e.pos}"
-    if isinstance(e, Cup):
-        return f"cup {e.pos} {weight_to_text(e.weight)} {e.dir.value}"
-    if isinstance(e, Cap):
-        return f"cap {e.pos}"
-    if isinstance(e, Dot):
-        return f"dot {e.pos}"
-    if isinstance(e, Label):
-        free = ",".join(str(n) for n in e.g.free)
-        tors = ",".join(str(n) for n in e.g.tors)
-        return f"label {e.pos} ({free};{tors})"
-    raise TypeError(f"not a foam event: {e!r}")
+def bracket_to_text(s: BracketSum) -> str:
+    """Canonical expression for a bracket sum; ``0`` when it is empty."""
+    if not s.terms:
+        return "0"
+    return " + ".join(
+        f"{c}*[{weight_to_text(a)},{weight_to_text(b)}]" for c, a, b in s.terms
+    )
 
 
-def _pevent_text(e: PEvent) -> str:
-    if isinstance(e, PMerge):
-        return f"merge {e.pos}"
-    if isinstance(e, PSplit):
-        return f"split {e.pos} {weight_to_text(e.left)}"
-    if isinstance(e, PCup):
-        return f"cup {e.pos} {weight_to_text(e.weight)}"
-    if isinstance(e, PCap):
-        return f"cap {e.pos}"
-    raise TypeError(f"not a planar event: {e!r}")
+def _label_text(g: GroupLabel) -> str:
+    free = ",".join(str(n) for n in g.free)
+    tors = ",".join(str(n) for n in g.tors)
+    return f"({free};{tors})"
+
+
+# Text form of each event field type, keyed by the annotation's name: how
+# the parser reads it and how the printer writes it.
+_TEXT_CODECS = {
+    "int": (lambda p, basis: p.nonneg_int("a position"), str),
+    "Order": (lambda p, basis: p._order(), lambda o: o.value),
+    "Dir": (lambda p, basis: p._dir(), lambda d: d.value),
+    "Weight": (_Parser.weight_expr, weight_to_text),
+    "GroupLabel": (_Parser._group_label, _label_text),
+}
+
+# (field name, reader, writer) of every field of every event kind.
+_FIELD_CODECS = {
+    cls: tuple((f.name, *_TEXT_CODECS[f.type]) for f in fields(cls))
+    for cls in EVENT_KINDS + PEVENT_KINDS
+}
+
+
+def _event_line(e) -> str:
+    words = [e.keyword] + [write(getattr(e, name)) for name, _, write in _FIELD_CODECS[type(e)]]
+    return "  " + " ".join(words) + ";"
+
+
+@dataclass(frozen=True)
+class _Calculus:
+    """A diagram item kind: its start strands, event kinds and slice rule."""
+
+    unknown: str  # syntax error for an event keyword the kind lacks
+    events: dict
+    read_strand: Callable
+    strand_text: Callable
+    apply: Callable
+    build: Callable
+
+
+# apply_event and apply_pevent are looked up at call time, so that a wrapper
+# rebound over this module's name also sees the parser's calls.
+_CALCULI = {
+    "foam": _Calculus(
+        unknown="unknown event",
+        events={cls.keyword: cls for cls in EVENT_KINDS},
+        read_strand=_Parser._strand,
+        strand_text=lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
+        apply=lambda cur, e: apply_event(cur, e),
+        build=FoamDiagram,
+    ),
+    "planarfoam": _Calculus(
+        unknown="unknown planar event",
+        events={cls.keyword: cls for cls in PEVENT_KINDS},
+        read_strand=_Parser.weight_expr,
+        strand_text=weight_to_text,
+        apply=lambda cur, e: apply_pevent(cur, e),
+        build=PlanarFoam,
+    ),
+}
 
 
 def print_document(doc: Document) -> str:
@@ -731,40 +677,14 @@ def print_document(doc: Document) -> str:
                     + "];"
                 )
             lines.append("}")
-        elif kind == "foam":
-            d = value
-            lines.append(f"foam {name} {{")
+        elif kind in _CALCULI:
+            calc = _CALCULI[kind]
+            lines.append(f"{kind} {name} {{")
             lines.append(
-                "  start ["
-                + ", ".join(
-                    f"{weight_to_text(s.weight)}:{s.dir.value}" for s in d.start
-                )
-                + "];"
+                "  start [" + ", ".join(calc.strand_text(x) for x in value.start) + "];"
             )
-            for e in d.events:
-                lines.append("  " + _event_text(e) + ";")
-            lines.append("  end;")
-            lines.append("}")
-        elif kind == "planarfoam":
-            d = value
-            lines.append(f"planarfoam {name} {{")
-            lines.append(
-                "  start ["
-                + ", ".join(weight_to_text(w) for w in d.start)
-                + "];"
-            )
-            for e in d.events:
-                lines.append("  " + _pevent_text(e) + ";")
-            lines.append("  end;")
-            lines.append("}")
+            lines += [_event_line(e) for e in value.events]
+            lines += ["  end;", "}"]
         else:
-            s = value
-            if not s.terms:
-                lines.append(f"bracket {name} = 0;")
-            else:
-                body = " + ".join(
-                    f"{c}*[{weight_to_text(a)},{weight_to_text(b)}]"
-                    for c, a, b in s.terms
-                )
-                lines.append(f"bracket {name} = {body};")
+            lines.append(f"bracket {name} = {bracket_to_text(value)};")
     return "\n".join(lines) + ("\n" if lines else "")

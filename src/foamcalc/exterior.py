@@ -115,18 +115,6 @@ def wedge(a: Weight, b: Weight) -> WedgeValue:
     return WedgeValue(a.basis, terms)
 
 
-def wedge_add(u: WedgeValue, v: WedgeValue) -> WedgeValue:
-    return u + v
-
-
-def wedge_neg(u: WedgeValue) -> WedgeValue:
-    return -u
-
-
-def wedge_scale(q, u: WedgeValue) -> WedgeValue:
-    return u.scale(q)
-
-
 class TensorH1Value:
     """Vector of Weights, one per free generator of the target group."""
 

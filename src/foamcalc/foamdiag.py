@@ -24,9 +24,9 @@ the closure of an interval exchange satisfies nu = SAF/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DslSemanticError,
@@ -38,6 +38,9 @@ from .errors import (
 from .exterior import WedgeValue, wedge
 from .iet import Iet, saf
 from .weights import NEGATIVE, POSITIVE, GeneratorBasis, Weight
+
+if TYPE_CHECKING:
+    from .decorated import GroupLabel
 
 
 class Dir(Enum):
@@ -62,46 +65,76 @@ class Strand:
     dir: Dir
 
 
-@dataclass(frozen=True)
+# JSON form of each event field type, keyed by the annotation's name.  A
+# codec returns the keys the field contributes to the event object.
+_JSON_CODECS = {
+    "int": lambda name, n: {name: n},
+    "Order": lambda name, o: {name: o.value},
+    "Dir": lambda name, d: {name: d.value},
+    "Weight": lambda name, w: {name: w.to_json()},
+    "GroupLabel": lambda name, g: {"free": list(g.free), "tors": list(g.tors)},
+}
+
+
+def event_kind(keyword: str, consumes: int, produces: int):
+    """Class decorator for an event kind of a sliced diagram: a frozen
+    dataclass whose first field is ``pos``, with its keyword, the number of
+    strands it consumes at ``pos`` and produces in their place, and the JSON
+    codec of each field.  Oriented and planar events share it.  Codecs are
+    found by the field annotation's text, so the defining module must use
+    postponed annotations."""
+
+    def make(cls):
+        cls = dataclass(frozen=True)(cls)
+        cls.keyword, cls.consumes, cls.produces = keyword, consumes, produces
+        cls.json_fields = tuple((f.name, _JSON_CODECS[f.type]) for f in fields(cls))
+        return cls
+
+    return make
+
+
+@event_kind("merge", 2, 1)
 class Merge:
     pos: int
     order: Order
 
 
-@dataclass(frozen=True)
+@event_kind("split", 1, 2)
 class Split:
     pos: int
     order: Order
     left: Weight  # weight of the left output strand
 
 
-@dataclass(frozen=True)
+@event_kind("cross", 2, 2)
 class Cross:
     pos: int
 
 
-@dataclass(frozen=True)
+@event_kind("cup", 0, 2)
 class Cup:
     pos: int
     weight: Weight
     dir: Dir  # direction of the left created strand
 
 
-@dataclass(frozen=True)
+@event_kind("cap", 2, 0)
 class Cap:
     pos: int
 
 
-@dataclass(frozen=True)
+@event_kind("dot", 1, 1)
 class Dot:
     pos: int
 
 
-@dataclass(frozen=True)
+@event_kind("label", 1, 1)
 class Label:
     pos: int
-    g: object  # a GroupLabel; opaque at this layer
+    g: GroupLabel
 
+
+EVENT_KINDS = (Merge, Split, Cross, Cup, Cap, Dot, Label)
 
 Event = object
 
@@ -213,22 +246,18 @@ def _strand_json(s: Strand) -> dict:
     return {"weight": s.weight.to_json(), "dir": s.dir.value}
 
 
-def event_to_json(e: Event) -> dict:
-    if isinstance(e, Merge):
-        return {"event": "merge", "pos": e.pos, "order": e.order.value}
-    if isinstance(e, Split):
-        return {"event": "split", "pos": e.pos, "order": e.order.value, "left": e.left.to_json()}
-    if isinstance(e, Cross):
-        return {"event": "cross", "pos": e.pos}
-    if isinstance(e, Cup):
-        return {"event": "cup", "pos": e.pos, "weight": e.weight.to_json(), "dir": e.dir.value}
-    if isinstance(e, Cap):
-        return {"event": "cap", "pos": e.pos}
-    if isinstance(e, Dot):
-        return {"event": "dot", "pos": e.pos}
-    if isinstance(e, Label):
-        return {"event": "label", "pos": e.pos, "free": list(e.g.free), "tors": list(e.g.tors)}
-    raise DslSemanticError(f"unknown event {e!r}")
+def event_to_json(e) -> dict:
+    """JSON object of an oriented or planar event."""
+    out = {"event": e.keyword}
+    for name, encode in e.json_fields:
+        out.update(encode(name, getattr(e, name)))
+    return out
+
+
+def reflected(e, width: int, **changes):
+    """e at its mirror position in a slice of the given width, with the
+    given fields changed."""
+    return replace(e, pos=width - e.consumes - e.pos, **changes)
 
 
 def vertex_contribution(kind: str, order: Order, d: Dir, x: Weight, y: Weight) -> WedgeValue:
@@ -320,24 +349,12 @@ def mirror(d: FoamDiagram) -> FoamDiagram:
     so every vertex term negates (as does every crossing term)."""
     new_events: list[Event] = []
     for cur, e in zip(d.slices, d.events):
-        n = len(cur)
-        if isinstance(e, Merge):
-            new_events.append(Merge(n - 2 - e.pos, e.order))
-        elif isinstance(e, Split):
-            s = cur[e.pos]
-            new_events.append(Split(n - 1 - e.pos, e.order, s.weight - e.left))
-        elif isinstance(e, Cross):
-            new_events.append(Cross(n - 2 - e.pos))
+        fix = {}
+        if isinstance(e, Split):
+            fix = {"left": cur[e.pos].weight - e.left}
         elif isinstance(e, Cup):
-            new_events.append(Cup(n - e.pos, e.weight, e.dir.flip()))
-        elif isinstance(e, Cap):
-            new_events.append(Cap(n - 2 - e.pos))
-        elif isinstance(e, Dot):
-            new_events.append(Dot(n - 1 - e.pos))
-        elif isinstance(e, Label):
-            new_events.append(Label(n - 1 - e.pos, e.g))
-        else:
-            raise DslSemanticError(f"unknown event {e!r}")
+            fix = {"dir": e.dir.flip()}
+        new_events.append(reflected(e, len(cur), **fix))
     return FoamDiagram(d.basis, tuple(reversed(d.start)), new_events)
 
 

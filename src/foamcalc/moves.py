@@ -26,7 +26,6 @@ from .foamdiag import (
     Dot,
     Event,
     FoamDiagram,
-    Label,
     Merge,
     Order,
     Split,
@@ -82,28 +81,6 @@ def _dir(params: dict, key: str = "dir") -> Dir:
     return Dir(val)
 
 
-def _span(e: Event) -> int:
-    """Strands the event consumes."""
-    if isinstance(e, (Merge, Cross, Cap)):
-        return 2
-    if isinstance(e, (Split, Dot, Label)):
-        return 1
-    return 0  # Cup
-
-
-def _out(e: Event) -> int:
-    """Strands the event produces."""
-    if isinstance(e, (Split, Cross, Cup)):
-        return 2
-    if isinstance(e, (Merge, Dot, Label)):
-        return 1
-    return 0  # Cap
-
-
-def _delta(e: Event) -> int:
-    return _out(e) - _span(e)
-
-
 def _shift(e: Event, dp: int) -> Event:
     return dataclasses.replace(e, pos=e.pos + dp) if dp else e
 
@@ -129,10 +106,10 @@ def _splice(d: FoamDiagram, k: int, removed: int, added: list[Event]) -> FoamDia
 def _apply_exchange(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     p, q = e.pos, f.pos
-    if q >= p + _out(e):
-        new = [_shift(f, -_delta(e)), e]
-    elif q + _span(f) <= p:
-        new = [f, _shift(e, _delta(f))]
+    if q >= p + e.produces:
+        new = [_shift(f, e.consumes - e.produces), e]
+    elif q + f.consumes <= p:
+        new = [f, _shift(e, f.produces - f.consumes)]
     else:
         raise SchemaMismatch("events overlap; exchange does not apply")
     return _splice(d, k, 2, new)

@@ -25,30 +25,33 @@ from .errors import (
     PrecisionExhausted,
 )
 from .exterior import WedgeValue, wedge
+from .foamdiag import event_kind, event_to_json, reflected
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
 
 
-@dataclass(frozen=True)
+@event_kind("merge", 2, 1)
 class PMerge:
     pos: int
 
 
-@dataclass(frozen=True)
+@event_kind("split", 1, 2)
 class PSplit:
     pos: int
     left: Weight
 
 
-@dataclass(frozen=True)
+@event_kind("cup", 0, 2)
 class PCup:
     pos: int
     weight: Weight
 
 
-@dataclass(frozen=True)
+@event_kind("cap", 2, 0)
 class PCap:
     pos: int
 
+
+PEVENT_KINDS = (PMerge, PSplit, PCup, PCap)
 
 PEvent = object
 
@@ -129,31 +132,15 @@ class PlanarFoam:
         }
 
 
-def pevent_to_json(e: PEvent) -> dict:
-    if isinstance(e, PMerge):
-        return {"event": "merge", "pos": e.pos}
-    if isinstance(e, PSplit):
-        return {"event": "split", "pos": e.pos, "left": e.left.to_json()}
-    if isinstance(e, PCup):
-        return {"event": "cup", "pos": e.pos, "weight": e.weight.to_json()}
-    if isinstance(e, PCap):
-        return {"event": "cap", "pos": e.pos}
-    raise DslSemanticError(f"unknown planar event {e!r}")
+pevent_to_json = event_to_json
 
 
 def mirror_planar(f: PlanarFoam) -> PlanarFoam:
     """Left-right reflection; tripod terms swap their entries."""
     new_events: list[PEvent] = []
     for cur, e in zip(f.slices, f.events):
-        n = len(cur)
-        if isinstance(e, PMerge):
-            new_events.append(PMerge(n - 2 - e.pos))
-        elif isinstance(e, PSplit):
-            new_events.append(PSplit(n - 1 - e.pos, cur[e.pos] - e.left))
-        elif isinstance(e, PCup):
-            new_events.append(PCup(n - e.pos, e.weight))
-        else:
-            new_events.append(PCap(n - 2 - e.pos))
+        fix = {"left": cur[e.pos] - e.left} if isinstance(e, PSplit) else {}
+        new_events.append(reflected(e, len(cur), **fix))
     return PlanarFoam(f.basis, tuple(reversed(f.start)), new_events)
 
 

@@ -263,18 +263,6 @@ def weight_from_json(basis: GeneratorBasis, obj: Mapping[str, str]) -> Weight:
     return Weight(basis, coeffs)
 
 
-def weight_add(x: Weight, y: Weight) -> Weight:
-    return x + y
-
-
-def weight_scale(q, x: Weight) -> Weight:
-    return x.scale(q)
-
-
-def weight_sign(x: Weight) -> int:
-    return x.sign()
-
-
 def weight_cmp(x: Weight, y: Weight) -> int:
     """Numeric comparison via the sign oracle: -1, 0 or +1."""
     return (x - y).sign()

@@ -1,8 +1,10 @@
 """Command line: exit codes, JSON payloads, and option plumbing."""
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -177,6 +179,9 @@ def test_gamma(capsys, doc):
     assert code == 0
     code, out = run(capsys, "gamma", doc, "labeled", "--output", "text")
     assert code == 0 and "tensor" in out
+    code, got = run_json(capsys, "gamma", doc, "labeled", "--torsion", "1")
+    assert code == 1
+    assert got["error"] == "semantic"
 
 
 def test_zerofoam(capsys, doc):
@@ -343,9 +348,13 @@ def test_invalid_precision_env(capsys, doc, monkeypatch):
 
 
 def test_bad_flag_exits_2(doc):
-    with pytest.raises(SystemExit) as exc_info:
-        main(["saf", doc, "s", "--precision", "0"])
-    assert exc_info.value.code == 2
+    for argv in (
+        ["saf", doc, "s", "--precision", "0"],
+        ["gamma", doc, "labeled", "--torsion", "abc"],
+    ):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
 
 
 def test_euclid_bound_flag(capsys, doc):
@@ -355,6 +364,23 @@ def test_euclid_bound_flag(capsys, doc):
 
 
 # ------------------------------------------------------------- entry point
+
+
+def test_closed_stdout_exits_quietly(doc):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "foamcalc.cli", "closure", doc, "s"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 def test_installed_script():
