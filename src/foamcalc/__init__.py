@@ -134,6 +134,13 @@ from .dsl import (
     weight_to_text,
 )
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names imported above; importing them also binds the submodules
+# (``foamcalc.dsl`` and so on) in this namespace, and those stay out.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

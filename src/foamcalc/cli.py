@@ -206,6 +206,8 @@ def _zerofoam(args, doc, text) -> tuple:
             )
         sign = 1 if token[0] == "+" else -1
         points.append((sign, parse_weight(token[1:], doc.basis)))
+    if not points:
+        raise DslSemanticError("POINTS is empty: pass at least one signed weight, e.g. '+1/2'")
     w = zerofoam_class(points)
     obj = {"class": w.to_json(), "zero": w.is_zero()}
     return obj, f"class = {weight_to_text(w)}; zero: {'yes' if w.is_zero() else 'no'}"

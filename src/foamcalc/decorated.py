@@ -100,8 +100,7 @@ def label_merge(d: FoamDiagram, k: int) -> FoamDiagram:
     e, f = d.events[k], d.events[k + 1]
     if not (isinstance(e, Label) and isinstance(f, Label) and f.pos == e.pos):
         raise SchemaMismatch("no adjacent label pair here")
-    ev = list(d.events)
-    return d.replace_events(ev[:k] + [Label(e.pos, e.g + f.g)] + ev[k + 2 :])
+    return d.spliced(k, 2, [Label(e.pos, e.g + f.g)])
 
 
 def label_split(d: FoamDiagram, k: int) -> FoamDiagram:
@@ -111,13 +110,10 @@ def label_split(d: FoamDiagram, k: int) -> FoamDiagram:
     if not 0 <= k <= len(d.events) - 2:
         raise SchemaMismatch("label_split needs two consecutive events")
     e, f = d.events[k], d.events[k + 1]
-    ev = list(d.events)
     if isinstance(e, Merge) and isinstance(f, Label) and f.pos == e.pos:
-        new = [Label(e.pos, f.g), Label(e.pos + 1, f.g), e]
-        return d.replace_events(ev[:k] + new + ev[k + 2 :])
+        return d.spliced(k, 2, [Label(e.pos, f.g), Label(e.pos + 1, f.g), e])
     if isinstance(e, Label) and isinstance(f, Split) and f.pos == e.pos:
-        new = [f, Label(f.pos, e.g), Label(f.pos + 1, e.g)]
-        return d.replace_events(ev[:k] + new + ev[k + 2 :])
+        return d.spliced(k, 2, [f, Label(f.pos, e.g), Label(f.pos + 1, e.g)])
     raise SchemaMismatch("no label against a vertex seam here")
 
 

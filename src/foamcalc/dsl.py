@@ -419,7 +419,7 @@ class _Parser:
         self.expect_sym("]")
         self.expect_sym(";")
         events: list = []
-        cur = tuple(start)
+        slices = [tuple(start)]
         while True:
             kw = self.expect_ident("an event keyword")
             if kw.text == "end":
@@ -431,7 +431,7 @@ class _Parser:
             e = cls(*[read(self, basis) for _, read, _ in _FIELD_CODECS[cls]])
             self.expect_sym(";")
             try:
-                cur = calc.apply(cur, e)
+                slices.append(calc.apply(slices[-1], e))
             except PrecisionExhausted:
                 raise
             except FoamError as exc:
@@ -441,7 +441,7 @@ class _Parser:
                 ) from None
             events.append(e)
         self.expect_sym("}")
-        return calc.build(basis, start, events)
+        return calc.build(basis, slices[0], tuple(events), tuple(slices))
 
     def _strand(self, basis: GeneratorBasis) -> Strand:
         w = self.weight_expr(basis)
@@ -627,7 +627,7 @@ class _Calculus:
     read_strand: Callable
     strand_text: Callable
     apply: Callable
-    build: Callable
+    build: Callable  # (basis, start, events, slices) -> diagram, slices validated
 
 
 # apply_event and apply_pevent are looked up at call time, so that a wrapper
@@ -639,7 +639,7 @@ _CALCULI = {
         read_strand=_Parser._strand,
         strand_text=lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
         apply=lambda cur, e: apply_event(cur, e),
-        build=FoamDiagram,
+        build=FoamDiagram._from_slices,
     ),
     "planarfoam": _Calculus(
         unknown="unknown planar event",
@@ -647,7 +647,7 @@ _CALCULI = {
         read_strand=_Parser.weight_expr,
         strand_text=weight_to_text,
         apply=lambda cur, e: apply_pevent(cur, e),
-        build=PlanarFoam,
+        build=PlanarFoam._from_slices,
     ),
 }
 

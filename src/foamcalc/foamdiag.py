@@ -192,8 +192,36 @@ def apply_event(strands: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
     raise DslSemanticError(f"unknown event {e!r}")
 
 
+def _extend_slices(slices: list, events: tuple, old: tuple = (), reuse_from: int = 0,
+                   shift: int = 0) -> tuple:
+    """All slices of ``events``, given the first ``len(slices)`` of them.
+
+    Applies the remaining events one by one (through the module-level
+    ``apply_event``, looked up at call time) and names the failing event's
+    index in the error.  With ``old`` slices, from index ``reuse_from`` on,
+    it stops as soon as a computed slice equals ``old[i + shift]`` and takes
+    the rest from ``old``: the events from there on are the old ones, which
+    were validated against equal slices."""
+    i = len(slices) - 1
+    while i < len(events):
+        if old and i >= reuse_from and slices[i] == old[i + shift]:
+            return tuple(slices[:i]) + old[i + shift :]
+        try:
+            slices.append(apply_event(slices[i], events[i]))
+        except DslSemanticError as exc:
+            raise DslSemanticError(f"event {i}: {exc}") from None
+        i += 1
+    return tuple(slices)
+
+
 class FoamDiagram:
-    """Immutable sliced diagram; slices are derived from start + events."""
+    """Immutable sliced diagram; slices are derived from start + events.
+
+    The constructor applies every event to its slice.  :meth:`spliced`
+    recomputes only the slices a local change alters: it keeps the slices
+    below the change, applies events from there, and reuses the old slices
+    from the first recomputed slice past the change that equals its old
+    counterpart.  Both give the same slices and the same errors."""
 
     __slots__ = ("basis", "start", "events", "slices")
 
@@ -201,13 +229,25 @@ class FoamDiagram:
         self.basis = basis
         self.start = tuple(start)
         self.events = tuple(events)
-        slices = [self.start]
-        for k, e in enumerate(self.events):
-            try:
-                slices.append(apply_event(slices[-1], e))
-            except DslSemanticError as exc:
-                raise DslSemanticError(f"event {k}: {exc}") from None
-        self.slices = tuple(slices)
+        self.slices = _extend_slices([self.start], self.events)
+
+    @classmethod
+    def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple,
+                     slices: tuple) -> "FoamDiagram":
+        """The diagram whose slices are already computed and validated."""
+        d = object.__new__(cls)
+        d.basis, d.start, d.events, d.slices = basis, start, events, slices
+        return d
+
+    def spliced(self, k: int, removed: int, added: Iterable[Event]) -> "FoamDiagram":
+        """The diagram with ``events[k:k+removed]`` replaced by ``added``."""
+        if not 0 <= k <= k + removed <= len(self.events):
+            raise IndexError(f"splice of {removed} events at {k} out of range")
+        added = tuple(added)
+        events = self.events[:k] + added + self.events[k + removed :]
+        slices = _extend_slices(list(self.slices[: k + 1]), events, self.slices,
+                                k + len(added), removed - len(added))
+        return self._from_slices(self.basis, self.start, events, slices)
 
     def is_closed(self) -> bool:
         return not self.slices[0] and not self.slices[-1]

@@ -8,8 +8,11 @@ change nu and are only ever applied through explicit trace steps.
 
 A move is addressed by schema name, the index of the first event it
 touches, and schema-specific params.  Appliers validate the local pattern
-and raise :class:`SchemaMismatch` when it is absent; the rebuilt diagram is
-revalidated slice by slice on construction.
+and raise :class:`SchemaMismatch` when it is absent.  Every move is one or
+two splices (:meth:`FoamDiagram.spliced`): the new events are validated
+slice by slice from the splice point until a slice equals the old one at
+the aligned index, and the old slices above it are reused.  The result is
+the diagram a full rebuild would give, with the same errors.
 """
 
 from __future__ import annotations
@@ -95,11 +98,6 @@ def _triple(d: FoamDiagram, k: int) -> tuple[Event, Event, Event]:
     return d.events[k], d.events[k + 1], d.events[k + 2]
 
 
-def _splice(d: FoamDiagram, k: int, removed: int, added: list[Event]) -> FoamDiagram:
-    ev = list(d.events)
-    return d.replace_events(ev[:k] + added + ev[k + removed :])
-
-
 # --- nu-preserving schemas ---------------------------------------------------
 
 
@@ -112,22 +110,22 @@ def _apply_exchange(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         new = [f, _shift(e, f.produces - f.consumes)]
     else:
         raise SchemaMismatch("events overlap; exchange does not apply")
-    return _splice(d, k, 2, new)
+    return d.spliced(k, 2, new)
 
 
 def _apply_r2(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     _check(isinstance(e, Cross) and isinstance(f, Cross) and e.pos == f.pos,
            "no double crossing here")
-    return _splice(d, k, 2, [])
+    return d.spliced(k, 2, [])
 
 
 def _apply_kink(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     if isinstance(e, Cup) and isinstance(f, Cross) and f.pos == e.pos:
-        return _splice(d, k, 2, [Cup(e.pos, e.weight, e.dir.flip())])
+        return d.spliced(k, 2, [Cup(e.pos, e.weight, e.dir.flip())])
     if isinstance(e, Cross) and isinstance(f, Cap) and f.pos == e.pos:
-        return _splice(d, k, 2, [Cap(e.pos)])
+        return d.spliced(k, 2, [Cap(e.pos)])
     raise SchemaMismatch("no kink here")
 
 
@@ -136,9 +134,9 @@ def _apply_r3(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     _check(all(isinstance(x, Cross) for x in (e, f, g)), "three crossings needed")
     p = e.pos
     if f.pos == p + 1 and g.pos == p:
-        return _splice(d, k, 3, [Cross(p + 1), Cross(p), Cross(p + 1)])
+        return d.spliced(k, 3, [Cross(p + 1), Cross(p), Cross(p + 1)])
     if f.pos == p - 1 and g.pos == p:
-        return _splice(d, k, 3, [Cross(p - 1), Cross(p), Cross(p - 1)])
+        return d.spliced(k, 3, [Cross(p - 1), Cross(p), Cross(p - 1)])
     raise SchemaMismatch("crossings are not in braid-relation position")
 
 
@@ -148,18 +146,18 @@ def _apply_vertex_flip(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         _check(0 <= k < len(d.events), "no event here")
         e = d.events[k]
         if isinstance(e, Merge):
-            return _splice(d, k, 1, [Cross(e.pos), Merge(e.pos, e.order.flip())])
+            return d.spliced(k, 1, [Cross(e.pos), Merge(e.pos, e.order.flip())])
         if isinstance(e, Split):
             w = d.slices[k][e.pos].weight
-            return _splice(d, k, 1, [Split(e.pos, e.order.flip(), w - e.left), Cross(e.pos)])
+            return d.spliced(k, 1, [Split(e.pos, e.order.flip(), w - e.left), Cross(e.pos)])
         raise SchemaMismatch("vertex_flip expands a merge or a split")
     if which == "contract":
         e, f = _pair(d, k)
         if isinstance(e, Cross) and isinstance(f, Merge) and f.pos == e.pos:
-            return _splice(d, k, 2, [Merge(f.pos, f.order.flip())])
+            return d.spliced(k, 2, [Merge(f.pos, f.order.flip())])
         if isinstance(e, Split) and isinstance(f, Cross) and f.pos == e.pos:
             w = d.slices[k][e.pos].weight
-            return _splice(d, k, 2, [Split(e.pos, e.order.flip(), w - e.left)])
+            return d.spliced(k, 2, [Split(e.pos, e.order.flip(), w - e.left)])
         raise SchemaMismatch("no crossing-vertex pair to contract")
     raise SchemaMismatch(f"bad vertex_flip direction {which!r}")
 
@@ -171,31 +169,31 @@ def _apply_vertex_slide(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         if isinstance(e, Merge) and isinstance(f, Cross):
             p = e.pos
             if f.pos == p:
-                return _splice(d, k, 2, [Cross(p + 1), Cross(p), Merge(p + 1, e.order)])
+                return d.spliced(k, 2, [Cross(p + 1), Cross(p), Merge(p + 1, e.order)])
             if f.pos == p - 1:
                 q = p - 1
-                return _splice(d, k, 2, [Cross(q), Cross(q + 1), Merge(q, e.order)])
+                return d.spliced(k, 2, [Cross(q), Cross(q + 1), Merge(q, e.order)])
         if isinstance(e, Cross) and isinstance(f, Split):
             p = e.pos
             if f.pos == p + 1:
-                return _splice(d, k, 2, [Split(p, f.order, f.left), Cross(p + 1), Cross(p)])
+                return d.spliced(k, 2, [Split(p, f.order, f.left), Cross(p + 1), Cross(p)])
             if f.pos == p:
-                return _splice(d, k, 2, [Split(p + 1, f.order, f.left), Cross(p), Cross(p + 1)])
+                return d.spliced(k, 2, [Split(p + 1, f.order, f.left), Cross(p), Cross(p + 1)])
         raise SchemaMismatch("no vertex-crossing pair to slide")
     if which == "contract":
         e, f, g = _triple(d, k)
         if isinstance(e, Cross) and isinstance(f, Cross) and isinstance(g, Merge):
             q = e.pos
             if f.pos == q - 1 and g.pos == q:
-                return _splice(d, k, 3, [Merge(q - 1, g.order), Cross(q - 1)])
+                return d.spliced(k, 3, [Merge(q - 1, g.order), Cross(q - 1)])
             if f.pos == q + 1 and g.pos == q:
-                return _splice(d, k, 3, [Merge(q + 1, g.order), Cross(q)])
+                return d.spliced(k, 3, [Merge(q + 1, g.order), Cross(q)])
         if isinstance(e, Split) and isinstance(f, Cross) and isinstance(g, Cross):
             p = e.pos
             if f.pos == p + 1 and g.pos == p:
-                return _splice(d, k, 3, [Cross(p), Split(p + 1, e.order, e.left)])
+                return d.spliced(k, 3, [Cross(p), Split(p + 1, e.order, e.left)])
             if f.pos == p - 1 and g.pos == p:
-                return _splice(d, k, 3, [Cross(p - 1), Split(p - 1, e.order, e.left)])
+                return d.spliced(k, 3, [Cross(p - 1), Split(p - 1, e.order, e.left)])
         raise SchemaMismatch("no slid vertex to contract")
     raise SchemaMismatch(f"bad vertex_slide direction {which!r}")
 
@@ -208,41 +206,41 @@ def _apply_vertex_cobordism(d: FoamDiagram, k: int, params: dict) -> FoamDiagram
         ok = isinstance(e, Merge) and isinstance(f, Merge) and e.order == f.order
         if which == "lr":
             _check(ok and f.pos == e.pos, "no left-associated merge pair")
-            return _splice(d, k, 2, [Merge(e.pos + 1, e.order), Merge(e.pos, e.order)])
+            return d.spliced(k, 2, [Merge(e.pos + 1, e.order), Merge(e.pos, e.order)])
         _check(ok and f.pos == e.pos - 1, "no right-associated merge pair")
-        return _splice(d, k, 2, [Merge(e.pos - 1, e.order), Merge(e.pos - 1, e.order)])
+        return d.spliced(k, 2, [Merge(e.pos - 1, e.order), Merge(e.pos - 1, e.order)])
     if pattern == "ss":
         ok = isinstance(e, Split) and isinstance(f, Split) and e.order == f.order
         if which == "lr":
             _check(ok and f.pos == e.pos, "no left-associated split pair")
-            return _splice(d, k, 2, [Split(e.pos, e.order, f.left),
-                                     Split(e.pos + 1, e.order, e.left - f.left)])
+            return d.spliced(k, 2, [Split(e.pos, e.order, f.left),
+                                    Split(e.pos + 1, e.order, e.left - f.left)])
         _check(ok and f.pos == e.pos + 1, "no right-associated split pair")
-        return _splice(d, k, 2, [Split(e.pos, e.order, e.left + f.left),
-                                 Split(e.pos, e.order, e.left)])
+        return d.spliced(k, 2, [Split(e.pos, e.order, e.left + f.left),
+                                Split(e.pos, e.order, e.left)])
     if pattern == "sm":
         if which == "lr":
             _check(isinstance(e, Split) and isinstance(f, Merge)
                    and f.pos == e.pos + 1 and e.order == f.order,
                    "no split-then-right-merge pair")
-            return _splice(d, k, 2, [Merge(e.pos, e.order), Split(e.pos, e.order, e.left)])
+            return d.spliced(k, 2, [Merge(e.pos, e.order), Split(e.pos, e.order, e.left)])
         _check(isinstance(e, Merge) and isinstance(f, Split)
                and f.pos == e.pos and e.order == f.order,
                "no merge-then-split pair")
-        return _splice(d, k, 2, [Split(e.pos, e.order, f.left), Merge(e.pos + 1, e.order)])
+        return d.spliced(k, 2, [Split(e.pos, e.order, f.left), Merge(e.pos + 1, e.order)])
     if pattern == "ms":
         if which == "lr":
             _check(isinstance(e, Split) and isinstance(f, Merge)
                    and f.pos == e.pos - 1 and e.order == f.order,
                    "no split-then-left-merge pair")
             b = d.slices[k][e.pos - 1].weight
-            return _splice(d, k, 2, [Merge(e.pos - 1, e.order),
-                                     Split(e.pos - 1, e.order, b + e.left)])
+            return d.spliced(k, 2, [Merge(e.pos - 1, e.order),
+                                    Split(e.pos - 1, e.order, b + e.left)])
         _check(isinstance(e, Merge) and isinstance(f, Split)
                and f.pos == e.pos and e.order == f.order,
                "no merge-then-split pair")
         b = d.slices[k][e.pos].weight
-        return _splice(d, k, 2, [Split(e.pos + 1, e.order, f.left - b), Merge(e.pos, e.order)])
+        return d.spliced(k, 2, [Split(e.pos + 1, e.order, f.left - b), Merge(e.pos, e.order)])
     raise SchemaMismatch(f"bad vertex_cobordism pattern {pattern!r}")
 
 
@@ -250,11 +248,11 @@ def _apply_singular_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     if isinstance(e, Split) and isinstance(f, Merge):
         _check(f.pos == e.pos and f.order == e.order, "merge does not undo the split")
-        return _splice(d, k, 2, [])
+        return d.spliced(k, 2, [])
     if isinstance(e, Merge) and isinstance(f, Split):
         _check(f.pos == e.pos and f.order == e.order, "split does not undo the merge")
         _check(f.left == d.slices[k][e.pos].weight, "split does not recreate the merged pair")
-        return _splice(d, k, 2, [])
+        return d.spliced(k, 2, [])
     raise SchemaMismatch("no cancelling vertex pair here")
 
 
@@ -264,7 +262,7 @@ def _apply_singular_cup(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     cur = d.slices[k]
     _check(isinstance(pos, int) and 0 <= pos <= len(cur) - 2, "needs two strands")
     _check(cur[pos].dir == cur[pos + 1].dir, "strands must be parallel")
-    return _splice(d, k, 0, [Merge(pos, o), Split(pos, o, cur[pos].weight)])
+    return d.spliced(k, 0, [Merge(pos, o), Split(pos, o, cur[pos].weight)])
 
 
 def _apply_singular_cap(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -274,7 +272,7 @@ def _apply_singular_cap(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     _check(isinstance(pos, int) and 0 <= pos < len(cur), "no such strand")
     left = params.get("left")
     _check(isinstance(left, Weight), "singular_cap needs the left weight")
-    return _splice(d, k, 0, [Split(pos, o, left), Merge(pos, o)])
+    return d.spliced(k, 0, [Split(pos, o, left), Merge(pos, o)])
 
 
 def _apply_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -286,7 +284,7 @@ def _apply_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         a = d.slices[k][e.pos]
         _check(f.weight == a.weight and f.dir == a.dir,
                "cup does not recreate the capped strands")
-        return _splice(d, k, 2, [])
+        return d.spliced(k, 2, [])
     if kind == "insert":
         _check(0 <= k <= len(d.events), "insertion point out of range")
         pos = params.get("pos")
@@ -295,7 +293,7 @@ def _apply_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         a, b = cur[pos], cur[pos + 1]
         _check(a.weight == b.weight and a.dir != b.dir,
                "strands must be antiparallel with equal weights")
-        return _splice(d, k, 0, [Cap(pos), Cup(pos, a.weight, a.dir)])
+        return d.spliced(k, 0, [Cap(pos), Cup(pos, a.weight, a.dir)])
     raise SchemaMismatch(f"bad saddle kind {kind!r}")
 
 
@@ -303,14 +301,14 @@ def _apply_circle_birth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     _check(0 <= k <= len(d.events), "insertion point out of range")
     pos, w, dr = params.get("pos"), params.get("weight"), _dir(params)
     _check(isinstance(pos, int) and isinstance(w, Weight), "circle_birth needs pos and weight")
-    return _splice(d, k, 0, [Cup(pos, w, dr), Cap(pos)])
+    return d.spliced(k, 0, [Cup(pos, w, dr), Cap(pos)])
 
 
 def _apply_circle_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     _check(isinstance(e, Cup) and isinstance(f, Cap) and f.pos == e.pos,
            "no cup-then-cap circle here")
-    return _splice(d, k, 2, [])
+    return d.spliced(k, 2, [])
 
 
 def _apply_crossing_splitoff(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -321,12 +319,8 @@ def _apply_crossing_splitoff(d: FoamDiagram, k: int, params: dict) -> FoamDiagra
     _check(a.dir == b.dir, "split-off needs a parallel crossing")
     o = Order.L if a.dir is Dir.UP else Order.R
     base = len(d.slices[-1])
-    ev = list(d.events)
-    new = (ev[:k]
-           + [Merge(e.pos, o), Split(e.pos, o, b.weight)]
-           + ev[k + 1 :]
-           + u_block_events(base, a.weight, b.weight))
-    return d.replace_events(new)
+    d = d.spliced(k, 1, [Merge(e.pos, o), Split(e.pos, o, b.weight)])
+    return d.spliced(len(d.events), 0, u_block_events(base, a.weight, b.weight))
 
 
 # --- flip-land schemas (trace-only) ------------------------------------------
@@ -336,14 +330,14 @@ def _apply_dot_cancel(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     e, f = _pair(d, k)
     _check(isinstance(e, Dot) and isinstance(f, Dot) and f.pos == e.pos,
            "no adjacent dot pair")
-    return _splice(d, k, 2, [])
+    return d.spliced(k, 2, [])
 
 
 def _apply_dot_pair_birth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     _check(0 <= k <= len(d.events), "insertion point out of range")
     pos = params.get("pos")
     _check(isinstance(pos, int) and 0 <= pos < len(d.slices[k]), "no such strand")
-    return _splice(d, k, 0, [Dot(pos), Dot(pos)])
+    return d.spliced(k, 0, [Dot(pos), Dot(pos)])
 
 
 def _apply_dot_through_vertex(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -351,20 +345,20 @@ def _apply_dot_through_vertex(d: FoamDiagram, k: int, params: dict) -> FoamDiagr
     if which == "expand":
         e, f = _pair(d, k)
         if isinstance(e, Merge) and isinstance(f, Dot) and f.pos == e.pos:
-            return _splice(d, k, 2,
-                           [Dot(e.pos), Dot(e.pos + 1), Merge(e.pos, e.order.flip())])
+            return d.spliced(k, 2,
+                             [Dot(e.pos), Dot(e.pos + 1), Merge(e.pos, e.order.flip())])
         if isinstance(e, Dot) and isinstance(f, Split) and f.pos == e.pos:
-            return _splice(d, k, 2,
-                           [Split(f.pos, f.order.flip(), f.left), Dot(f.pos), Dot(f.pos + 1)])
+            return d.spliced(k, 2,
+                             [Split(f.pos, f.order.flip(), f.left), Dot(f.pos), Dot(f.pos + 1)])
         raise SchemaMismatch("no dot against a vertex here")
     if which == "contract":
         e, f, g = _triple(d, k)
         if (isinstance(e, Dot) and isinstance(f, Dot) and isinstance(g, Merge)
                 and e.pos == g.pos and f.pos == g.pos + 1):
-            return _splice(d, k, 3, [Merge(g.pos, g.order.flip()), Dot(g.pos)])
+            return d.spliced(k, 3, [Merge(g.pos, g.order.flip()), Dot(g.pos)])
         if (isinstance(e, Split) and isinstance(f, Dot) and isinstance(g, Dot)
                 and f.pos == e.pos and g.pos == e.pos + 1):
-            return _splice(d, k, 3, [Dot(e.pos), Split(e.pos, e.order.flip(), e.left)])
+            return d.spliced(k, 3, [Dot(e.pos), Split(e.pos, e.order.flip(), e.left)])
         raise SchemaMismatch("no dotted vertex to contract")
     raise SchemaMismatch(f"bad dot_through_vertex direction {which!r}")
 
@@ -375,9 +369,8 @@ def _apply_dot_splitoff(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     _check(isinstance(e, Dot), "no dot here")
     w = d.slices[k][e.pos].weight
     base = len(d.slices[-1])
-    ev = list(d.events)
-    new = ev[:k] + ev[k + 1 :] + [Cup(base, w, Dir.UP), Dot(base), Cap(base)]
-    return d.replace_events(new)
+    d = d.spliced(k, 1, [])
+    return d.spliced(len(d.events), 0, [Cup(base, w, Dir.UP), Dot(base), Cap(base)])
 
 
 def _apply_dotted_circle_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -385,7 +378,7 @@ def _apply_dotted_circle_death(d: FoamDiagram, k: int, params: dict) -> FoamDiag
     _check(isinstance(e, Cup) and isinstance(f, Dot) and isinstance(g, Cap)
            and g.pos == e.pos and f.pos in (e.pos, e.pos + 1),
            "no dotted circle here")
-    return _splice(d, k, 3, [])
+    return d.spliced(k, 3, [])
 
 
 def _apply_u_ab_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -400,7 +393,7 @@ def _apply_u_ab_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
         and isinstance(e4, Cap) and e4.pos == p,
         "no standard crossing-foam block here",
     )
-    return _splice(d, k, 5, [])
+    return d.spliced(k, 5, [])
 
 
 def _apply_cross_smooth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
@@ -410,7 +403,7 @@ def _apply_cross_smooth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
     a, b = d.slices[k][e.pos], d.slices[k][e.pos + 1]
     _check(a.dir != b.dir and a.weight == b.weight,
            "smoothing needs an antiparallel equal-weight crossing")
-    return _splice(d, k, 1, [Cap(e.pos), Cup(e.pos, a.weight, a.dir.flip())])
+    return d.spliced(k, 1, [Cap(e.pos), Cup(e.pos, a.weight, a.dir.flip())])
 
 
 NU_SCHEMAS: dict = {

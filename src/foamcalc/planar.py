@@ -105,6 +105,14 @@ class PlanarFoam:
                 raise DslSemanticError(f"event {k}: {exc}") from None
         self.slices = tuple(slices)
 
+    @classmethod
+    def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple,
+                     slices: tuple) -> "PlanarFoam":
+        """The diagram whose slices are already computed and validated."""
+        d = object.__new__(cls)
+        d.basis, d.start, d.events, d.slices = basis, start, events, slices
+        return d
+
     def is_closed(self) -> bool:
         return not self.slices[0] and not self.slices[-1]
 

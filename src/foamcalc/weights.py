@@ -66,7 +66,8 @@ UNIT = Generator("1", "1", 0)
 
 
 class GeneratorBasis:
-    """Ordered list of generators; entry 0 is always the unit."""
+    """Ordered list of generators; entry 0 is always the unit.  ``bounds[i]``
+    is the exact enclosure (lo, hi) of generator i, parsed once here."""
 
     def __init__(self, entries: Iterable[Generator] = ()):
         entries = list(entries)
@@ -75,10 +76,13 @@ class GeneratorBasis:
         names = [g.name for g in entries]
         if len(set(names)) != len(names):
             raise DslSemanticError("duplicate generator names in basis")
-        for g in entries[1:]:
-            if g.digits <= 0:
+        bounds = []
+        for i, g in enumerate(entries):
+            if i and g.digits <= 0:
                 raise DslSemanticError(f"generator {g.name}: digits must be positive")
-            g.midpoint()  # validates the enclosure
+            mid, rad = g.midpoint(), g.radius()  # midpoint validates the enclosure
+            bounds.append((mid - rad, mid + rad))
+        self.bounds: tuple[tuple[Fraction, Fraction], ...] = tuple(bounds)
         self.entries: tuple[Generator, ...] = tuple(entries)
         self._index = {g.name: i for i, g in enumerate(self.entries)}
 
@@ -199,15 +203,15 @@ class Weight:
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the real value."""
         lo = hi = Fraction(0)
+        bounds = self.basis.bounds
         for i, c in self.coeffs:
-            g = self.basis.entries[i]
-            mid, rad = g.midpoint(), g.radius()
+            g_lo, g_hi = bounds[i]
             if c >= 0:
-                lo += c * (mid - rad)
-                hi += c * (mid + rad)
+                lo += c * g_lo
+                hi += c * g_hi
             else:
-                lo += c * (mid + rad)
-                hi += c * (mid - rad)
+                lo += c * g_hi
+                hi += c * g_lo
         return lo, hi
 
     def sign(self) -> int:

@@ -193,6 +193,14 @@ def test_zerofoam(capsys, doc):
     assert got == {"class": {}, "zero": True}
 
 
+def test_zerofoam_without_points(capsys, doc):
+    for points in ("", " , "):
+        code, got = run_json(capsys, "zerofoam", doc, points)
+        assert code == 1
+        assert got["error"] == "semantic"
+        assert "POINTS is empty" in got["message"]
+
+
 def test_verify_z4_pinned_line(capsys):
     code, out = run(capsys, "verify-z4")
     assert code == 0

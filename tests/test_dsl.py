@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foamcalc import dsl, foamdiag, planar
 from foamcalc import (
     BracketSum,
     Document,
@@ -79,6 +80,28 @@ def test_parse_sample_document():
     assert isinstance(doc.get("b")[1], BracketSum)
     assert doc.get("z")[1].is_zero()
     assert doc.get("f")[1].is_flipped()
+
+
+def test_parsing_applies_each_event_once(monkeypatch):
+    """The parser validates each event against its slice and the diagram
+    keeps those slices: no second pass over the events."""
+    calls = []
+
+    def counting(apply):
+        def wrapped(cur, e):
+            calls.append(e)
+            return apply(cur, e)
+
+        return wrapped
+
+    for module, name in ((dsl, "apply_event"), (foamdiag, "apply_event"),
+                         (dsl, "apply_pevent"), (planar, "apply_pevent")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    doc = parse_document(SAMPLE)
+    diagrams = [doc.get(name)[1] for name in ("u", "marked", "p")]
+    assert len(calls) == sum(len(d.events) for d in diagrams) == 13
+    for d in diagrams:
+        assert d.slices == type(d)(d.basis, d.start, d.events).slices
 
 
 def test_print_parse_round_trip():

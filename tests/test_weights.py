@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foamcalc import weights
 from foamcalc import (
     BasisMismatch,
     DslSemanticError,
@@ -27,6 +28,27 @@ def test_unit_is_prepended(basis):
     assert basis.entries[0].name == "1"
     assert basis.entries[0].radius() == 0
     assert len(basis) == 2
+
+
+def test_enclosures_are_parsed_once(basis, monkeypatch):
+    assert basis.bounds == (
+        (Fraction(1), Fraction(1)),
+        (Fraction("1.4142135623730951") - Fraction(1, 10**16),
+         Fraction("1.4142135623730951") + Fraction(1, 10**16)),
+    )
+
+    def no_parse(text):
+        raise AssertionError("enclosure re-parsed")
+
+    monkeypatch.setattr(weights, "_parse_decimal", no_parse)
+    assert Weight.generator(basis, "r2").scale(-1).sign() == NEGATIVE
+
+
+def test_generator_validation_checks_digits_first():
+    with pytest.raises(DslSemanticError, match="x: digits must be positive"):
+        GeneratorBasis([Generator("x", "not a number", 0)])
+    with pytest.raises(ValueError, match="bad decimal literal"):
+        GeneratorBasis([Generator("x", "1.2.3", 4)])
 
 
 def test_duplicate_generator_names_rejected():
