@@ -14,6 +14,7 @@ from .errors import (
     FlippedIet,
     FoamError,
     FoamSyntaxError,
+    InternalError,
     NonPositiveWeight,
     OpenDiagram,
     OutOfDomain,

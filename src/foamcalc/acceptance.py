@@ -12,12 +12,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
-from typing import Callable, Iterable
+from typing import Callable
 
 from .decorated import (
     AbelianGroupSpec,
     GroupLabel,
-    empty_diagram,
     flip_reduce,
     gamma,
     label_merge,
@@ -28,17 +27,11 @@ from .dsl import Document, parse_bytes, parse_document, print_document
 from .errors import FoamError
 from .exterior import WedgeValue, wedge
 from .foamdiag import (
-    Cap,
     Cross,
-    Cup,
     Dir,
     Dot,
     FoamDiagram,
     Label,
-    Merge,
-    Order,
-    Split,
-    Strand,
     circle,
     classify,
     disjoint_union,
@@ -57,7 +50,6 @@ from .planar import (
     PMerge,
     PSplit,
     PlanarFoam,
-    apply_pevent,
     bracket,
     bracket_make_positive,
     foam_make_positive,
@@ -84,27 +76,25 @@ def demo_basis(*names: str) -> GeneratorBasis:
 # random instance generators -------------------------------------------------
 
 
-def rand_positive_weight(rng: random.Random, basis: GeneratorBasis) -> Weight:
-    """Nonnegative coefficients, not all zero; positive by independence."""
+def _rand_weight(rng: random.Random, basis: GeneratorBasis, low: int) -> Weight:
+    """Coefficients with numerators in [low, 3], not all zero."""
     n = len(basis.entries)
     while True:
         coeffs = {
-            i: Fraction(rng.randint(0, 3), rng.randint(1, 4)) for i in range(n)
+            i: Fraction(rng.randint(low, 3), rng.randint(1, 4)) for i in range(n)
         }
         w = Weight(basis, coeffs)
         if not w.is_zero():
             return w
+
+
+def rand_positive_weight(rng: random.Random, basis: GeneratorBasis) -> Weight:
+    """Nonnegative coefficients, not all zero; positive by independence."""
+    return _rand_weight(rng, basis, 0)
 
 
 def rand_nonzero_weight(rng: random.Random, basis: GeneratorBasis) -> Weight:
-    n = len(basis.entries)
-    while True:
-        coeffs = {
-            i: Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for i in range(n)
-        }
-        w = Weight(basis, coeffs)
-        if not w.is_zero():
-            return w
+    return _rand_weight(rng, basis, -3)
 
 
 def rand_total(rng: random.Random, basis: GeneratorBasis) -> Weight:
@@ -186,18 +176,13 @@ def rand_closed_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagra
 
 def _insert_dots(rng: random.Random, d: FoamDiagram, count: int) -> FoamDiagram:
     """Sprinkle dot events at valid slots."""
-    events = list(d.events)
     for _ in range(count):
-        slots = [
-            (s, len(sl))
-            for s, sl in enumerate(FoamDiagram(d.basis, d.start, events).slices)
-            if len(sl) > 0 and s <= len(events)
-        ]
+        slots = [(s, len(sl)) for s, sl in enumerate(d.slices) if sl]
         if not slots:
             break
         s, width = rng.choice(slots)
-        events.insert(s, Dot(rng.randrange(width)))
-    return FoamDiagram(d.basis, d.start, events)
+        d = d.spliced(s, 0, [Dot(rng.randrange(width))])
+    return d
 
 
 def rand_dotted_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
@@ -245,32 +230,30 @@ _SPLIT_RATIOS = (
 
 
 def _try_signed_planar(rng: random.Random, basis: GeneratorBasis) -> PlanarFoam:
-    events: list = []
-    cur: tuple[Weight, ...] = ()
+    f = PlanarFoam(basis, (), ())
 
     def push(e) -> None:
-        nonlocal cur
-        cur = apply_pevent(cur, e)
-        events.append(e)
+        nonlocal f
+        f = f.spliced(len(f.events), 0, [e])
 
     for _ in range(rng.randint(1, 3)):
         w = rand_nonzero_weight(rng, basis)
-        push(PCup(rng.randint(0, len(cur)), w))
+        push(PCup(rng.randint(0, len(f.slices[-1])), w))
     for _ in range(rng.randint(0, 5)):
-        n = len(cur)
+        cur = f.slices[-1]
         kind = rng.randrange(3)
         if kind == 0:
-            push(PCup(rng.randint(0, n), rand_nonzero_weight(rng, basis)))
-        elif kind == 1 and n >= 2:
-            push(PMerge(rng.randint(0, n - 2)))
+            push(PCup(rng.randint(0, len(cur)), rand_nonzero_weight(rng, basis)))
+        elif kind == 1 and len(cur) >= 2:
+            push(PMerge(rng.randint(0, len(cur) - 2)))
         else:
-            p = rng.randrange(n)
+            p = rng.randrange(len(cur))
             push(PSplit(p, cur[p].scale(rng.choice(_SPLIT_RATIOS))))
-    while len(cur) > 1:
+    while len(f.slices[-1]) > 1:
         push(PMerge(0))
-    push(PSplit(0, cur[0].scale(Fraction(1, 2))))
+    push(PSplit(0, f.slices[-1][0].scale(Fraction(1, 2))))
     push(PCap(0))
-    return PlanarFoam(basis, (), events)
+    return f
 
 
 def rand_bracket(rng: random.Random, basis: GeneratorBasis) -> BracketSum:
@@ -286,24 +269,19 @@ def rand_labeled_diagram(
 ) -> FoamDiagram:
     """Closure with label pairs planted where label moves apply."""
     d = rand_closure(rng, basis, max_r=3)
-    events = list(d.events)
 
     def rand_label() -> GroupLabel:
         free = tuple(rng.randint(-4, 4) for _ in range(spec.free_rank))
         tors = tuple(rng.randint(-5, 5) for _ in range(len(spec.torsion)))
         return GroupLabel(free, tors)
 
-    slices = FoamDiagram(basis, d.start, events).slices
-    slots = [s for s, sl in enumerate(slices) if len(sl) > 0 and s <= len(events)]
     for _ in range(rng.randint(1, 2)):
-        s = rng.choice(slots)
-        width = len(slices[s])
-        p = rng.randrange(width)
-        events.insert(s, Label(p, rand_label()))
-        events.insert(s, Label(p, rand_label()))
-        slices = FoamDiagram(basis, d.start, events).slices
-        slots = [s for s, sl in enumerate(slices) if len(sl) > 0 and s <= len(events)]
-    return FoamDiagram(basis, d.start, events)
+        s = rng.choice([s for s, sl in enumerate(d.slices) if sl])
+        p = rng.randrange(len(d.slices[s]))
+        first = Label(p, rand_label())
+        # the label drawn second goes below the first
+        d = d.spliced(s, 0, [Label(p, rand_label()), first])
+    return d
 
 
 def rand_document(rng: random.Random, index: int = 0) -> Document:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NoReturn, Union
 
 from .decorated import GroupLabel
 from .errors import (
@@ -53,21 +53,9 @@ from .errors import (
     FoamSyntaxError,
     PrecisionExhausted,
 )
-from .foamdiag import (
-    EVENT_KINDS,
-    Dir,
-    FoamDiagram,
-    Order,
-    Strand,
-    apply_event,
-)
+from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
-from .planar import (
-    PEVENT_KINDS,
-    BracketSum,
-    PlanarFoam,
-    apply_pevent,
-)
+from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
 from .weights import Generator, GeneratorBasis, Weight
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
@@ -189,7 +177,7 @@ class _Parser:
             self.k += 1
         return t
 
-    def fail(self, message: str, tok: _Tok | None = None) -> None:
+    def fail(self, message: str, tok: _Tok | None = None) -> NoReturn:
         t = tok if tok is not None else self.peek()
         text = t.text if len(t.text) <= 24 else t.text[:24] + "..."
         where = f" near {text!r}" if t.kind != "eof" else " at end of input"
@@ -226,7 +214,6 @@ class _Parser:
             return int(t.text)
         except ValueError:
             self.fail("integer literal too large", t)
-        raise AssertionError("unreachable")
 
     def nonneg_int(self, what: str) -> int:
         return self._int_value(self.advance(), what)
@@ -276,7 +263,6 @@ class _Parser:
             # unknown generator -> DslSemanticError from the basis
             return Weight.generator(basis, t.text)
         self.fail("expected a weight", t)
-        raise AssertionError("unreachable")
 
     def _rational_after(self, t: _Tok) -> Fraction:
         if "." in t.text:
@@ -370,7 +356,7 @@ class _Parser:
                     lambda: self.nonneg_int("a rank"), "]"
                 )
             else:
-                vals = self.comma_list(self._flip_bit, "]")
+                vals = self.comma_list(lambda: self._word("num", _BITS, "0 or 1"), "]")
             self.expect_sym("]")
             self.expect_sym(";")
             fields[key.text] = vals
@@ -385,26 +371,12 @@ class _Parser:
         except FoamError as exc:
             raise DslSemanticError(f"in iet {name!r}: {exc}") from None
 
-    def _flip_bit(self) -> bool:
+    def _word(self, kind: str, words: dict, what: str):
+        """The value of the next token, which must be one of ``words``."""
         t = self.advance()
-        if t.kind == "num" and t.text in ("0", "1"):
-            return t.text == "1"
-        self.fail("expected 0 or 1", t)
-        raise AssertionError("unreachable")
-
-    def _dir(self) -> Dir:
-        t = self.advance()
-        if t.kind == "ident" and t.text in ("u", "d"):
-            return Dir(t.text)
-        self.fail("expected direction u or d", t)
-        raise AssertionError("unreachable")
-
-    def _order(self) -> Order:
-        t = self.advance()
-        if t.kind == "ident" and t.text in ("L", "R"):
-            return Order(t.text)
-        self.fail("expected flag L or R", t)
-        raise AssertionError("unreachable")
+        if t.kind == kind and t.text in words:
+            return words[t.text]
+        self.fail(f"expected {what}", t)
 
     def parse_diagram(
         self, basis: GeneratorBasis, kind: str, name: str
@@ -425,13 +397,13 @@ class _Parser:
             if kw.text == "end":
                 self.expect_sym(";")
                 break
-            cls = calc.events.get(kw.text)
+            cls = calc.keywords.get(kw.text)
             if cls is None:
                 self.fail(calc.unknown, kw)
             e = cls(*[read(self, basis) for _, read, _ in _FIELD_CODECS[cls]])
             self.expect_sym(";")
             try:
-                slices.append(calc.apply(slices[-1], e))
+                slices.append(calc.diagram.step(slices[-1], e))
             except PrecisionExhausted:
                 raise
             except FoamError as exc:
@@ -441,12 +413,12 @@ class _Parser:
                 ) from None
             events.append(e)
         self.expect_sym("}")
-        return calc.build(basis, slices[0], tuple(events), tuple(slices))
+        return calc.diagram._from_slices(basis, slices[0], tuple(events), tuple(slices))
 
     def _strand(self, basis: GeneratorBasis) -> Strand:
         w = self.weight_expr(basis)
         self.expect_sym(":")
-        return Strand(w, self._dir())
+        return Strand(w, self._word("ident", _DIRS, "direction u or d"))
 
     def _group_label(self, basis: GeneratorBasis) -> GroupLabel:
         self.expect_sym("(")
@@ -596,12 +568,16 @@ def _label_text(g: GroupLabel) -> str:
     return f"({free};{tors})"
 
 
+_DIRS = {d.value: d for d in Dir}
+_ORDERS = {o.value: o for o in Order}
+_BITS = {"0": False, "1": True}
+
 # Text form of each event field type, keyed by the annotation's name: how
 # the parser reads it and how the printer writes it.
 _TEXT_CODECS = {
     "int": (lambda p, basis: p.nonneg_int("a position"), str),
-    "Order": (lambda p, basis: p._order(), lambda o: o.value),
-    "Dir": (lambda p, basis: p._dir(), lambda d: d.value),
+    "Order": (lambda p, basis: p._word("ident", _ORDERS, "flag L or R"), lambda o: o.value),
+    "Dir": (lambda p, basis: p._word("ident", _DIRS, "direction u or d"), lambda d: d.value),
     "Weight": (_Parser.weight_expr, weight_to_text),
     "GroupLabel": (_Parser._group_label, _label_text),
 }
@@ -618,36 +594,26 @@ def _event_line(e) -> str:
     return "  " + " ".join(words) + ";"
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Calculus:
-    """A diagram item kind: its start strands, event kinds and slice rule."""
+    """A diagram item kind: its diagram class and the text of its strands."""
 
+    diagram: type  # a SlicedDiagram subclass: event kinds and slice rule
     unknown: str  # syntax error for an event keyword the kind lacks
-    events: dict
     read_strand: Callable
     strand_text: Callable
-    apply: Callable
-    build: Callable  # (basis, start, events, slices) -> diagram, slices validated
+
+    def __post_init__(self):
+        self.keywords = {cls.keyword: cls for cls in self.diagram.kinds}
 
 
-# apply_event and apply_pevent are looked up at call time, so that a wrapper
-# rebound over this module's name also sees the parser's calls.
 _CALCULI = {
     "foam": _Calculus(
-        unknown="unknown event",
-        events={cls.keyword: cls for cls in EVENT_KINDS},
-        read_strand=_Parser._strand,
-        strand_text=lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
-        apply=lambda cur, e: apply_event(cur, e),
-        build=FoamDiagram._from_slices,
+        FoamDiagram, "unknown event", _Parser._strand,
+        lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
     ),
     "planarfoam": _Calculus(
-        unknown="unknown planar event",
-        events={cls.keyword: cls for cls in PEVENT_KINDS},
-        read_strand=_Parser.weight_expr,
-        strand_text=weight_to_text,
-        apply=lambda cur, e: apply_pevent(cur, e),
-        build=PlanarFoam._from_slices,
+        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text,
     ),
 }
 

@@ -81,3 +81,9 @@ class DslSemanticError(FoamError):
     """Well-formed text with an invalid meaning (bad perm, unknown name...)."""
 
     code = "semantic"
+
+
+class InternalError(FoamError):
+    """A postcondition of the library itself failed: a bug, not bad input."""
+
+    code = "internal"

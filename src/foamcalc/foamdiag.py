@@ -31,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import (
     DslSemanticError,
     FlippedIet,
+    InternalError,
     NonPositiveWeight,
     OpenDiagram,
     UnsupportedDecoration,
@@ -63,6 +64,9 @@ class Order(Enum):
 class Strand:
     weight: Weight
     dir: Dir
+
+    def to_json(self) -> dict:
+        return {"weight": self.weight.to_json(), "dir": self.dir.value}
 
 
 # JSON form of each event field type, keyed by the annotation's name.  A
@@ -192,75 +196,75 @@ def apply_event(strands: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
     raise DslSemanticError(f"unknown event {e!r}")
 
 
-def _extend_slices(slices: list, events: tuple, old: tuple = (), reuse_from: int = 0,
+def _extend_slices(step, slices: list, events: tuple, old: tuple = (), reuse_from: int = 0,
                    shift: int = 0) -> tuple:
     """All slices of ``events``, given the first ``len(slices)`` of them.
 
-    Applies the remaining events one by one (through the module-level
-    ``apply_event``, looked up at call time) and names the failing event's
-    index in the error.  With ``old`` slices, from index ``reuse_from`` on,
-    it stops as soon as a computed slice equals ``old[i + shift]`` and takes
-    the rest from ``old``: the events from there on are the old ones, which
-    were validated against equal slices."""
+    Applies the remaining events one by one through ``step`` and names the
+    failing event's index in the error.  With ``old`` slices, from index
+    ``reuse_from`` on, it stops as soon as a computed slice equals
+    ``old[i + shift]`` and takes the rest from ``old``: the events from there
+    on are the old ones, which were validated against equal slices."""
     i = len(slices) - 1
     while i < len(events):
         if old and i >= reuse_from and slices[i] == old[i + shift]:
             return tuple(slices[:i]) + old[i + shift :]
         try:
-            slices.append(apply_event(slices[i], events[i]))
+            slices.append(step(slices[i], events[i]))
         except DslSemanticError as exc:
             raise DslSemanticError(f"event {i}: {exc}") from None
         i += 1
     return tuple(slices)
 
 
-class FoamDiagram:
-    """Immutable sliced diagram; slices are derived from start + events.
+class SlicedDiagram:
+    """Immutable sliced diagram: a start slice, a list of events, and the
+    slices they derive; event k takes slice k to slice k+1.
 
-    The constructor applies every event to its slice.  :meth:`spliced`
-    recomputes only the slices a local change alters: it keeps the slices
-    below the change, applies events from there, and reuses the old slices
-    from the first recomputed slice past the change that equals its old
-    counterpart.  Both give the same slices and the same errors."""
+    A subclass names its event ``kinds`` and its ``step``, the rule that
+    takes a slice and an event to the next slice and raises
+    DslSemanticError when the event does not validate against it.  The
+    constructor applies every event in turn.  :meth:`spliced` recomputes
+    only the slices a local change alters: it keeps the slices below the
+    change, applies events from there, and reuses the old slices from the
+    first recomputed slice past the change that equals its old counterpart.
+    Both give the same slices and the same errors.  Diagrams are equal when
+    they have the same type, basis, start and events."""
 
     __slots__ = ("basis", "start", "events", "slices")
 
-    def __init__(self, basis: GeneratorBasis, start: Iterable[Strand], events: Iterable[Event]):
+    def __init__(self, basis: GeneratorBasis, start: Iterable, events: Iterable):
         self.basis = basis
         self.start = tuple(start)
         self.events = tuple(events)
-        self.slices = _extend_slices([self.start], self.events)
+        self.slices = _extend_slices(self.step, [self.start], self.events)
 
     @classmethod
-    def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple,
-                     slices: tuple) -> "FoamDiagram":
+    def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple, slices: tuple):
         """The diagram whose slices are already computed and validated."""
         d = object.__new__(cls)
         d.basis, d.start, d.events, d.slices = basis, start, events, slices
         return d
 
-    def spliced(self, k: int, removed: int, added: Iterable[Event]) -> "FoamDiagram":
+    def spliced(self, k: int, removed: int, added: Iterable):
         """The diagram with ``events[k:k+removed]`` replaced by ``added``."""
         if not 0 <= k <= k + removed <= len(self.events):
             raise IndexError(f"splice of {removed} events at {k} out of range")
         added = tuple(added)
         events = self.events[:k] + added + self.events[k + removed :]
-        slices = _extend_slices(list(self.slices[: k + 1]), events, self.slices,
+        slices = _extend_slices(self.step, list(self.slices[: k + 1]), events, self.slices,
                                 k + len(added), removed - len(added))
         return self._from_slices(self.basis, self.start, events, slices)
+
+    def replace_events(self, events: Iterable):
+        return type(self)(self.basis, self.start, events)
 
     def is_closed(self) -> bool:
         return not self.slices[0] and not self.slices[-1]
 
-    def has_dots(self) -> bool:
-        return any(isinstance(e, Dot) for e in self.events)
-
-    def has_labels(self) -> bool:
-        return any(isinstance(e, Label) for e in self.events)
-
     def __eq__(self, other) -> bool:
         return (
-            isinstance(other, FoamDiagram)
+            type(other) is type(self)
             and self.basis == other.basis
             and self.start == other.start
             and self.events == other.events
@@ -270,20 +274,37 @@ class FoamDiagram:
         return hash((self.basis, self.start, self.events))
 
     def __repr__(self) -> str:
-        return f"FoamDiagram({len(self.start)} start strands, {len(self.events)} events)"
-
-    def replace_events(self, events: Iterable[Event]) -> "FoamDiagram":
-        return FoamDiagram(self.basis, self.start, events)
+        return f"{type(self).__name__}({len(self.start)} start strands, {len(self.events)} events)"
 
     def to_json(self) -> dict:
         return {
-            "start": [_strand_json(s) for s in self.start],
+            "start": [s.to_json() for s in self.start],
             "events": [event_to_json(e) for e in self.events],
         }
 
 
-def _strand_json(s: Strand) -> dict:
-    return {"weight": s.weight.to_json(), "dir": s.dir.value}
+class FoamDiagram(SlicedDiagram):
+    """Sliced diagram of an oriented foam: slices are tuples of Strands."""
+
+    __slots__ = ()
+
+    kinds = EVENT_KINDS
+
+    # Its own entry, so that the benchmark tracer can wrap this class's
+    # construction alone (perfbench/tracer.py).
+    __init__ = SlicedDiagram.__init__
+
+    @staticmethod
+    def step(cur: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
+        # apply_event is looked up at call time, so a wrapper rebound over
+        # the module-level name sees every slice computed.
+        return apply_event(cur, e)
+
+    def has_dots(self) -> bool:
+        return any(isinstance(e, Dot) for e in self.events)
+
+    def has_labels(self) -> bool:
+        return any(isinstance(e, Label) for e in self.events)
 
 
 def event_to_json(e) -> dict:
@@ -369,7 +390,7 @@ def iet_closure(t: Iet) -> FoamDiagram:
     events.append(Cap(0))
     d = FoamDiagram(t.basis, [], events)
     if nu(d) != saf(t).scale("1/2"):
-        raise AssertionError("closure postcondition nu == SAF/2 violated")
+        raise InternalError("closure postcondition nu == SAF/2 violated")
     return d
 
 

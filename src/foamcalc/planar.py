@@ -1,11 +1,11 @@
 """Unoriented planar weighted foams and the antisymmetric 2-bracket group.
 
-A planar foam is a sliced diagram like the oriented one but with no
-directions, no crossings and no decorations; weights may carry either sign
-as long as every strand weight is nonzero.  Closed positive foams decompose
-into tripods, one bracket symbol [a, b] per vertex, in the group Z2(H)
-presented by [a,a]=0, [a,b]+[b,a]=0 and the 2-cocycle relation
-[a,b]+[a+b,c]=[b,c]+[a,b+c].
+A planar foam is a sliced diagram (``foamdiag.SlicedDiagram``) like the
+oriented one, but with no directions, no crossings and no decorations;
+weights may carry either sign as long as every strand weight is nonzero.
+Closed positive foams decompose into tripods, one bracket symbol [a, b] per
+vertex, in the group Z2(H) presented by [a,a]=0, [a,b]+[b,a]=0 and the
+2-cocycle relation [a,b]+[a+b,c]=[b,c]+[a,b+c].
 
 theta sends [a,b] to a^b.  A nonzero theta certifies a nontrivial class; an
 empty simplified sum certifies the trivial class; anything else stays
@@ -20,12 +20,13 @@ from typing import Iterable
 
 from .errors import (
     DslSemanticError,
+    InternalError,
     NonPositiveWeight,
     OpenDiagram,
     PrecisionExhausted,
 )
 from .exterior import WedgeValue, wedge
-from .foamdiag import event_kind, event_to_json, reflected
+from .foamdiag import SlicedDiagram, event_kind, event_to_json, reflected
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
 
 
@@ -90,54 +91,19 @@ def apply_pevent(weights: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:
     raise DslSemanticError(f"unknown planar event {e!r}")
 
 
-class PlanarFoam:
-    __slots__ = ("basis", "start", "events", "slices")
+class PlanarFoam(SlicedDiagram):
+    """Sliced diagram of a planar foam: slices are tuples of nonzero Weights."""
 
-    def __init__(self, basis: GeneratorBasis, start: Iterable[Weight], events: Iterable[PEvent]):
-        self.basis = basis
-        self.start = tuple(start)
-        self.events = tuple(events)
-        slices = [self.start]
-        for k, e in enumerate(self.events):
-            try:
-                slices.append(apply_pevent(slices[-1], e))
-            except DslSemanticError as exc:
-                raise DslSemanticError(f"event {k}: {exc}") from None
-        self.slices = tuple(slices)
+    __slots__ = ()
 
-    @classmethod
-    def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple,
-                     slices: tuple) -> "PlanarFoam":
-        """The diagram whose slices are already computed and validated."""
-        d = object.__new__(cls)
-        d.basis, d.start, d.events, d.slices = basis, start, events, slices
-        return d
+    kinds = PEVENT_KINDS
 
-    def is_closed(self) -> bool:
-        return not self.slices[0] and not self.slices[-1]
+    @staticmethod
+    def step(cur: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:
+        return apply_pevent(cur, e)
 
     def all_positive(self) -> bool:
         return all(w.sign() == POSITIVE for cur in self.slices for w in cur)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlanarFoam)
-            and self.basis == other.basis
-            and self.start == other.start
-            and self.events == other.events
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.start, self.events))
-
-    def __repr__(self) -> str:
-        return f"PlanarFoam({len(self.start)} start strands, {len(self.events)} events)"
-
-    def to_json(self) -> dict:
-        return {
-            "start": [w.to_json() for w in self.start],
-            "events": [pevent_to_json(e) for e in self.events],
-        }
 
 
 pevent_to_json = event_to_json
@@ -402,7 +368,7 @@ def foam_make_positive(f: PlanarFoam) -> PlanarFoam:
             events.extend(block)
     result = PlanarFoam(f.basis, [], events)
     if theta(_vertex_terms(result)) != theta(signed):
-        raise AssertionError("make-positive failed to preserve theta")
+        raise InternalError("make-positive failed to preserve theta")
     return result
 
 

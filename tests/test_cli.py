@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from foamcalc import WedgeValue, foamdiag, planar
 from foamcalc.cli import main
 
 DOC = """
@@ -369,6 +370,26 @@ def test_euclid_bound_flag(capsys, doc):
     code, got = run_json(capsys, "classify", doc, "br", "--euclid-bound", "1")
     assert code == 0
     assert got["verdict"] == "Unknown"
+
+
+def test_broken_closure_postcondition_is_internal(capsys, doc, monkeypatch):
+    assert run(capsys, "closure", doc, "s")[0] == 0
+    monkeypatch.setattr(foamdiag, "saf", lambda t: WedgeValue.zero(t.basis))
+    code, got = run_json(capsys, "closure", doc, "s")
+    assert code == 1
+    assert got == {"error": "internal",
+                   "message": "closure postcondition nu == SAF/2 violated"}
+
+
+def test_broken_make_positive_postcondition_is_internal(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "signed.dsl"
+    path.write_text("planarfoam f {\n  start [];\n  cup 0 1;\n  split 0 -1;\n"
+                    "  merge 0;\n  cap 0;\n  end;\n}\n")
+    assert run(capsys, "make-positive", str(path), "f")[0] == 0
+    monkeypatch.setattr(planar, "theta", lambda s: object())  # never equal
+    code, got = run_json(capsys, "make-positive", str(path), "f")
+    assert code == 1
+    assert got == {"error": "internal", "message": "make-positive failed to preserve theta"}
 
 
 # ------------------------------------------------------------- entry point

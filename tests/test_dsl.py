@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foamcalc import dsl, foamdiag, planar
+from foamcalc import foamdiag, planar
 from foamcalc import (
     BracketSum,
     Document,
@@ -94,14 +94,28 @@ def test_parsing_applies_each_event_once(monkeypatch):
 
         return wrapped
 
-    for module, name in ((dsl, "apply_event"), (foamdiag, "apply_event"),
-                         (dsl, "apply_pevent"), (planar, "apply_pevent")):
+    for module, name in ((foamdiag, "apply_event"), (planar, "apply_pevent")):
         monkeypatch.setattr(module, name, counting(getattr(module, name)))
     doc = parse_document(SAMPLE)
     diagrams = [doc.get(name)[1] for name in ("u", "marked", "p")]
     assert len(calls) == sum(len(d.events) for d in diagrams) == 13
     for d in diagrams:
         assert d.slices == type(d)(d.basis, d.start, d.events).slices
+
+
+def test_one_word_errors_are_pinned():
+    """Direction, flag and flip bit share one reader; each keeps its message."""
+    for text, message in (
+        ("foam f { start [1:x]; end; }",
+         "expected direction u or d near 'x' (line 1, column 19)"),
+        ("foam f { start []; cup 0 1 u; merge 0 X; end; }",
+         "expected flag L or R near 'X' (line 1, column 39)"),
+        ("iet s { lengths = [1, 1]; perm = [2, 1]; flips = [0, 2]; }",
+         "expected 0 or 1 near '2' (line 1, column 54)"),
+    ):
+        with pytest.raises(FoamSyntaxError) as exc_info:
+            parse_document(text)
+        assert str(exc_info.value) == message
 
 
 def test_print_parse_round_trip():

@@ -25,6 +25,10 @@ from foamcalc import (
     NU_SCHEMAS,
     NonPositiveWeight,
     Order,
+    PCap,
+    PCup,
+    PMerge,
+    PSplit,
     SchemaMismatch,
     Split,
     Weight,
@@ -43,6 +47,7 @@ from foamcalc.acceptance import (
     demo_basis,
     rand_closed_diagram,
     rand_positive_weight,
+    rand_signed_planar,
 )
 
 
@@ -152,32 +157,62 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-def test_failing_splices_fail_like_full_rebuilds():
+def _rand_foam_event(rng, weights):
+    p = rng.randrange(4)
+    return rng.choice([
+        Merge(p, Order.L), Split(p, Order.R, rng.choice(weights)), Cross(p),
+        Cup(p, rng.choice(weights), rng.choice((Dir.UP, Dir.DOWN))), Cap(p), Dot(p),
+    ])
+
+
+def _rand_planar_event(rng, weights):
+    p = rng.randrange(4)
+    return rng.choice([
+        PMerge(p), PSplit(p, rng.choice(weights)), PCup(p, rng.choice(weights)), PCap(p),
+    ])
+
+
+@pytest.mark.parametrize("rand_diagram, rand_event, errors", [
+    (rand_closed_diagram, _rand_foam_event, {DslSemanticError, NonPositiveWeight}),
+    (rand_signed_planar, _rand_planar_event, {DslSemanticError}),
+], ids=["foam", "planar"])
+def test_failing_splices_fail_like_full_rebuilds(rand_diagram, rand_event, errors):
     """Random splices, most of them invalid: the splice and the full rebuild
     of the same events give the same slices or the same error."""
     basis = demo_basis("r2")
     rng = random.Random(8)
     weights = [Weight.rational(basis, q) for q in (1, "1/2", -1)]
     weights.append(Weight.generator(basis, "r2"))
-
-    def rand_event():
-        p = rng.randrange(4)
-        return rng.choice([
-            Merge(p, Order.L), Split(p, Order.R, rng.choice(weights)), Cross(p),
-            Cup(p, rng.choice(weights), rng.choice((Dir.UP, Dir.DOWN))), Cap(p), Dot(p),
-        ])
-
     kinds = set()
     for _ in range(400):
-        d = rand_closed_diagram(rng, basis)
+        d = rand_diagram(rng, basis)
         k = rng.randint(0, len(d.events))
         removed = rng.randint(0, min(3, len(d.events) - k))
-        added = [rand_event() for _ in range(rng.randint(0, 3))]
+        added = [rand_event(rng, weights) for _ in range(rng.randint(0, 3))]
         events = d.events[:k] + tuple(added) + d.events[k + removed :]
         got = _outcome(lambda: d.spliced(k, removed, added))
-        assert got == _outcome(lambda: FoamDiagram(basis, d.start, events))
+        assert got == _outcome(lambda: type(d)(basis, d.start, events))
         kinds.add(got[0] if isinstance(got[0], type) else "ok")
-    assert kinds >= {"ok", DslSemanticError, NonPositiveWeight}
+    assert kinds >= {"ok"} | errors
+
+
+def test_inserting_dots_splices_once_per_dot(monkeypatch):
+    """Each dot is spliced in, so it costs one computed slice, not a rebuild."""
+    basis = demo_basis("r2")
+    d = iet_closure(Iet([Weight.rational(basis, 1), Weight.generator(basis, "r2")], [2, 1]))
+    calls = []
+    original = foamdiag.apply_event
+
+    def counted(strands, e):
+        calls.append(e)
+        return original(strands, e)
+
+    monkeypatch.setattr(foamdiag, "apply_event", counted)
+    dotted = _insert_dots(random.Random(3), d, 5)
+    assert len(calls) == 5
+    assert sum(isinstance(e, Dot) for e in dotted.events) == 5
+    monkeypatch.undo()
+    assert dotted.slices == _rebuilt(dotted).slices
 
 
 def test_splice_out_of_range_is_rejected(w):

@@ -8,6 +8,7 @@ from foamcalc import (
     BracketSum,
     Document,
     DslSemanticError,
+    FoamDiagram,
     OpenDiagram,
     PCap,
     PCup,
@@ -50,6 +51,13 @@ def test_planar_slices_and_validity(w, basis):
     with pytest.raises(DslSemanticError) as exc_info:
         PlanarFoam(basis, [], [PCup(0, w("1")), PSplit(2, w("2"))])
     assert "event 1" in str(exc_info.value)
+
+
+def test_planar_and_oriented_diagrams_stay_apart(w, basis):
+    """Both kinds share one sliced-diagram class, yet never compare equal."""
+    assert FoamDiagram(basis, [], []) != PlanarFoam(basis, [], [])
+    assert repr(FoamDiagram(basis, [], [])) == "FoamDiagram(0 start strands, 0 events)"
+    assert repr(standard_tripod(w("1"), w("1*r2"))) == "PlanarFoam(0 start strands, 7 events)"
 
 
 def test_tripod_decompose_hand_value(w, basis):
