@@ -5,6 +5,8 @@ seeds, every nu-preserving schema must fire at least once, so a schema
 whose matcher silently stops matching fails the suite.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -39,6 +41,7 @@ from foamcalc import (
     mirror,
     move_from_json,
     nu,
+    trace_to_json,
     u_diagram,
     validate_trace,
 )
@@ -61,6 +64,14 @@ def _hand_corpus(basis):
         [Cup(0, a, Dir.UP), Cup(2, b, Dir.UP), Cross(1), Cross(1), Cap(2), Cap(0)],
     )
     return [curl, double]
+
+
+def _flagged_block(basis):
+    """The standard crossing block with R-flag vertices."""
+    a = Weight.rational(basis, 1)
+    b = Weight.generator(basis, "r2")
+    return FoamDiagram(basis, [], [Cup(0, a + b, Dir.DOWN), Split(1, Order.R, a), Cross(1),
+                                   Merge(1, Order.R), Cap(0)])
 
 
 def test_moves_preserve_nu_and_cover_schemas():
@@ -121,6 +132,40 @@ def _dotted_closure(rng, basis, r, dots, mirrored):
     rng.shuffle(perm)
     d = _insert_dots(rng, iet_closure(Iet(lengths, perm)), dots)
     return mirror(d) if mirrored else d
+
+
+def _enumerate_corpus():
+    basis = demo_basis("r2", "r3")
+    return _hand_corpus(basis) + [rand_closed_diagram(random.Random(seed), basis)
+                                  for seed in range(60)]
+
+
+def _flip_corpus():
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(41)
+    closures = [
+        _dotted_closure(rng, basis, r, dots=1 + k % 3, mirrored=mirrored)
+        for k, r in enumerate(range(3, 9))
+        for mirrored in (False, True)
+    ]
+    flagged = _flagged_block(basis)
+    return closures + [_hand_corpus(basis)[0], flagged, mirror(_insert_dots(rng, flagged, 2))]
+
+
+# sha256 of every enumerated move with its result over the enumerate corpus,
+# then every flip_reduce trace over the flip corpus.  A change to how moves
+# are matched or applied must leave it unchanged.
+MOVES_DIGEST = "d01d3520e64b86f991272eafd163ebc381dd1e0578c616e2dd872cf8438a4b07"
+
+
+def test_moves_and_traces_are_pinned():
+    record = []
+    for d in _enumerate_corpus():
+        record += [[m.to_json(), apply_move(d, m).to_json()] for m in enumerate_moves(d)]
+    for d in _flip_corpus():
+        record.append(trace_to_json(flip_reduce(d)))
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == MOVES_DIGEST
 
 
 def test_flip_reduce_steps_match_full_rebuilds():
