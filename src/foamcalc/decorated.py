@@ -22,9 +22,7 @@ from .errors import (
 )
 from .exterior import TensorH1Value, WedgeValue
 from .foamdiag import (
-    Cap,
     Cross,
-    Cup,
     Dot,
     FoamDiagram,
     Label,
@@ -33,7 +31,7 @@ from .foamdiag import (
     Split,
     nu,
 )
-from .moves import MoveInstance, apply_move, move_from_json
+from .moves import MoveInstance, _candidates, _matching, apply_move, move_from_json
 
 
 @dataclass(frozen=True)
@@ -138,6 +136,18 @@ def _kill_dots(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         d = _step(d, trace, "dotted_circle_death", len(d.events) - 3)
 
 
+# Candidate moves in order of choice: at the first crossing, at the last
+# split, and at a circle.
+_UNCROSS = _candidates(("crossing_splitoff", {}), ("cross_smooth", {}))
+_PUSH_SPLIT = _candidates(
+    ("singular_saddle", {}),
+    ("vertex_cobordism", {"pattern": "sm", "dir": "lr"}),
+    ("vertex_cobordism", {"pattern": "ms", "dir": "lr"}),
+    ("exchange", {}),
+)
+_CIRCLE = _candidates(("circle_death", {}))
+
+
 def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     """Split each parallel crossing off as a standard block and kill it;
     smooth antiparallel crossings of equal weight."""
@@ -145,18 +155,15 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         j = next((i for i, e in enumerate(d.events) if isinstance(e, Cross)), None)
         if j is None:
             return d
-        e = d.events[j]
-        a, b = d.slices[j][e.pos], d.slices[j][e.pos + 1]
-        if a.dir == b.dir:
-            d = _step(d, trace, "crossing_splitoff", j)
-            d = _step(d, trace, "u_ab_death", len(d.events) - 5)
-        elif a.weight == b.weight:
-            d = _step(d, trace, "cross_smooth", j)
-        else:
+        m = next(_matching(d, j, _UNCROSS), None)
+        if m is None:
             raise SchemaMismatch(
                 "antiparallel crossing with distinct weights: "
                 "outside the reducible braid-closure class"
             )
+        d = _step(d, trace, m.schema, j)
+        if m.schema == "crossing_splitoff":
+            d = _step(d, trace, "u_ab_death", len(d.events) - 5)
 
 
 def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
@@ -184,33 +191,23 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     """Cancel every split against a merge.  The last split is pushed along
     the word: it cancels on contact (singular saddle), re-associates past a
     touching merge, and exchanges past everything disjoint.  Its index
-    strictly advances, so each split dies in finitely many steps."""
+    strictly advances, so each split dies in finitely many steps, and the
+    next last split is at most one above the previous one."""
+    j = len(d.events)
     while True:
-        j = max((i for i, e in enumerate(d.events) if isinstance(e, Split)), default=None)
+        j = next((i for i in range(min(j + 1, len(d.events) - 1), -1, -1)
+                  if isinstance(d.events[i], Split)), None)
         if j is None:
             return d
-        if j + 1 >= len(d.events):
+        m = next(_matching(d, j, _PUSH_SPLIT), None)
+        if m is None:
             raise SchemaMismatch("split with nothing above it; diagram not closed")
-        e, f = d.events[j], d.events[j + 1]
-        if isinstance(f, Merge) and f.pos == e.pos:
-            d = _step(d, trace, "singular_saddle", j)
-        elif isinstance(f, Merge) and f.pos == e.pos + 1:
-            d = _step(d, trace, "vertex_cobordism", j, {"pattern": "sm", "dir": "lr"})
-        elif isinstance(f, Merge) and f.pos == e.pos - 1:
-            d = _step(d, trace, "vertex_cobordism", j, {"pattern": "ms", "dir": "lr"})
-        else:
-            d = _step(d, trace, "exchange", j)
+        d = _step(d, trace, m.schema, j, m.params)
 
 
 def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     while d.events:
-        j = next(
-            (i for i in range(len(d.events) - 1)
-             if isinstance(d.events[i], Cup)
-             and isinstance(d.events[i + 1], Cap)
-             and d.events[i + 1].pos == d.events[i].pos),
-            None,
-        )
+        j = next((i for i in range(len(d.events)) if next(_matching(d, i, _CIRCLE), None)), None)
         if j is None:
             raise SchemaMismatch("residual diagram is not a union of circles")
         d = _step(d, trace, "circle_death", j)

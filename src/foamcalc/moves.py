@@ -7,12 +7,11 @@ available once flip (orientation-reversing) facets are allowed; they can
 change nu and are only ever applied through explicit trace steps.
 
 A move is addressed by schema name, the index of the first event it
-touches, and schema-specific params.  Appliers validate the local pattern
-and raise :class:`SchemaMismatch` when it is absent.  Every move is one or
-two splices (:meth:`FoamDiagram.spliced`): the new events are validated
-slice by slice from the splice point until a slice equals the old one at
-the aligned index, and the old slices above it are reused.  The result is
-the diagram a full rebuild would give, with the same errors.
+touches, and schema-specific params.  A schema applies one or more
+:class:`Rule` sides: each local rewrite is written once, and its reverse
+direction is the same rule with its sides swapped.  A move raises
+:class:`SchemaMismatch` when no side matches, and is otherwise one or two
+validated splices (:meth:`FoamDiagram.spliced`).
 """
 
 from __future__ import annotations
@@ -21,19 +20,8 @@ import dataclasses
 from dataclasses import dataclass, field
 
 from .errors import DslSemanticError, NonPositiveWeight, SchemaMismatch
-from .foamdiag import (
-    Cap,
-    Cross,
-    Cup,
-    Dir,
-    Dot,
-    Event,
-    FoamDiagram,
-    Merge,
-    Order,
-    Split,
-    u_block_events,
-)
+from .foamdiag import (EVENT_KINDS, Cap, Cup, Dir, Dot, FoamDiagram, Merge, Order, Split,
+                       u_block_events)
 from .weights import Weight, weight_from_json
 
 
@@ -50,437 +38,319 @@ class MoveInstance:
         return {"schema": self.schema, "location": loc}
 
 
-_WEIGHT_PARAMS = {"weight", "left"}
-
-
-def move_from_json(basis, obj: dict) -> MoveInstance:
-    try:
-        schema = obj["schema"]
-        loc = dict(obj["location"])
-        index = int(loc.pop("index"))
-    except (KeyError, TypeError, ValueError):
-        raise DslSemanticError(f"malformed move record {obj!r}") from None
+def move_from_json(basis, obj) -> MoveInstance:
+    """A move from its JSON record: a string ``schema`` and a ``location``
+    object holding an integer ``index`` and the schema's params."""
+    loc = obj.get("location") if isinstance(obj, dict) else None
+    index = loc.get("index") if isinstance(loc, dict) else None
+    if not (type(index) is int and isinstance(obj.get("schema"), str)):
+        raise DslSemanticError(f"malformed move record {obj!r}")
     params = {
-        key: weight_from_json(basis, val) if key in _WEIGHT_PARAMS else val
-        for key, val in loc.items()
+        key: weight_from_json(basis, val) if key in ("weight", "left") else val
+        for key, val in loc.items() if key != "index"
     }
-    return MoveInstance(schema, index, params)
+    return MoveInstance(obj["schema"], index, params)
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise SchemaMismatch(msg)
+# --- rewrite rules -------------------------------------------------------------
+
+_KINDS = {cls.keyword: cls for cls in EVENT_KINDS} | {"event": object}
+_LITERALS = {"L": "Order.L", "R": "Order.R", "U": "Dir.UP", "D": "Dir.DOWN"}
+
+# Variable -> (move param, default, type), for the variables of an insertion.
+_PARAMS = {"p": ("pos", None, int), "o": ("order", "L", Order), "d": ("dir", "u", Dir),
+           "w": ("weight", None, Weight), "l": ("left", None, Weight)}
+_FLAGS = {flag.value: flag for flag in (*Order, *Dir)}
 
 
-def _order(params: dict, key: str = "order") -> Order:
-    val = params.get(key, "L")
-    _check(val in ("L", "R"), f"bad order flag {val!r}")
-    return Order(val)
+def _param(params: dict, var: str):
+    key, default, kind = _PARAMS[var]
+    val = params.get(key, default)
+    val = _FLAGS.get(val, val) if isinstance(val, str) else val
+    if isinstance(val, kind) and not isinstance(val, bool):
+        return val
+    raise DslSemanticError(f"bad {key} {val!r}")
 
 
-def _dir(params: dict, key: str = "dir") -> Dir:
-    val = params.get(key, "u")
-    _check(val in ("u", "d"), f"bad direction {val!r}")
-    return Dir(val)
+def _term(tok: str) -> tuple:
+    """(variables, value, solve) of one field token: Python source for the
+    field's value, and ``solve(var, v)``, the source of the variable ``var``
+    given the source ``v`` of the value and the token's other variables."""
+    if tok in _LITERALS:
+        return (), _LITERALS[tok], None
+    if tok.endswith("'"):
+        return (tok[0],), f"{tok[0]}.flip()", lambda var, v: f"{v}.flip()"
+    if len(tok) == 1:
+        return (tok,), tok, lambda var, v: v
+    x, op, y = tok
+
+    def solve(var, v):
+        if var == x:
+            return f"{v} {'-' if op == '+' else '+'} {y}"
+        return f"{v} - {x}" if op == "+" else f"{x} - {v}"
+
+    return tuple(n for n in (x, y) if not n.isdigit()), f"{x} {op} {y}", solve
 
 
-def _shift(e: Event, dp: int) -> Event:
+def _window(text: str) -> tuple:
+    """(event classes, field checks, weight checks, event sources) of a side."""
+    kinds, fields, weights, events = [], [], [], []
+    for i, word in enumerate(filter(str.strip, text.split(";"))):
+        keyword, *toks = word.split()
+        cls = _KINDS[keyword]
+        kinds.append(cls)
+        for f, tok in zip(dataclasses.fields(cls) if toks else (), toks, strict=True):
+            (weights if f.type == "Weight" else fields).append((f"e{i}.{f.name}", tok))
+        events.append(f"{cls.__name__}({', '.join(_term(tok)[1] for tok in toks)})")
+    return kinds, fields, weights, events
+
+
+def _compiled(kinds: list, checks: list, free: list, events: list):
+    """The function ``side(events, slices, k, params, rewrite)`` of one side:
+    None where its window does not match at event k, else its bindings, or
+    with ``rewrite`` the other side's events.  Each check solves for its
+    token's one unbound variable, or else tests the field."""
+    n = len(kinds)
+    body = [f"if k < 0 or k + {n} > len(events): return None"]
+    if n:
+        body += ["".join(f"e{i}, " for i in range(n)) + f"= events[k : k + {n}]",
+                 "if not (" + " and ".join(f"isinstance(e{i}, {cls.__name__})"
+                                           for i, cls in enumerate(kinds)) + "): return None"]
+    body += [f"{v} = _param(params, {v!r})" for v in free]
+    body += ["cur = slices[k]"] if any(field.startswith("cur") for field, _ in checks) else []
+    bound = list(free)
+    for field, tok in checks:
+        names, value, solve = _term(tok)
+        unknown = [v for v in names if v not in bound]
+        if unknown:
+            (var,) = unknown
+            bound.append(var)
+            body.append(f"{var} = {solve(var, field)}")
+        else:
+            body.append(f"if {field} != {value}: return None")
+    env = ", ".join(f"{v!r}: {v}" for v in bound)
+    body.append(f"return [{', '.join(events)}] if rewrite else {{{env}}}")
+    scope = {cls.__name__: cls for cls in (*EVENT_KINDS, Order, Dir)} | {"_param": _param}
+    source = "def side(events, slices, k, params, rewrite):\n    " + "\n    ".join(body)
+    exec(source, scope)  # the source comes from the rule table, never from input
+    return scope["side"]
+
+
+class Rule:
+    """A local rewrite between two event windows, written once.
+
+    A window lists events separated by ``;``: a keyword (``event`` matches
+    any event) and one token per field: a position ``p``, ``p+1``, ``p-1``;
+    an order ``o``, its flip ``o'``, ``L`` or ``R``; a direction ``d``,
+    ``d'``, ``U`` or ``D``; a weight ``w``, ``x+y`` or ``x-y``.  ``reads``
+    binds strands of the slice below the window (``p+1: w d``: weight and
+    direction of strand p+1).  Matching binds each variable where it first
+    occurs, solving a term with one unknown, and checks it elsewhere:
+    positions, orders and directions, then reads, then weights.  Side 0
+    rewrites ``lhs`` into ``rhs``, side 1 the reverse.  An empty side is an
+    insertion that takes its variables from the move's params; a function
+    ``rhs(d, k, env)`` makes a one-way rule.  Each side compiles at import
+    into one function that matches it and rewrites it."""
+
+    def __init__(self, lhs: str, rhs="", reads: str = ""):
+        self.rhs, self.texts = rhs, (lhs, rhs if isinstance(rhs, str) else "")
+        wins = [_window(text) for text in self.texts]
+        read_checks = []
+        for part in filter(str.strip, reads.split(";")):
+            at, toks = part.split(":")
+            read_checks += [(f"cur[{_term(at.strip())[1]}].{name}", tok)
+                            for name, tok in zip(("weight", "dir"), toks.split())]
+        read_vars = {v for _, tok in read_checks for v in _term(tok)[0]}
+        self.sides = []
+        for (kinds, fields, weights, _), dst in zip(wins, wins[::-1]):
+            names = dict.fromkeys(v for _, tok in dst[1] + dst[2] for v in _term(tok)[0])
+            free = [] if kinds else [v for v in names if v not in read_vars]
+            compiled = _compiled(kinds, fields + read_checks + weights, free, dst[3])
+            self.sides.append((kinds, compiled, free))
+
+    def match(self, d: FoamDiagram, k: int, side: int, params: dict) -> dict | None:
+        """The bindings of this side at event k, or None where it does not match."""
+        return self.sides[side][1](d.events, d.slices, k, params, False)
+
+    def apply(self, d: FoamDiagram, k: int, side: int, params: dict) -> FoamDiagram | None:
+        """d with this side rewritten at event k, or None where it does not match."""
+        kinds, compiled, _ = self.sides[side]
+        if callable(self.rhs):
+            env = compiled(d.events, d.slices, k, params, False)
+            return None if env is None else self.rhs(d, k, env)
+        new = compiled(d.events, d.slices, k, params, True)
+        return None if new is None else d.spliced(k, len(kinds), new)
+
+
+# --- moves that are not a fixed window ------------------------------------------
+
+
+def _shifted(e, dp: int):
     return dataclasses.replace(e, pos=e.pos + dp) if dp else e
 
 
-def _pair(d: FoamDiagram, k: int) -> tuple[Event, Event]:
-    _check(0 <= k <= len(d.events) - 2, "needs two consecutive events")
-    return d.events[k], d.events[k + 1]
-
-
-def _triple(d: FoamDiagram, k: int) -> tuple[Event, Event, Event]:
-    _check(0 <= k <= len(d.events) - 3, "needs three consecutive events")
-    return d.events[k], d.events[k + 1], d.events[k + 2]
-
-
-# --- nu-preserving schemas ---------------------------------------------------
-
-
-def _apply_exchange(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    p, q = e.pos, f.pos
-    if q >= p + e.produces:
-        new = [_shift(f, e.consumes - e.produces), e]
-    elif q + f.consumes <= p:
-        new = [f, _shift(e, f.produces - f.consumes)]
+def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+    e, f = d.events[k : k + 2]
+    if f.pos >= e.pos + e.produces:
+        new = [_shifted(f, e.consumes - e.produces), e]
+    elif f.pos + f.consumes <= e.pos:
+        new = [f, _shifted(e, f.produces - f.consumes)]
     else:
         raise SchemaMismatch("events overlap; exchange does not apply")
     return d.spliced(k, 2, new)
 
 
-def _apply_r2(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    _check(isinstance(e, Cross) and isinstance(f, Cross) and e.pos == f.pos,
-           "no double crossing here")
-    return d.spliced(k, 2, [])
-
-
-def _apply_kink(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    if isinstance(e, Cup) and isinstance(f, Cross) and f.pos == e.pos:
-        return d.spliced(k, 2, [Cup(e.pos, e.weight, e.dir.flip())])
-    if isinstance(e, Cross) and isinstance(f, Cap) and f.pos == e.pos:
-        return d.spliced(k, 2, [Cap(e.pos)])
-    raise SchemaMismatch("no kink here")
-
-
-def _apply_r3(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f, g = _triple(d, k)
-    _check(all(isinstance(x, Cross) for x in (e, f, g)), "three crossings needed")
-    p = e.pos
-    if f.pos == p + 1 and g.pos == p:
-        return d.spliced(k, 3, [Cross(p + 1), Cross(p), Cross(p + 1)])
-    if f.pos == p - 1 and g.pos == p:
-        return d.spliced(k, 3, [Cross(p - 1), Cross(p), Cross(p - 1)])
-    raise SchemaMismatch("crossings are not in braid-relation position")
-
-
-def _apply_vertex_flip(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    which = params.get("dir", "expand")
-    if which == "expand":
-        _check(0 <= k < len(d.events), "no event here")
-        e = d.events[k]
-        if isinstance(e, Merge):
-            return d.spliced(k, 1, [Cross(e.pos), Merge(e.pos, e.order.flip())])
-        if isinstance(e, Split):
-            w = d.slices[k][e.pos].weight
-            return d.spliced(k, 1, [Split(e.pos, e.order.flip(), w - e.left), Cross(e.pos)])
-        raise SchemaMismatch("vertex_flip expands a merge or a split")
-    if which == "contract":
-        e, f = _pair(d, k)
-        if isinstance(e, Cross) and isinstance(f, Merge) and f.pos == e.pos:
-            return d.spliced(k, 2, [Merge(f.pos, f.order.flip())])
-        if isinstance(e, Split) and isinstance(f, Cross) and f.pos == e.pos:
-            w = d.slices[k][e.pos].weight
-            return d.spliced(k, 2, [Split(e.pos, e.order.flip(), w - e.left)])
-        raise SchemaMismatch("no crossing-vertex pair to contract")
-    raise SchemaMismatch(f"bad vertex_flip direction {which!r}")
-
-
-def _apply_vertex_slide(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    which = params.get("dir", "expand")
-    if which == "expand":
-        e, f = _pair(d, k)
-        if isinstance(e, Merge) and isinstance(f, Cross):
-            p = e.pos
-            if f.pos == p:
-                return d.spliced(k, 2, [Cross(p + 1), Cross(p), Merge(p + 1, e.order)])
-            if f.pos == p - 1:
-                q = p - 1
-                return d.spliced(k, 2, [Cross(q), Cross(q + 1), Merge(q, e.order)])
-        if isinstance(e, Cross) and isinstance(f, Split):
-            p = e.pos
-            if f.pos == p + 1:
-                return d.spliced(k, 2, [Split(p, f.order, f.left), Cross(p + 1), Cross(p)])
-            if f.pos == p:
-                return d.spliced(k, 2, [Split(p + 1, f.order, f.left), Cross(p), Cross(p + 1)])
-        raise SchemaMismatch("no vertex-crossing pair to slide")
-    if which == "contract":
-        e, f, g = _triple(d, k)
-        if isinstance(e, Cross) and isinstance(f, Cross) and isinstance(g, Merge):
-            q = e.pos
-            if f.pos == q - 1 and g.pos == q:
-                return d.spliced(k, 3, [Merge(q - 1, g.order), Cross(q - 1)])
-            if f.pos == q + 1 and g.pos == q:
-                return d.spliced(k, 3, [Merge(q + 1, g.order), Cross(q)])
-        if isinstance(e, Split) and isinstance(f, Cross) and isinstance(g, Cross):
-            p = e.pos
-            if f.pos == p + 1 and g.pos == p:
-                return d.spliced(k, 3, [Cross(p), Split(p + 1, e.order, e.left)])
-            if f.pos == p - 1 and g.pos == p:
-                return d.spliced(k, 3, [Cross(p - 1), Split(p - 1, e.order, e.left)])
-        raise SchemaMismatch("no slid vertex to contract")
-    raise SchemaMismatch(f"bad vertex_slide direction {which!r}")
-
-
-def _apply_vertex_cobordism(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    pattern = params.get("pattern")
-    which = params.get("dir", "lr")
-    e, f = _pair(d, k)
-    if pattern == "mm":
-        ok = isinstance(e, Merge) and isinstance(f, Merge) and e.order == f.order
-        if which == "lr":
-            _check(ok and f.pos == e.pos, "no left-associated merge pair")
-            return d.spliced(k, 2, [Merge(e.pos + 1, e.order), Merge(e.pos, e.order)])
-        _check(ok and f.pos == e.pos - 1, "no right-associated merge pair")
-        return d.spliced(k, 2, [Merge(e.pos - 1, e.order), Merge(e.pos - 1, e.order)])
-    if pattern == "ss":
-        ok = isinstance(e, Split) and isinstance(f, Split) and e.order == f.order
-        if which == "lr":
-            _check(ok and f.pos == e.pos, "no left-associated split pair")
-            return d.spliced(k, 2, [Split(e.pos, e.order, f.left),
-                                    Split(e.pos + 1, e.order, e.left - f.left)])
-        _check(ok and f.pos == e.pos + 1, "no right-associated split pair")
-        return d.spliced(k, 2, [Split(e.pos, e.order, e.left + f.left),
-                                Split(e.pos, e.order, e.left)])
-    if pattern == "sm":
-        if which == "lr":
-            _check(isinstance(e, Split) and isinstance(f, Merge)
-                   and f.pos == e.pos + 1 and e.order == f.order,
-                   "no split-then-right-merge pair")
-            return d.spliced(k, 2, [Merge(e.pos, e.order), Split(e.pos, e.order, e.left)])
-        _check(isinstance(e, Merge) and isinstance(f, Split)
-               and f.pos == e.pos and e.order == f.order,
-               "no merge-then-split pair")
-        return d.spliced(k, 2, [Split(e.pos, e.order, f.left), Merge(e.pos + 1, e.order)])
-    if pattern == "ms":
-        if which == "lr":
-            _check(isinstance(e, Split) and isinstance(f, Merge)
-                   and f.pos == e.pos - 1 and e.order == f.order,
-                   "no split-then-left-merge pair")
-            b = d.slices[k][e.pos - 1].weight
-            return d.spliced(k, 2, [Merge(e.pos - 1, e.order),
-                                    Split(e.pos - 1, e.order, b + e.left)])
-        _check(isinstance(e, Merge) and isinstance(f, Split)
-               and f.pos == e.pos and e.order == f.order,
-               "no merge-then-split pair")
-        b = d.slices[k][e.pos].weight
-        return d.spliced(k, 2, [Split(e.pos + 1, e.order, f.left - b), Merge(e.pos, e.order)])
-    raise SchemaMismatch(f"bad vertex_cobordism pattern {pattern!r}")
-
-
-def _apply_singular_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    if isinstance(e, Split) and isinstance(f, Merge):
-        _check(f.pos == e.pos and f.order == e.order, "merge does not undo the split")
-        return d.spliced(k, 2, [])
-    if isinstance(e, Merge) and isinstance(f, Split):
-        _check(f.pos == e.pos and f.order == e.order, "split does not undo the merge")
-        _check(f.left == d.slices[k][e.pos].weight, "split does not recreate the merged pair")
-        return d.spliced(k, 2, [])
-    raise SchemaMismatch("no cancelling vertex pair here")
-
-
-def _apply_singular_cup(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k <= len(d.events), "insertion point out of range")
-    pos, o = params.get("pos"), _order(params)
-    cur = d.slices[k]
-    _check(isinstance(pos, int) and 0 <= pos <= len(cur) - 2, "needs two strands")
-    _check(cur[pos].dir == cur[pos + 1].dir, "strands must be parallel")
-    return d.spliced(k, 0, [Merge(pos, o), Split(pos, o, cur[pos].weight)])
-
-
-def _apply_singular_cap(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k <= len(d.events), "insertion point out of range")
-    pos, o = params.get("pos"), _order(params)
-    cur = d.slices[k]
-    _check(isinstance(pos, int) and 0 <= pos < len(cur), "no such strand")
-    left = params.get("left")
-    _check(isinstance(left, Weight), "singular_cap needs the left weight")
-    return d.spliced(k, 0, [Split(pos, o, left), Merge(pos, o)])
-
-
-def _apply_saddle(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    kind = params.get("kind", "remove")
-    if kind == "remove":
-        e, f = _pair(d, k)
-        _check(isinstance(e, Cap) and isinstance(f, Cup) and f.pos == e.pos,
-               "no cap-then-cup pair")
-        a = d.slices[k][e.pos]
-        _check(f.weight == a.weight and f.dir == a.dir,
-               "cup does not recreate the capped strands")
-        return d.spliced(k, 2, [])
-    if kind == "insert":
-        _check(0 <= k <= len(d.events), "insertion point out of range")
-        pos = params.get("pos")
-        cur = d.slices[k]
-        _check(isinstance(pos, int) and 0 <= pos <= len(cur) - 2, "needs two strands")
-        a, b = cur[pos], cur[pos + 1]
-        _check(a.weight == b.weight and a.dir != b.dir,
-               "strands must be antiparallel with equal weights")
-        return d.spliced(k, 0, [Cap(pos), Cup(pos, a.weight, a.dir)])
-    raise SchemaMismatch(f"bad saddle kind {kind!r}")
-
-
-def _apply_circle_birth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k <= len(d.events), "insertion point out of range")
-    pos, w, dr = params.get("pos"), params.get("weight"), _dir(params)
-    _check(isinstance(pos, int) and isinstance(w, Weight), "circle_birth needs pos and weight")
-    return d.spliced(k, 0, [Cup(pos, w, dr), Cap(pos)])
-
-
-def _apply_circle_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    _check(isinstance(e, Cup) and isinstance(f, Cap) and f.pos == e.pos,
-           "no cup-then-cap circle here")
-    return d.spliced(k, 2, [])
-
-
-def _apply_crossing_splitoff(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k < len(d.events), "no event here")
-    e = d.events[k]
-    _check(isinstance(e, Cross), "no crossing here")
-    a, b = d.slices[k][e.pos], d.slices[k][e.pos + 1]
-    _check(a.dir == b.dir, "split-off needs a parallel crossing")
-    o = Order.L if a.dir is Dir.UP else Order.R
+def _split_off_crossing(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+    p, o = env["p"], Order.L if env["d"] is Dir.UP else Order.R
     base = len(d.slices[-1])
-    d = d.spliced(k, 1, [Merge(e.pos, o), Split(e.pos, o, b.weight)])
-    return d.spliced(len(d.events), 0, u_block_events(base, a.weight, b.weight))
+    d = d.spliced(k, 1, [Merge(p, o), Split(p, o, env["b"])])
+    return d.spliced(len(d.events), 0, u_block_events(base, env["a"], env["b"]))
 
 
-# --- flip-land schemas (trace-only) ------------------------------------------
-
-
-def _apply_dot_cancel(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f = _pair(d, k)
-    _check(isinstance(e, Dot) and isinstance(f, Dot) and f.pos == e.pos,
-           "no adjacent dot pair")
-    return d.spliced(k, 2, [])
-
-
-def _apply_dot_pair_birth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k <= len(d.events), "insertion point out of range")
-    pos = params.get("pos")
-    _check(isinstance(pos, int) and 0 <= pos < len(d.slices[k]), "no such strand")
-    return d.spliced(k, 0, [Dot(pos), Dot(pos)])
-
-
-def _apply_dot_through_vertex(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    which = params.get("dir", "expand")
-    if which == "expand":
-        e, f = _pair(d, k)
-        if isinstance(e, Merge) and isinstance(f, Dot) and f.pos == e.pos:
-            return d.spliced(k, 2,
-                             [Dot(e.pos), Dot(e.pos + 1), Merge(e.pos, e.order.flip())])
-        if isinstance(e, Dot) and isinstance(f, Split) and f.pos == e.pos:
-            return d.spliced(k, 2,
-                             [Split(f.pos, f.order.flip(), f.left), Dot(f.pos), Dot(f.pos + 1)])
-        raise SchemaMismatch("no dot against a vertex here")
-    if which == "contract":
-        e, f, g = _triple(d, k)
-        if (isinstance(e, Dot) and isinstance(f, Dot) and isinstance(g, Merge)
-                and e.pos == g.pos and f.pos == g.pos + 1):
-            return d.spliced(k, 3, [Merge(g.pos, g.order.flip()), Dot(g.pos)])
-        if (isinstance(e, Split) and isinstance(f, Dot) and isinstance(g, Dot)
-                and f.pos == e.pos and g.pos == e.pos + 1):
-            return d.spliced(k, 3, [Dot(e.pos), Split(e.pos, e.order.flip(), e.left)])
-        raise SchemaMismatch("no dotted vertex to contract")
-    raise SchemaMismatch(f"bad dot_through_vertex direction {which!r}")
-
-
-def _apply_dot_splitoff(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k < len(d.events), "no event here")
-    e = d.events[k]
-    _check(isinstance(e, Dot), "no dot here")
-    w = d.slices[k][e.pos].weight
+def _split_off_dot(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
     base = len(d.slices[-1])
     d = d.spliced(k, 1, [])
-    return d.spliced(len(d.events), 0, [Cup(base, w, Dir.UP), Dot(base), Cap(base)])
+    return d.spliced(len(d.events), 0, [Cup(base, env["w"], Dir.UP), Dot(base), Cap(base)])
 
 
-def _apply_dotted_circle_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    e, f, g = _triple(d, k)
-    _check(isinstance(e, Cup) and isinstance(f, Dot) and isinstance(g, Cap)
-           and g.pos == e.pos and f.pos in (e.pos, e.pos + 1),
-           "no dotted circle here")
-    return d.spliced(k, 3, [])
+# --- the registries: schema -> (selector params, their defaults, {selector
+# values: (rule, side) alternatives, tried in order}) ----------------------------
 
 
-def _apply_u_ab_death(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k <= len(d.events) - 5, "needs five consecutive events")
-    e0, e1, e2, e3, e4 = d.events[k : k + 5]
-    p = e0.pos if isinstance(e0, Cup) else -1
-    _check(
-        isinstance(e0, Cup) and e0.dir is Dir.DOWN
-        and isinstance(e1, Split) and e1.pos == p + 1 and e1.order is Order.L
-        and isinstance(e2, Cross) and e2.pos == p + 1
-        and isinstance(e3, Merge) and e3.pos == p + 1 and e3.order is Order.L
-        and isinstance(e4, Cap) and e4.pos == p,
-        "no standard crossing-foam block here",
-    )
-    return d.spliced(k, 5, [])
+def _fixed(*alternatives) -> tuple:
+    return (), (), {(): alternatives}
 
 
-def _apply_cross_smooth(d: FoamDiagram, k: int, params: dict) -> FoamDiagram:
-    _check(0 <= k < len(d.events), "no event here")
-    e = d.events[k]
-    _check(isinstance(e, Cross), "no crossing here")
-    a, b = d.slices[k][e.pos], d.slices[k][e.pos + 1]
-    _check(a.dir != b.dir and a.weight == b.weight,
-           "smoothing needs an antiparallel equal-weight crossing")
-    return d.spliced(k, 1, [Cap(e.pos), Cup(e.pos, a.weight, a.dir.flip())])
+def _directions(key: str, names: tuple, *rules) -> tuple:  # names[0] is the default
+    return (key,), names[:1], {(name,): tuple((rule, side) for rule in rules)
+                               for side, name in enumerate(names)}
 
+
+_R3 = Rule("cross p; cross p+1; cross p", "cross p+1; cross p; cross p+1")
+_ASSOC = {
+    "mm": Rule("merge p o; merge p o", "merge p+1 o; merge p o"),
+    "ss": Rule("split p o l; split p o m", "split p o m; split p+1 o l-m"),
+    "sm": Rule("split p o l; merge p+1 o", "merge p o; split p o l"),
+    "ms": Rule("split p o l; merge p-1 o", "merge p-1 o; split p-1 o b+l", "p-1: b"),
+}
+_SPLIT_MERGE = Rule("split p o l; merge p o")
+_MERGE_SPLIT = Rule("merge p o; split p o w", "", "p: w")
+_CIRCLE = Rule("cup p w d; cap p")
+_DOTS = Rule("dot p; dot p")
 
 NU_SCHEMAS: dict = {
-    "exchange": _apply_exchange,
-    "r2": _apply_r2,
-    "kink": _apply_kink,
-    "r3": _apply_r3,
-    "vertex_flip": _apply_vertex_flip,
-    "vertex_slide": _apply_vertex_slide,
-    "vertex_cobordism": _apply_vertex_cobordism,
-    "singular_saddle": _apply_singular_saddle,
-    "singular_cup": _apply_singular_cup,
-    "singular_cap": _apply_singular_cap,
-    "saddle": _apply_saddle,
-    "circle_birth": _apply_circle_birth,
-    "circle_death": _apply_circle_death,
-    "crossing_splitoff": _apply_crossing_splitoff,
+    "exchange": _fixed((Rule("event; event", _exchanged), 0)),
+    "r2": _fixed((Rule("cross p; cross p"), 0)),
+    "kink": _fixed((Rule("cup p w d; cross p", "cup p w d'"), 0),
+                   (Rule("cross p; cap p", "cap p"), 0)),
+    "r3": _fixed((_R3, 0), (_R3, 1)),
+    "vertex_flip": _directions(
+        "dir", ("expand", "contract"),
+        Rule("merge p o", "cross p; merge p o'"),
+        Rule("split p o l", "split p o' w-l; cross p", "p: w")),
+    "vertex_slide": _directions(
+        "dir", ("expand", "contract"),
+        Rule("merge p o; cross p", "cross p+1; cross p; merge p+1 o"),
+        Rule("merge p o; cross p-1", "cross p-1; cross p; merge p-1 o"),
+        Rule("cross p; split p+1 o l", "split p o l; cross p+1; cross p"),
+        Rule("cross p; split p o l", "split p+1 o l; cross p; cross p+1")),
+    "vertex_cobordism": (("pattern", "dir"), (None, "lr"), {
+        (pattern, name): ((rule, side),)
+        for pattern, rule in _ASSOC.items() for side, name in enumerate(("lr", "rl"))}),
+    "singular_saddle": _fixed((_SPLIT_MERGE, 0), (_MERGE_SPLIT, 0)),
+    "singular_cup": _fixed((_MERGE_SPLIT, 1)),
+    "singular_cap": _fixed((_SPLIT_MERGE, 1)),
+    "saddle": _directions("kind", ("remove", "insert"), Rule("cap p; cup p w d", "", "p: w d")),
+    "circle_birth": _fixed((_CIRCLE, 1)),
+    "circle_death": _fixed((_CIRCLE, 0)),
+    "crossing_splitoff": _fixed((Rule("cross p", _split_off_crossing, "p: a d; p+1: b d"), 0)),
 }
 
 FLIP_SCHEMAS: dict = {
-    "dot_cancel": _apply_dot_cancel,
-    "dot_pair_birth": _apply_dot_pair_birth,
-    "dot_through_vertex": _apply_dot_through_vertex,
-    "dot_splitoff": _apply_dot_splitoff,
-    "dotted_circle_death": _apply_dotted_circle_death,
-    "u_ab_death": _apply_u_ab_death,
-    "cross_smooth": _apply_cross_smooth,
+    "dot_cancel": _fixed((_DOTS, 0)),
+    "dot_pair_birth": _fixed((_DOTS, 1)),
+    "dot_through_vertex": _directions(
+        "dir", ("expand", "contract"),
+        Rule("merge p o; dot p", "dot p; dot p+1; merge p o'"),
+        Rule("dot p; split p o l", "split p o' l; dot p; dot p+1")),
+    "dot_splitoff": _fixed((Rule("dot p", _split_off_dot, "p: w"), 0)),
+    "dotted_circle_death": _fixed((Rule("cup p w d; dot p; cap p"), 0),
+                                  (Rule("cup p w d; dot p+1; cap p"), 0)),
+    "u_ab_death": _fixed((Rule("cup p w D; split p+1 L l; cross p+1; merge p+1 L; cap p"), 0)),
+    "cross_smooth": _fixed((Rule("cross p", "cap p; cup p w d'", "p: w d; p+1: w d'"), 0)),
 }
 
 ALL_SCHEMAS: dict = {**NU_SCHEMAS, **FLIP_SCHEMAS}
 
 
-def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
-    applier = ALL_SCHEMAS.get(m.schema)
-    if applier is None:
-        raise SchemaMismatch(f"unknown schema {m.schema!r}")
+def _alternatives(schema: str, params: dict) -> tuple:
+    """The (rule, side) alternatives of a schema under its selector params."""
+    if schema not in ALL_SCHEMAS:
+        raise SchemaMismatch(f"unknown schema {schema!r}")
+    keys, defaults, options = ALL_SCHEMAS[schema]
+    chosen = tuple(map(params.get, keys, defaults))
     try:
-        return applier(d, m.index, m.params)
+        return options[chosen]
+    except (KeyError, TypeError):
+        pass
+    raise SchemaMismatch(f"bad {schema} " + ", ".join(
+        f"{key} {val!r}" for key, val in zip(keys, chosen)))
+
+
+def _candidates(*pairs) -> tuple:
+    """Each ``(schema, params)`` pair with its alternatives, for :func:`_matching`."""
+    return tuple((schema, params, _alternatives(schema, params)) for schema, params in pairs)
+
+
+def _matching(d: FoamDiagram, k: int, candidates: tuple):
+    """Each candidate move whose rule matches at event k, in order, without
+    applying it."""
+    for schema, params, alternatives in candidates:
+        for rule, side in alternatives:
+            if rule.match(d, k, side, params) is not None:
+                yield MoveInstance(schema, k, dict(params))
+                break
+
+
+def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
+    alternatives = _alternatives(m.schema, m.params)
+    try:
+        for rule, side in alternatives:
+            out = rule.apply(d, m.index, side, m.params)
+            if out is not None:
+                return out
     except (DslSemanticError, NonPositiveWeight) as exc:
         raise SchemaMismatch(f"{m.schema} at {m.index}: {exc}") from None
     except IndexError:
         raise SchemaMismatch(f"{m.schema} at {m.index}: position out of range") from None
+    windows = " or ".join(repr(rule.texts[side]) if rule.texts[side] else "insertion point"
+                          for rule, side in alternatives)
+    raise SchemaMismatch(f"{m.schema} at {m.index}: no {windows} here")
+
+
+# The window candidates that enumerate_moves tries at each event, in order.
+_AT_EVENT = _candidates(
+    ("exchange", {}), ("r2", {}), ("kink", {}), ("r3", {}),
+    ("vertex_flip", {"dir": "expand"}), ("vertex_flip", {"dir": "contract"}),
+    ("vertex_slide", {"dir": "expand"}), ("vertex_slide", {"dir": "contract"}),
+    ("singular_saddle", {}), ("saddle", {"kind": "remove"}), ("circle_death", {}),
+    ("crossing_splitoff", {}),
+    *(("vertex_cobordism", {"pattern": pattern, "dir": which})
+      for pattern in ("mm", "ss", "sm", "ms") for which in ("lr", "rl")))
 
 
 def enumerate_moves(d: FoamDiagram) -> list[MoveInstance]:
     """Every nu-preserving instance that applies to d, insertion families
-    sampled one representative per location."""
+    sampled one representative per location.  A window candidate is applied
+    only where its rule matches; every candidate is kept only where its
+    splice validates."""
     unit = Weight.rational(d.basis, 1)
-    cands: list[MoveInstance] = []
-    n = len(d.events)
-    for k in range(n):
-        cands += [
-            MoveInstance("exchange", k),
-            MoveInstance("r2", k),
-            MoveInstance("kink", k),
-            MoveInstance("r3", k),
-            MoveInstance("vertex_flip", k, {"dir": "expand"}),
-            MoveInstance("vertex_flip", k, {"dir": "contract"}),
-            MoveInstance("vertex_slide", k, {"dir": "expand"}),
-            MoveInstance("vertex_slide", k, {"dir": "contract"}),
-            MoveInstance("singular_saddle", k),
-            MoveInstance("saddle", k, {"kind": "remove"}),
-            MoveInstance("circle_death", k),
-            MoveInstance("crossing_splitoff", k),
-        ]
-        for pattern in ("mm", "ss", "sm", "ms"):
-            for which in ("lr", "rl"):
-                cands.append(MoveInstance("vertex_cobordism", k,
-                                          {"pattern": pattern, "dir": which}))
-    for k in range(n + 1):
-        cur = d.slices[k]
-        cands.append(MoveInstance("circle_birth", k,
-                                  {"pos": 0, "weight": unit, "dir": "u"}))
+    cands = [m for k in range(len(d.events)) for m in _matching(d, k, _AT_EVENT)]
+    for k, cur in enumerate(d.slices):
+        cands.append(MoveInstance("circle_birth", k, {"pos": 0, "weight": unit, "dir": "u"}))
         for p in range(len(cur)):
-            cands.append(MoveInstance("singular_cap", k,
-                                      {"pos": p, "order": "L",
-                                       "left": cur[p].weight.scale("1/2")}))
+            cands.append(MoveInstance("singular_cap", k, {"pos": p, "order": "L",
+                                                          "left": cur[p].weight.scale("1/2")}))
         for p in range(len(cur) - 1):
             if cur[p].dir == cur[p + 1].dir:
                 cands.append(MoveInstance("singular_cup", k, {"pos": p, "order": "L"}))

@@ -172,6 +172,28 @@ def test_flip_reduce_and_validate(capsys, doc, tmp_path):
     assert chk["ok"] is False and chk["failed_at"] == 0
 
 
+@pytest.mark.parametrize("record", [
+    "a",
+    {"schema": ["x"], "location": {"index": 0}},
+    {"location": {"index": 0}},
+    {"schema": "u_ab_death", "location": [["index", 0]]},
+    {"schema": "u_ab_death", "location": {"index": 0.9}},
+    {"schema": "u_ab_death", "location": {"index": True}},
+    {"schema": "u_ab_death", "location": {"index": "0"}},
+    {"schema": "u_ab_death", "location": {}},
+], ids=["string", "list-schema", "no-schema", "list-location", "float-index",
+        "bool-index", "string-index", "no-index"])
+def test_malformed_move_record_is_semantic_error(capsys, doc, tmp_path, record):
+    """A record without a string schema, a location object and an integer
+    index is refused before replay; a float index is not truncated."""
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(json.dumps([record]))
+    code, got = run_json(capsys, "validate-trace", doc, "u", str(trace_file))
+    assert code == 1
+    assert got["error"] == "semantic"
+    assert got["message"].startswith("malformed move record")
+
+
 def test_gamma(capsys, doc):
     code, got = run_json(capsys, "gamma", doc, "labeled")
     assert code == 0

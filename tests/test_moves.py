@@ -5,14 +5,16 @@ seeds, every nu-preserving schema must fire at least once, so a schema
 whose matcher silently stops matching fails the suite.
 """
 
+import functools
 import hashlib
 import json
 import random
 
 import pytest
 
-from foamcalc import foamdiag
+from foamcalc import foamdiag, moves
 from foamcalc import (
+    ALL_SCHEMAS,
     Cap,
     Cross,
     Cup,
@@ -111,14 +113,6 @@ def test_enumerated_moves_apply_on_mirrored_diagrams(w):
         assert nu(apply_move(d, m)) == base
 
 
-def test_move_json_round_trip(w, basis):
-    m = MoveInstance("saddle", 3, {"weight": w("1 + 1*r2"), "side": "L"})
-    back = move_from_json(basis, m.to_json())
-    assert back == m
-    with pytest.raises(Exception):
-        move_from_json(basis, {"schema": "saddle"})
-
-
 # ---------------------------------------------- splices against full rebuilds
 
 
@@ -166,6 +160,111 @@ def test_moves_and_traces_are_pinned():
         record.append(trace_to_json(flip_reduce(d)))
     text = json.dumps(record, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == MOVES_DIGEST
+
+
+@functools.cache
+def _trace_steps():
+    """(diagram, move) of every flip_reduce step over the flip corpus."""
+    steps = []
+    for d in _flip_corpus():
+        for m in flip_reduce(d):
+            steps.append((d, m))
+            d = apply_move(d, m)
+    return steps
+
+
+@functools.cache
+def _real_records():
+    """Schema -> (diagram, move): the first move of each schema among the
+    enumerated moves and the trace steps.  No trace cancels a dot pair, so
+    the dot_cancel record undoes the first dot_pair_birth."""
+    records = {}
+    for d in _enumerate_corpus():
+        for m in enumerate_moves(d):
+            records.setdefault(m.schema, (d, m))
+    for d, m in _trace_steps():
+        records.setdefault(m.schema, (d, m))
+    d, m = records["dot_pair_birth"]
+    records["dot_cancel"] = (apply_move(d, m), MoveInstance("dot_cancel", m.index))
+    return records
+
+
+def test_move_json_round_trip():
+    """A real record of every schema survives JSON and applies the same."""
+    records = _real_records()
+    assert set(records) == set(ALL_SCHEMAS)
+    for schema, (d, m) in records.items():
+        back = move_from_json(d.basis, json.loads(json.dumps(m.to_json())))
+        assert back == m, schema
+        assert apply_move(d, back) == apply_move(d, m), schema
+    with pytest.raises(DslSemanticError):
+        move_from_json(d.basis, {"schema": "saddle"})
+
+
+def _registered_sides():
+    """(rule, side) -> (schema, selector params) of every registered direction."""
+    out = {}
+    for schema, (keys, _, options) in ALL_SCHEMAS.items():
+        for values, alternatives in options.items():
+            for rule, side in alternatives:
+                out[rule, side] = (schema, dict(zip(keys, values)))
+    return out
+
+
+def _insertion_params(rule, side, env):
+    """The move params from which the given side takes its free variables."""
+    return {
+        moves._PARAMS[var][0]: env[var].value if isinstance(env[var], (Order, Dir)) else env[var]
+        for var in rule.sides[side][2]
+    }
+
+
+def _reverses(d, k, rule, side, env, registered):
+    """Apply the given side at k, then the other side at k; True when that
+    gives back d, None when the splice does not validate."""
+    try:
+        got = rule.apply(d, k, side, _insertion_params(rule, side, env))
+    except FoamError:
+        return None
+    back = _insertion_params(rule, 1 - side, env)
+    if (rule, 1) not in registered:  # one-sided: through the rule object
+        return rule.apply(got, k, 1 - side, back) == d
+    (fwd, fwd_sel), (rev, rev_sel) = registered[rule, side], registered[rule, 1 - side]
+    assert apply_move(d, MoveInstance(fwd, k, fwd_sel | _insertion_params(rule, side, env))) == got
+    return apply_move(got, MoveInstance(rev, k, rev_sel | back)) == d
+
+
+def test_every_rule_reverses():
+    """A rule side that applies, then the other side of the same rule at the
+    same index, gives back the diagram.  A rule registered in both
+    directions goes through apply_move, a one-sided rule through the rule
+    object.  Sites: every event of the enumerate corpus and of two dotted
+    circles, the index of every flip trace step, and every insertion among
+    the enumerated moves and the trace steps."""
+    registered = _registered_sides()
+    rules = {rule for rule, _ in registered if not callable(rule.rhs)}
+    basis = demo_basis("r2", "r3")
+    a = Weight.rational(basis, 1)
+    dotted = [FoamDiagram(basis, [], [Cup(0, a, Dir.UP), Dot(p), Cap(0)]) for p in (0, 1)]
+    sites = [(d, k) for d in _enumerate_corpus() + dotted for k in range(len(d.events))]
+    sites += [(d, m.index) for d, m in _trace_steps()]
+    used = set()
+    for d, k in sites:
+        for rule in rules:
+            for side in (0, 1) if (rule, 1) in registered else (0,):
+                env = rule.match(d, k, side, {}) if rule.sides[side][0] else None
+                ok = None if env is None else _reverses(d, k, rule, side, env, registered)
+                if ok is not None:
+                    assert ok, (rule.texts, side, k)
+                    used.add(rule)
+    moves_made = [(d, m) for d in _enumerate_corpus() for m in enumerate_moves(d)]
+    for d, m in moves_made + _trace_steps():
+        for rule, side in moves._alternatives(m.schema, m.params):
+            env = rule.match(d, m.index, side, m.params)
+            if env is not None and not rule.sides[side][0]:
+                assert _reverses(d, m.index, rule, side, env, registered), m
+                used.add(rule)
+    assert used == rules, [rule.texts for rule in rules - used]
 
 
 def test_flip_reduce_steps_match_full_rebuilds():

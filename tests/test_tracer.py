@@ -1,15 +1,16 @@
-"""The benchmark's layer tracer still finds what it wraps.
+"""The benchmark's layer tracer still finds what it wraps and names.
 
-perfbench/tracer.py wraps library functions and methods by name, so a
-refactor that moves one of them would otherwise show only in the slow
-benchmark tests.  This test reads perfbench/ and changes nothing in it.
+perfbench/tracer.py wraps library functions and methods by name, and counts
+moves per schema name from perfbench/catalog.py, so a refactor that moves or
+renames one of them would otherwise show only in the slow benchmark tests,
+or not at all.  These tests read perfbench/ and change nothing in it.
 """
 
 import importlib
 import random
 from pathlib import Path
 
-from foamcalc import Iet, Weight, decorated, dsl, foamdiag
+from foamcalc import ALL_SCHEMAS, Iet, Weight, decorated, dsl, foamdiag
 from foamcalc.acceptance import _insert_dots, demo_basis
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,3 +42,10 @@ def test_tracer_counts_each_layer_and_uninstalls(monkeypatch):
     assert patched
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+def test_catalog_counts_every_schema(monkeypatch):
+    """A schema missing from the catalog would read 0 in the per-schema counters."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    catalog = importlib.import_module("catalog")
+    assert set(catalog.MOVE_SCHEMAS) == set(ALL_SCHEMAS)
