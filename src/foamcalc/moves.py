@@ -6,12 +6,9 @@ ones :func:`enumerate_moves` emits.  ``FLIP_SCHEMAS`` are the extra moves
 available once flip (orientation-reversing) facets are allowed; they can
 change nu and are only ever applied through explicit trace steps.
 
-A move is addressed by schema name, the index of the first event it
-touches, and schema-specific params.  A schema applies one or more
-:class:`Rule` sides: each local rewrite is written once, and its reverse
-direction is the same rule with its sides swapped.  A move raises
-:class:`SchemaMismatch` when no side matches, and is otherwise one or two
-validated splices (:meth:`FoamDiagram.spliced`).
+A move names a schema, the index of the first event it touches, and
+params.  A schema applies :class:`Rule` sides: each local rewrite is
+written once, and its reverse is the same rule with its sides swapped.
 """
 
 from __future__ import annotations
@@ -105,35 +102,44 @@ def _window(text: str) -> tuple:
     return kinds, fields, weights, events
 
 
-def _compiled(kinds: list, checks: list, free: list, events: list):
-    """The function ``side(events, slices, k, params, rewrite)`` of one side:
-    None where its window does not match at event k, else its bindings, or
-    with ``rewrite`` the other side's events.  Each check solves for its
-    token's one unbound variable, or else tests the field."""
-    n = len(kinds)
-    body = [f"if k < 0 or k + {n} > len(events): return None"]
-    if n:
-        body += ["".join(f"e{i}, " for i in range(n)) + f"= events[k : k + {n}]",
-                 "if not (" + " and ".join(f"isinstance(e{i}, {cls.__name__})"
-                                           for i, cls in enumerate(kinds)) + "): return None"]
-    body += [f"{v} = _param(params, {v!r})" for v in free]
-    body += ["cur = slices[k]"] if any(field.startswith("cur") for field, _ in checks) else []
-    bound = list(free)
-    for field, tok in checks:
-        names, value, solve = _term(tok)
-        unknown = [v for v in names if v not in bound]
-        if unknown:
-            (var,) = unknown
-            bound.append(var)
-            body.append(f"{var} = {solve(var, field)}")
-        else:
-            body.append(f"if {field} != {value}: return None")
-    env = ", ".join(f"{v!r}: {v}" for v in bound)
-    body.append(f"return [{', '.join(events)}] if rewrite else {{{env}}}")
-    scope = {cls.__name__: cls for cls in (*EVENT_KINDS, Order, Dir)} | {"_param": _param}
-    source = "def side(events, slices, k, params, rewrite):\n    " + "\n    ".join(body)
-    exec(source, scope)  # the source comes from the rule table, never from input
-    return scope["side"]
+def _compile(side: list, checks: list, rewritten) -> None:
+    """Put in ``side[1]`` the function ``(foam, k, params, apply)`` of a side
+    ``[kinds, _, free]``: None where its window does not match at event k,
+    else the diagram rewritten (``apply``) or the window's bindings.
+    ``rewritten`` is the other side's event sources or a one-way rule's
+    function.  Each check solves for its one unbound variable, or tests.  The
+    source compiles on first use, so that an import pays only for rules applied."""
+    def first_call(*args):
+        kinds, _, free = side
+        n = len(kinds)
+        body = ["events = foam.events", f"if k < 0 or k + {n} > len(events): return None"]
+        if n:
+            body += ["".join(f"e{i}, " for i in range(n)) + f"= events[k : k + {n}]",
+                     "if not (" + " and ".join(f"isinstance(e{i}, {cls.__name__})"
+                                               for i, cls in enumerate(kinds)) + "): return None"]
+        body += [f"{v} = _param(params, {v!r})" for v in free]
+        body += ["cur = foam.slices[k]"] if any(f.startswith("cur") for f, _ in checks) else []
+        bound = list(free)
+        for field, tok in checks:
+            names, value, solve = _term(tok)
+            unknown = [v for v in names if v not in bound]
+            if unknown:
+                (var,) = unknown
+                bound.append(var)
+                body.append(f"{var} = {solve(var, field)}")
+            else:
+                body.append(f"if {field} != {value}: return None")
+        env = "{" + ", ".join(f"{v!r}: {v}" for v in bound) + "}"
+        new = f"rhs(foam, k, {env})" if callable(rewritten) else \
+            f"foam.spliced(k, {n}, [{', '.join(rewritten)}])"
+        body.append(f"return {new} if apply else {env}")
+        source = "def side(foam, k, params, apply):\n    " + "\n    ".join(body)
+        scope = {cls.__name__: cls for cls in (*EVENT_KINDS, Order, Dir)}
+        exec(source, scope | {"_param": _param, "rhs": rewritten}, scope)  # from the rule table
+        side[1] = scope["side"]
+        return side[1](*args)
+
+    side[1] = first_call
 
 
 class Rule:
@@ -144,13 +150,14 @@ class Rule:
     an order ``o``, its flip ``o'``, ``L`` or ``R``; a direction ``d``,
     ``d'``, ``U`` or ``D``; a weight ``w``, ``x+y`` or ``x-y``.  ``reads``
     binds strands of the slice below the window (``p+1: w d``: weight and
-    direction of strand p+1).  Matching binds each variable where it first
-    occurs, solving a term with one unknown, and checks it elsewhere:
-    positions, orders and directions, then reads, then weights.  Side 0
-    rewrites ``lhs`` into ``rhs``, side 1 the reverse.  An empty side is an
-    insertion that takes its variables from the move's params; a function
-    ``rhs(d, k, env)`` makes a one-way rule.  Each side compiles at import
-    into one function that matches it and rewrites it."""
+    direction of strand p+1).  Variables are single letters other than k.
+    Matching binds each variable where it first occurs, solving a term with
+    one unknown, and checks it elsewhere: positions, orders and directions,
+    then reads, then weights.  Side 0 rewrites ``lhs`` into ``rhs``, side 1
+    the reverse.  An empty side is an insertion that takes its variables
+    from the move's params; a function ``rhs(d, k, env)`` makes a one-way
+    rule.  Each side compiles once into one function that matches it and
+    rewrites it."""
 
     def __init__(self, lhs: str, rhs="", reads: str = ""):
         self.rhs, self.texts = rhs, (lhs, rhs if isinstance(rhs, str) else "")
@@ -162,24 +169,21 @@ class Rule:
                             for name, tok in zip(("weight", "dir"), toks.split())]
         read_vars = {v for _, tok in read_checks for v in _term(tok)[0]}
         self.sides = []
-        for (kinds, fields, weights, _), dst in zip(wins, wins[::-1]):
+        pairs = zip(wins, wins[::-1]) if isinstance(rhs, str) else [wins]  # one way: no side 1
+        for (kinds, fields, weights, _), dst in pairs:
             names = dict.fromkeys(v for _, tok in dst[1] + dst[2] for v in _term(tok)[0])
             free = [] if kinds else [v for v in names if v not in read_vars]
-            compiled = _compiled(kinds, fields + read_checks + weights, free, dst[3])
-            self.sides.append((kinds, compiled, free))
+            self.sides.append([kinds, None, free])
+            _compile(self.sides[-1], fields + read_checks + weights,
+                     rhs if callable(rhs) else dst[3])
 
     def match(self, d: FoamDiagram, k: int, side: int, params: dict) -> dict | None:
         """The bindings of this side at event k, or None where it does not match."""
-        return self.sides[side][1](d.events, d.slices, k, params, False)
+        return self.sides[side][1](d, k, params, False)
 
     def apply(self, d: FoamDiagram, k: int, side: int, params: dict) -> FoamDiagram | None:
         """d with this side rewritten at event k, or None where it does not match."""
-        kinds, compiled, _ = self.sides[side]
-        if callable(self.rhs):
-            env = compiled(d.events, d.slices, k, params, False)
-            return None if env is None else self.rhs(d, k, env)
-        new = compiled(d.events, d.slices, k, params, True)
-        return None if new is None else d.spliced(k, len(kinds), new)
+        return self.sides[side][1](d, k, params, True)
 
 
 # --- moves that are not a fixed window ------------------------------------------
@@ -288,6 +292,8 @@ def _alternatives(schema: str, params: dict) -> tuple:
     if schema not in ALL_SCHEMAS:
         raise SchemaMismatch(f"unknown schema {schema!r}")
     keys, defaults, options = ALL_SCHEMAS[schema]
+    if not keys:
+        return options[()]
     chosen = tuple(map(params.get, keys, defaults))
     try:
         return options[chosen]
@@ -303,8 +309,7 @@ def _candidates(*pairs) -> tuple:
 
 
 def _matching(d: FoamDiagram, k: int, candidates: tuple):
-    """Each candidate move whose rule matches at event k, in order, without
-    applying it."""
+    """Each candidate move whose rule matches at event k, in order, unapplied."""
     for schema, params, alternatives in candidates:
         for rule, side in alternatives:
             if rule.match(d, k, side, params) is not None:
@@ -342,8 +347,7 @@ _AT_EVENT = _candidates(
 def enumerate_moves(d: FoamDiagram) -> list[MoveInstance]:
     """Every nu-preserving instance that applies to d, insertion families
     sampled one representative per location.  A window candidate is applied
-    only where its rule matches; every candidate is kept only where its
-    splice validates."""
+    only where its rule matches, and kept only where its splice validates."""
     unit = Weight.rational(d.basis, 1)
     cands = [m for k in range(len(d.events)) for m in _matching(d, k, _AT_EVENT)]
     for k, cur in enumerate(d.slices):
