@@ -118,9 +118,7 @@ def label_split(d: FoamDiagram, k: int) -> FoamDiagram:
 # --- flip elimination ---------------------------------------------------------
 
 
-def _step(d: FoamDiagram, trace: list[MoveInstance], schema: str, index: int,
-          params: dict | None = None) -> FoamDiagram:
-    m = MoveInstance(schema, index, params or {})
+def _step(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDiagram:
     out = apply_move(d, m)
     trace.append(m)
     return out
@@ -132,8 +130,8 @@ def _kill_dots(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         j = next((i for i, e in enumerate(d.events) if isinstance(e, Dot)), None)
         if j is None:
             return d
-        d = _step(d, trace, "dot_splitoff", j)
-        d = _step(d, trace, "dotted_circle_death", len(d.events) - 3)
+        d = _step(d, trace, MoveInstance("dot_splitoff", j))
+        d = _step(d, trace, MoveInstance("dotted_circle_death", len(d.events) - 3))
 
 
 # Candidate moves in order of choice: at the first crossing, at the last
@@ -161,9 +159,9 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
                 "antiparallel crossing with distinct weights: "
                 "outside the reducible braid-closure class"
             )
-        d = _step(d, trace, m.schema, j)
+        d = _step(d, trace, m)
         if m.schema == "crossing_splitoff":
-            d = _step(d, trace, "u_ab_death", len(d.events) - 5)
+            d = _step(d, trace, MoveInstance("u_ab_death", len(d.events) - 5))
 
 
 def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
@@ -179,11 +177,11 @@ def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
             return d
         e = d.events[j]
         if isinstance(e, Merge):
-            d = _step(d, trace, "dot_pair_birth", j + 1, {"pos": e.pos})
-            d = _step(d, trace, "dot_through_vertex", j, {"dir": "expand"})
+            d = _step(d, trace, MoveInstance("dot_pair_birth", j + 1, {"pos": e.pos}))
+            d = _step(d, trace, MoveInstance("dot_through_vertex", j, {"dir": "expand"}))
         else:
-            d = _step(d, trace, "dot_pair_birth", j, {"pos": e.pos})
-            d = _step(d, trace, "dot_through_vertex", j + 1, {"dir": "expand"})
+            d = _step(d, trace, MoveInstance("dot_pair_birth", j, {"pos": e.pos}))
+            d = _step(d, trace, MoveInstance("dot_through_vertex", j + 1, {"dir": "expand"}))
         d = _kill_dots(d, trace)
 
 
@@ -202,15 +200,15 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         m = next(_matching(d, j, _PUSH_SPLIT), None)
         if m is None:
             raise SchemaMismatch("split with nothing above it; diagram not closed")
-        d = _step(d, trace, m.schema, j, m.params)
+        d = _step(d, trace, m)
 
 
 def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     while d.events:
-        j = next((i for i in range(len(d.events)) if next(_matching(d, i, _CIRCLE), None)), None)
-        if j is None:
+        m = next((m for i in range(len(d.events)) for m in _matching(d, i, _CIRCLE)), None)
+        if m is None:
             raise SchemaMismatch("residual diagram is not a union of circles")
-        d = _step(d, trace, "circle_death", j)
+        d = _step(d, trace, m)
     return d
 
 

@@ -156,8 +156,10 @@ class Rule:
     then reads, then weights.  Side 0 rewrites ``lhs`` into ``rhs``, side 1
     the reverse.  An empty side is an insertion that takes its variables
     from the move's params; a function ``rhs(d, k, env)`` makes a one-way
-    rule.  Each side compiles once into one function that matches it and
-    rewrites it."""
+    rule.  ``sides[i]`` is ``[kinds, fn, free]``: ``fn(d, k, params,
+    apply)`` is None where side i does not match at event k, else d with it
+    rewritten (``apply``) or its bindings; ``free`` are the variables an
+    insertion takes from params."""
 
     def __init__(self, lhs: str, rhs="", reads: str = ""):
         self.rhs, self.texts = rhs, (lhs, rhs if isinstance(rhs, str) else "")
@@ -176,14 +178,6 @@ class Rule:
             self.sides.append([kinds, None, free])
             _compile(self.sides[-1], fields + read_checks + weights,
                      rhs if callable(rhs) else dst[3])
-
-    def match(self, d: FoamDiagram, k: int, side: int, params: dict) -> dict | None:
-        """The bindings of this side at event k, or None where it does not match."""
-        return self.sides[side][1](d, k, params, False)
-
-    def apply(self, d: FoamDiagram, k: int, side: int, params: dict) -> FoamDiagram | None:
-        """d with this side rewritten at event k, or None where it does not match."""
-        return self.sides[side][1](d, k, params, True)
 
 
 # --- moves that are not a fixed window ------------------------------------------
@@ -312,7 +306,7 @@ def _matching(d: FoamDiagram, k: int, candidates: tuple):
     """Each candidate move whose rule matches at event k, in order, unapplied."""
     for schema, params, alternatives in candidates:
         for rule, side in alternatives:
-            if rule.match(d, k, side, params) is not None:
+            if rule.sides[side][1](d, k, params, False) is not None:
                 yield MoveInstance(schema, k, dict(params))
                 break
 
@@ -321,7 +315,7 @@ def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
     alternatives = _alternatives(m.schema, m.params)
     try:
         for rule, side in alternatives:
-            out = rule.apply(d, m.index, side, m.params)
+            out = rule.sides[side][1](d, m.index, m.params, True)
             if out is not None:
                 return out
     except (DslSemanticError, NonPositiveWeight) as exc:

@@ -223,12 +223,12 @@ def _reverses(d, k, rule, side, env, registered):
     """Apply the given side at k, then the other side at k; True when that
     gives back d, None when the splice does not validate."""
     try:
-        got = rule.apply(d, k, side, _insertion_params(rule, side, env))
+        got = rule.sides[side][1](d, k, _insertion_params(rule, side, env), True)
     except FoamError:
         return None
     back = _insertion_params(rule, 1 - side, env)
     if (rule, 1) not in registered:  # one-sided: through the rule object
-        return rule.apply(got, k, 1 - side, back) == d
+        return rule.sides[1 - side][1](got, k, back, True) == d
     (fwd, fwd_sel), (rev, rev_sel) = registered[rule, side], registered[rule, 1 - side]
     assert apply_move(d, MoveInstance(fwd, k, fwd_sel | _insertion_params(rule, side, env))) == got
     return apply_move(got, MoveInstance(rev, k, rev_sel | back)) == d
@@ -252,7 +252,7 @@ def test_every_rule_reverses():
     for d, k in sites:
         for rule in rules:
             for side in (0, 1) if (rule, 1) in registered else (0,):
-                env = rule.match(d, k, side, {}) if rule.sides[side][0] else None
+                env = rule.sides[side][1](d, k, {}, False) if rule.sides[side][0] else None
                 ok = None if env is None else _reverses(d, k, rule, side, env, registered)
                 if ok is not None:
                     assert ok, (rule.texts, side, k)
@@ -260,7 +260,7 @@ def test_every_rule_reverses():
     moves_made = [(d, m) for d in _enumerate_corpus() for m in enumerate_moves(d)]
     for d, m in moves_made + _trace_steps():
         for rule, side in moves._alternatives(m.schema, m.params):
-            env = rule.match(d, m.index, side, m.params)
+            env = rule.sides[side][1](d, m.index, m.params, False)
             if env is not None and not rule.sides[side][0]:
                 assert _reverses(d, m.index, rule, side, env, registered), m
                 used.add(rule)
