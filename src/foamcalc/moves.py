@@ -162,7 +162,7 @@ class Rule:
     insertion takes from params."""
 
     def __init__(self, lhs: str, rhs="", reads: str = ""):
-        self.rhs, self.texts = rhs, (lhs, rhs if isinstance(rhs, str) else "")
+        self.texts = (lhs, rhs if isinstance(rhs, str) else "")
         wins = [_window(text) for text in self.texts]
         read_checks = []
         for part in filter(str.strip, reads.split(";")):
