@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BasisMismatch
-from .weights import GeneratorBasis, Weight, _frac_str
+from .weights import GeneratorBasis, Weight, _frac_str, _merge, _negated, _scaled
 
 
 class WedgeValue:
@@ -39,11 +39,21 @@ class WedgeValue:
                 del clean[(i, j)]
         self.basis = basis
         self.terms: tuple = tuple(sorted(clean.items()))
-        self._hash = hash((basis, self.terms))
+        self._hash = None
+
+    @classmethod
+    def _of(cls, basis: GeneratorBasis, terms: tuple) -> "WedgeValue":
+        """Trusted constructor: ``terms`` is already sorted and sparse, with
+        i < j in every key."""
+        v = object.__new__(cls)
+        v.basis = basis
+        v.terms = terms
+        v._hash = None
+        return v
 
     @classmethod
     def zero(cls, basis: GeneratorBasis) -> "WedgeValue":
-        return cls(basis, {})
+        return cls._of(basis, ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -56,25 +66,28 @@ class WedgeValue:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.basis, self.terms))
+        return h
 
-    def __add__(self, other: "WedgeValue") -> "WedgeValue":
+    def _check_basis(self, other: "WedgeValue") -> None:
         if self.basis != other.basis:
             raise BasisMismatch("wedge values over different bases")
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return WedgeValue(self.basis, acc)
+
+    def __add__(self, other: "WedgeValue") -> "WedgeValue":
+        self._check_basis(other)
+        return WedgeValue._of(self.basis, _merge(self.terms, other.terms))
 
     def __sub__(self, other: "WedgeValue") -> "WedgeValue":
-        return self + (-other)
+        self._check_basis(other)
+        return WedgeValue._of(self.basis, _merge(self.terms, other.terms, True))
 
     def __neg__(self) -> "WedgeValue":
-        return WedgeValue(self.basis, {k: -c for k, c in self.terms})
+        return WedgeValue._of(self.basis, _negated(self.terms))
 
     def scale(self, q) -> "WedgeValue":
-        q = Fraction(q)
-        return WedgeValue(self.basis, {k: c * q for k, c in self.terms})
+        return WedgeValue._of(self.basis, _scaled(self.terms, q))
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -112,7 +125,7 @@ def wedge(a: Weight, b: Weight) -> WedgeValue:
             else:
                 key = (i, j)
             terms[key] = terms.get(key, Fraction(0)) + c
-    return WedgeValue(a.basis, terms)
+    return WedgeValue._of(a.basis, tuple(sorted((k, c) for k, c in terms.items() if c)))
 
 
 class TensorH1Value:

@@ -3,19 +3,33 @@
 A weight is a finite Q-linear combination over a declared generator basis.
 Generator 0 is always the rational unit "1".  The non-unit generators are
 declared with a decimal enclosure (midpoint string plus a precision in
-digits) and are assumed Q-linearly independent together with 1.  Under that
-contract the zero test is structural: a weight is zero iff its coefficient
-vector is empty.
+digits, at most ``MAX_DIGITS``) and are assumed Q-linearly independent
+together with 1.  Under that contract the zero test is structural: a weight
+is zero iff its coefficient vector is empty.
 
-Signs of nonzero weights are decided by exact interval arithmetic over the
-enclosures.  When the interval straddles zero the oracle raises
-:class:`PrecisionExhausted` instead of guessing.
+The basis parses each enclosure once, into integers over one shared
+denominator ``10**D``: the midpoint ``mid_i / 10**D`` and the radius
+``rad_i / 10**D``, where D is the largest digit count or midpoint decimal
+count of the basis.  The sign of a nonzero weight ``sum c_i x_i`` is then
+decided without building a Fraction: with the coefficients brought to one
+denominator as integers ``n_i``, the enclosure of the weight is
+``center +/- spread`` over a positive denominator, where
+``center = sum n_i mid_i`` and ``spread = sum |n_i| rad_i``.  When the
+enclosure straddles zero the oracle raises :class:`PrecisionExhausted`
+instead of guessing; its message gives the exact Fraction bounds of
+:meth:`Weight.interval`.
+
+Weights and wedge values (``exterior.WedgeValue``) are sparse vectors: sorted
+tuples of ``(key, Fraction)`` with no zero entries.  Their arithmetic goes
+through one linear merge, ``_merge``, and their hashes are computed on first
+use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import BasisMismatch, DslSemanticError, PrecisionExhausted
@@ -24,9 +38,15 @@ NEGATIVE = -1
 ZERO = 0
 POSITIVE = 1
 
+# Largest accepted digit count of an enclosure.  It is the bound CPython puts
+# on the digits of a decimal literal; a larger count would only make the
+# basis build ever larger powers of ten.
+MAX_DIGITS = 4300
 
-def _parse_decimal(text: str) -> Fraction:
-    """Exact value of a plain decimal literal like '1.4142' or '-3'."""
+
+def _parse_decimal(text: str) -> tuple[int, int]:
+    """``(n, e)`` with ``n / 10**e`` the exact value of a plain decimal
+    literal like '1.4142' or '-3'; e is the number of decimals."""
     text = text.strip()
     if not text:
         raise ValueError("empty decimal literal")
@@ -40,8 +60,7 @@ def _parse_decimal(text: str) -> Fraction:
     whole, _, frac = text.partition(".")
     if not (whole or frac) or not (whole + frac).isdigit():
         raise ValueError(f"bad decimal literal {text!r}")
-    num = int((whole or "0") + (frac or ""))
-    return Fraction(sign * num, 10 ** len(frac))
+    return sign * int((whole or "0") + frac), len(frac)
 
 
 @dataclass(frozen=True)
@@ -53,7 +72,8 @@ class Generator:
     digits: int
 
     def midpoint(self) -> Fraction:
-        return _parse_decimal(self.enclosure)
+        n, e = _parse_decimal(self.enclosure)
+        return Fraction(n, 10 ** e)
 
     def radius(self) -> Fraction:
         # The unit has an exact value; everything else is mid +/- 10^-digits.
@@ -67,7 +87,8 @@ UNIT = Generator("1", "1", 0)
 
 class GeneratorBasis:
     """Ordered list of generators; entry 0 is always the unit.  ``bounds[i]``
-    is the exact enclosure (lo, hi) of generator i, parsed once here."""
+    is the exact enclosure (lo, hi) of generator i, parsed once here; the
+    sign oracle reads the same enclosures as integers over ``10**D``."""
 
     def __init__(self, entries: Iterable[Generator] = ()):
         entries = list(entries)
@@ -76,24 +97,41 @@ class GeneratorBasis:
         names = [g.name for g in entries]
         if len(set(names)) != len(names):
             raise DslSemanticError("duplicate generator names in basis")
-        bounds = []
+        mids, D = [], 0
         for i, g in enumerate(entries):
-            if i and g.digits <= 0:
-                raise DslSemanticError(f"generator {g.name}: digits must be positive")
-            mid, rad = g.midpoint(), g.radius()  # midpoint validates the enclosure
-            bounds.append((mid - rad, mid + rad))
-        self.bounds: tuple[tuple[Fraction, Fraction], ...] = tuple(bounds)
+            if i:
+                if g.digits <= 0:
+                    raise DslSemanticError(f"generator {g.name}: digits must be positive")
+                if g.digits > MAX_DIGITS:
+                    raise DslSemanticError(
+                        f"generator {g.name}: digit count must be at most {MAX_DIGITS}"
+                    )
+                D = max(D, g.digits)
+            n, e = _parse_decimal(g.enclosure)  # validates the enclosure
+            mids.append((n, e))
+            D = max(D, e)
+        scale = 10 ** D
+        # Entry 0 is the unit, the only entry named "1": its radius is 0.
+        self._mid = tuple(n * 10 ** (D - e) for n, e in mids)
+        self._rad = (0,) + tuple(10 ** (D - g.digits) for g in entries[1:])
+        self.bounds: tuple[tuple[Fraction, Fraction], ...] = tuple(
+            (Fraction(m - r, scale), Fraction(m + r, scale))
+            for m, r in zip(self._mid, self._rad)
+        )
         self.entries: tuple[Generator, ...] = tuple(entries)
         self._index = {g.name: i for i, g in enumerate(self.entries)}
+        self._hash = hash(self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, GeneratorBasis) and self.entries == other.entries
+        return self is other or (
+            isinstance(other, GeneratorBasis) and self.entries == other.entries
+        )
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"GeneratorBasis({[g.name for g in self.entries]})"
@@ -122,6 +160,42 @@ class GeneratorBasis:
         return GeneratorBasis(capped)
 
 
+def _merge(a: tuple, b: tuple, negate: bool = False) -> tuple:
+    """``a + b`` (``a - b`` when ``negate``) of two sparse vectors: sorted
+    tuples of ``(key, Fraction)`` without zeros.  The result is one too."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        ka, ca = a[i]
+        kb, cb = b[j]
+        if ka < kb:
+            out.append(a[i])
+            i += 1
+        elif kb < ka:
+            out.append((kb, -cb) if negate else b[j])
+            j += 1
+        else:
+            c = ca - cb if negate else ca + cb
+            if c:
+                out.append((ka, c))
+            i += 1
+            j += 1
+    rest = b[j:]
+    return tuple(out) + a[i:] + (_negated(rest) if negate else rest)
+
+
+def _negated(v: tuple) -> tuple:
+    return tuple([(k, -c) for k, c in v])
+
+
+def _scaled(v: tuple, q) -> tuple:
+    """The sparse vector ``v`` times the rational ``q``."""
+    q = Fraction(q)
+    if not q:
+        return ()
+    return tuple([(k, c * q) for k, c in v])
+
+
 def _check_same_basis(a: "Weight", b: "Weight") -> None:
     if a.basis != b.basis:
         raise BasisMismatch("weights over different bases")
@@ -142,7 +216,17 @@ class Weight:
                 clean[i] = c
         self.basis = basis
         self.coeffs: tuple[tuple[int, Fraction], ...] = tuple(sorted(clean.items()))
-        self._hash = hash((basis, self.coeffs))
+        self._hash = None
+
+    @classmethod
+    def _of(cls, basis: GeneratorBasis, coeffs: tuple) -> "Weight":
+        """Trusted constructor: ``coeffs`` is already sorted, sparse and in
+        range."""
+        w = object.__new__(cls)
+        w.basis = basis
+        w.coeffs = coeffs
+        w._hash = None
+        return w
 
     @classmethod
     def rational(cls, basis: GeneratorBasis, q) -> "Weight":
@@ -169,24 +253,24 @@ class Weight:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.basis, self.coeffs))
+        return h
 
     def __add__(self, other: "Weight") -> "Weight":
         _check_same_basis(self, other)
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs:
-            acc[i] = acc.get(i, Fraction(0)) + c
-        return Weight(self.basis, acc)
+        return Weight._of(self.basis, _merge(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
+        _check_same_basis(self, other)
+        return Weight._of(self.basis, _merge(self.coeffs, other.coeffs, True))
 
     def __neg__(self) -> "Weight":
-        return Weight(self.basis, {i: -c for i, c in self.coeffs})
+        return Weight._of(self.basis, _negated(self.coeffs))
 
     def scale(self, q) -> "Weight":
-        q = Fraction(q)
-        return Weight(self.basis, {i: c * q for i, c in self.coeffs})
+        return Weight._of(self.basis, _scaled(self.coeffs, q))
 
     def lex_key(self) -> tuple[Fraction, ...]:
         """Dense coefficient vector; the total preorder used for brackets."""
@@ -217,19 +301,27 @@ class Weight:
     def sign(self) -> int:
         """NEGATIVE, ZERO or POSITIVE; raises PrecisionExhausted if undecided.
 
-        Zero is structural (declared independence); otherwise the interval
-        evaluation must exclude 0.
+        Zero is structural (declared independence); otherwise the enclosure
+        ``center +/- spread`` (see the module docstring) must exclude 0.
         """
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return ZERO
-        q = self.as_rational()
-        if q is not None:
-            return POSITIVE if q > 0 else NEGATIVE
-        lo, hi = self.interval()
-        if lo > 0:
+        if len(coeffs) == 1 and coeffs[0][0] == 0:  # a rational
+            return POSITIVE if coeffs[0][1] > 0 else NEGATIVE
+        basis = self.basis
+        mid, rad = basis._mid, basis._rad
+        den = lcm(*[c.denominator for _, c in coeffs])
+        center = spread = 0
+        for i, c in coeffs:
+            n = c.numerator * (den // c.denominator)
+            center += n * mid[i]
+            spread += abs(n) * rad[i]
+        if center > spread:
             return POSITIVE
-        if hi < 0:
+        if center < -spread:
             return NEGATIVE
+        lo, hi = self.interval()
         raise PrecisionExhausted(
             f"sign of {self} straddles 0 in [{lo}, {hi}] at declared precision"
         )

@@ -82,3 +82,39 @@ def test_bilinearity(data):
     assert wedge(a.scale(q), b) == wedge(a, b).scale(q)
     assert wedge(a, b) == -wedge(b, a)
     assert wedge(a, a).is_zero()
+
+
+def _public_wedge(basis, *terms):
+    """The public constructor applied to the sum of ``(terms, factor)``."""
+    acc = {}
+    for pairs, q in terms:
+        for k, c in pairs:
+            acc[k] = acc.get(k, 0) + c * q
+    return WedgeValue(basis, acc)
+
+
+def _same_value(got, want):
+    assert got.terms == want.terms
+    assert all(c != 0 for _, c in got.terms)
+    assert hash(got) == hash(want) == hash((want.basis, want.terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wedge_arithmetic_matches_public_constructor(data):
+    basis = GeneratorBasis(
+        [Generator("r2", "1.41", 2), Generator("r3", "1.73", 2), Generator("r5", "2.23", 2)]
+    )
+    pairs = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    u = WedgeValue(basis, data.draw(st.dictionaries(pairs, _fracs, max_size=6)))
+    v = WedgeValue(basis, data.draw(st.dictionaries(pairs, _fracs, max_size=6)))
+    q = data.draw(_fracs)
+    _same_value(u + v, _public_wedge(basis, (u.terms, 1), (v.terms, 1)))
+    _same_value(u - v, _public_wedge(basis, (u.terms, 1), (v.terms, -1)))
+    _same_value(-u, _public_wedge(basis, (u.terms, -1)))
+    _same_value(u.scale(q), _public_wedge(basis, (u.terms, q)))
+    assert (u - u).terms == () and u.scale(0).terms == ()
+    sparse = st.dictionaries(st.integers(0, 3), _fracs, max_size=4)
+    a, b = Weight(basis, data.draw(sparse)), Weight(basis, data.draw(sparse))
+    expanded = {(i, j): ca * cb for i, ca in a.coeffs for j, cb in b.coeffs}
+    _same_value(wedge(a, b), WedgeValue(basis, expanded))

@@ -47,8 +47,18 @@ def test_enclosures_are_parsed_once(basis, monkeypatch):
 def test_generator_validation_checks_digits_first():
     with pytest.raises(DslSemanticError, match="x: digits must be positive"):
         GeneratorBasis([Generator("x", "not a number", 0)])
+    with pytest.raises(DslSemanticError, match="x: digit count must be at most 4300"):
+        GeneratorBasis([Generator("x", "not a number", 10**22)])
     with pytest.raises(ValueError, match="bad decimal literal"):
         GeneratorBasis([Generator("x", "1.2.3", 4)])
+
+
+def test_digit_count_bound():
+    assert weights.MAX_DIGITS == 4300
+    at_bound = GeneratorBasis([Generator("x", "1.5", weights.MAX_DIGITS)])
+    assert at_bound.bounds[1][1] - at_bound.bounds[1][0] == Fraction(2, 10**4300)
+    with pytest.raises(DslSemanticError):
+        GeneratorBasis([Generator("x", "1.5", weights.MAX_DIGITS + 1)])
 
 
 def test_duplicate_generator_names_rejected():
@@ -110,8 +120,34 @@ def test_sign_straddle_raises(basis):
     # at one digit the enclosure is 1.4 +/- 0.1, which straddles 7/5
     capped = basis.with_precision_cap(1)
     x = Weight.generator(capped, "r2") - Weight.rational(capped, Fraction(7, 5))
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(PrecisionExhausted) as exc_info:
         x.sign()
+    assert str(exc_info.value) == (
+        "sign of Weight(-7/5 + 1*r2) straddles 0 in "
+        "[-857864376269049/10000000000000000, "
+        "1142135623730951/10000000000000000] at declared precision"
+    )
+
+
+def test_decided_sign_builds_no_fraction(w3, monkeypatch):
+    x = w3("1/3 + 2/7*r2 - 5/11*r3")  # about -0.05
+    y = -x
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    def no_interval(self):
+        raise AssertionError("interval() called for a decided sign")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Weight, "interval", no_interval)
+    assert x.sign() == NEGATIVE
+    assert y.sign() == POSITIVE
+    monkeypatch.undo()
+    assert made == []
 
 
 def test_mixed_bases_rejected(basis, basis3):
@@ -178,3 +214,104 @@ def test_ring_laws(data):
     assert x - x == Weight(basis, {})
     assert (-x).sign() == -x.sign()
     assert weight_from_json(basis, x.to_json()) == x
+
+
+def _decimal_text(n: int, decimals: int) -> str:
+    """n / 10**decimals written as a plain decimal literal."""
+    body = str(abs(n)).rjust(decimals + 1, "0")
+    if decimals:
+        body = body[:-decimals] + "." + body[-decimals:]
+    return ("-" if n < 0 else "") + body
+
+
+@st.composite
+def _any_basis(draw):
+    """1 to 3 generators with mixed digit counts and midpoints of either
+    sign, with more or fewer decimals than digits; sometimes capped."""
+    gens = []
+    for k in range(draw(st.integers(1, 3))):
+        decimals = draw(st.integers(0, 25))
+        n = draw(st.integers(-(10 ** (decimals + 2)), 10 ** (decimals + 2)))
+        gens.append(Generator(f"g{k}", _decimal_text(n, decimals), draw(st.integers(1, 30))))
+    basis = GeneratorBasis(gens)
+    cap = draw(st.none() | st.integers(1, 30))
+    return basis if cap is None else basis.with_precision_cap(cap)
+
+
+_coeffs = st.fractions(max_denominator=10**6) | st.integers(-3, 3)
+
+
+@st.composite
+def _weight_on(draw, basis):
+    coeffs = {i: draw(_coeffs) for i in range(len(basis))}
+    if draw(st.booleans()):
+        # near-cancelling: move the unit coefficient to within 10^-k of
+        # minus the rest at its midpoint or at an end of its enclosure
+        coeffs[0] = 0
+        lo, hi = Weight(basis, coeffs).interval()
+        anchor = draw(st.sampled_from([lo, hi, (lo + hi) / 2]))
+        k = draw(st.integers(0, 40))
+        coeffs[0] = -anchor + Fraction(draw(st.integers(-9, 9)), 10**k)
+    return Weight(basis, coeffs)
+
+
+def _sign_outcome(x):
+    try:
+        return x.sign()
+    except PrecisionExhausted as exc:
+        return str(exc)
+
+
+def _interval_outcome(x):
+    """The sign as the Fraction enclosure decides it, or the exact
+    PrecisionExhausted message."""
+    if x.is_zero():
+        return ZERO
+    lo, hi = x.interval()
+    if lo > 0:
+        return POSITIVE
+    if hi < 0:
+        return NEGATIVE
+    return f"sign of {x} straddles 0 in [{lo}, {hi}] at declared precision"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_sign_agrees_with_interval(data):
+    basis = data.draw(_any_basis())
+    x = data.draw(_weight_on(basis))
+    assert _sign_outcome(x) == _interval_outcome(x)
+    assert _sign_outcome(-x) == _interval_outcome(-x)
+
+
+def _public(basis, *terms):
+    """The public constructor applied to the sum of ``(coeffs, factor)``."""
+    acc = {}
+    for coeffs, q in terms:
+        for i, c in coeffs:
+            acc[i] = acc.get(i, 0) + c * q
+    return Weight(basis, acc)
+
+
+def _same_weight(got, want):
+    assert got.coeffs == want.coeffs
+    assert all(c != 0 for _, c in got.coeffs)
+    assert hash(got) == hash(want) == hash((want.basis, want.coeffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_arithmetic_matches_public_constructor(data):
+    basis = GeneratorBasis(
+        [Generator("r2", "1.41", 2), Generator("r3", "1.73", 2), Generator("r5", "2.23", 2)]
+    )
+    sparse = st.dictionaries(st.integers(0, 3), _fracs, max_size=4)
+    a = Weight(basis, data.draw(sparse))
+    b = Weight(basis, data.draw(sparse))
+    q = data.draw(_fracs)
+    _same_weight(a + b, _public(basis, (a.coeffs, 1), (b.coeffs, 1)))
+    _same_weight(a - b, _public(basis, (a.coeffs, 1), (b.coeffs, -1)))
+    _same_weight(-a, _public(basis, (a.coeffs, -1)))
+    _same_weight(a.scale(q), _public(basis, (a.coeffs, q)))
+    assert (a - a).coeffs == () and a.scale(0).coeffs == ()
+    assert hash(basis) == hash(basis.entries)
