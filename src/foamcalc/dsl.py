@@ -56,7 +56,7 @@ from .errors import (
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
 from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
-from .weights import Generator, GeneratorBasis, Weight
+from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
 
@@ -324,6 +324,10 @@ class _Parser:
             num = self.advance()
             if num.kind != "num":
                 self.fail("expected a decimal enclosure", num)
+            try:
+                Generator(name, num.text, 1).midpoint()
+            except ValueError:
+                self.fail("number literal too large", num)
             kw = self.expect_ident("'digits'")
             if kw.text != "digits":
                 self.fail("expected 'digits'", kw)
@@ -332,6 +336,10 @@ class _Parser:
             if digits < 1:
                 raise DslSemanticError(
                     f"digit count must be positive (line {dt.line})"
+                )
+            if digits > MAX_DIGITS:
+                raise DslSemanticError(
+                    f"digit count must be at most {MAX_DIGITS} (line {dt.line})"
                 )
             self.expect_sym(";")
             gens.append(Generator(name, ("-" if neg else "") + num.text, digits))

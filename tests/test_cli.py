@@ -339,6 +339,20 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert got["error"] == "syntax"
 
 
+@pytest.mark.parametrize("basis, error", [
+    ("r2 = 1.4142 digits 99999999999999999999999;", "semantic"),
+    ("r2 = 1." + "4" * 4400 + " digits 5;", "syntax"),
+])
+def test_oversized_basis_is_a_parse_error(capsys, tmp_path, basis, error):
+    bad = tmp_path / "bad.dsl"
+    bad.write_text(f"basis {{ {basis} }}")
+    code = main(["saf", str(bad), "s"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"] == error
+    assert err == ""
+
+
 def test_unknown_item(capsys, doc):
     code, got = run_json(capsys, "saf", doc, "nope")
     assert code == 1
