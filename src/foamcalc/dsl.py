@@ -281,8 +281,8 @@ class _Parser:
         return Fraction(num)
 
     def _weight_mul(self, a: Weight, b: Weight, star: _Tok) -> Weight:
-        qa = _rational_part(a)
-        qb = _rational_part(b)
+        qa = a.as_rational()
+        qb = b.as_rational()
         if qb is not None:
             return a.scale(qb)
         if qa is not None:
@@ -472,13 +472,6 @@ class _Parser:
         b = self.weight_expr(basis)
         self.expect_sym("]")
         return (sign * c, a, b)
-
-
-def _rational_part(w: Weight) -> Fraction | None:
-    """w's value as a rational, or None when it touches a generator."""
-    if all(i == 0 for i, _ in w.coeffs):
-        return w.coeff(0)
-    return None
 
 
 def parse_document(text: str, precision_cap: int | None = None) -> Document:

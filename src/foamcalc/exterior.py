@@ -24,21 +24,13 @@ class WedgeValue:
     __slots__ = ("basis", "terms", "_hash")
 
     def __init__(self, basis: GeneratorBasis, terms=None):
-        clean = {}
+        clean: dict = {}
         for (i, j), c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if i == j:
-                continue
-            if i > j:
-                i, j = j, i
-                c = -c
-            clean[(i, j)] = clean.get((i, j), Fraction(0)) + c
-            if clean[(i, j)] == 0:
-                del clean[(i, j)]
+            if i != j:
+                key, c = ((i, j), Fraction(c)) if i < j else ((j, i), -Fraction(c))
+                clean[key] = clean.get(key, 0) + c
         self.basis = basis
-        self.terms: tuple = tuple(sorted(clean.items()))
+        self.terms: tuple = tuple(sorted((k, c) for k, c in clean.items() if c))
         self._hash = None
 
     @classmethod
