@@ -339,17 +339,19 @@ def test_parse_error_exits_2(capsys, tmp_path):
     assert got["error"] == "syntax"
 
 
-@pytest.mark.parametrize("basis, error", [
-    ("r2 = 1.4142 digits 99999999999999999999999;", "semantic"),
-    ("r2 = 1." + "4" * 4400 + " digits 5;", "syntax"),
+@pytest.mark.parametrize("basis, error, message", [
+    ("r2 = 1.4142 digits 99999999999999999999999;", "semantic",
+     "digit count must be at most 4300 (line 2)"),
+    ("r2 = 1." + "4" * 4400 + " digits 5;", "syntax",
+     "number literal too large near '1.4444444444444444444444...' (line 2, column 7)"),
 ])
-def test_oversized_basis_is_a_parse_error(capsys, tmp_path, basis, error):
+def test_oversized_basis_is_a_parse_error(capsys, tmp_path, basis, error, message):
     bad = tmp_path / "bad.dsl"
-    bad.write_text(f"basis {{ {basis} }}")
+    bad.write_text(f"basis {{\n {basis} }}")
     code = main(["saf", str(bad), "s"])
     out, err = capsys.readouterr()
     assert code == 2
-    assert json.loads(out)["error"] == error
+    assert json.loads(out) == {"error": error, "message": message}
     assert err == ""
 
 

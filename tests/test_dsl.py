@@ -206,20 +206,6 @@ def test_huge_integer_literal():
         parse_document(f"iet s {{ lengths = [{lit}]; perm = [1]; }}")
 
 
-def test_basis_digit_count_is_bounded():
-    assert parse_document("basis { r2 = 1.4142 digits 4300; }").basis
-    with pytest.raises(DslSemanticError) as exc_info:
-        parse_document("basis {\n r2 = 1.4142 digits 99999999999999999999999; }")
-    assert str(exc_info.value) == "digit count must be at most 4300 (line 2)"
-
-
-def test_huge_basis_midpoint():
-    mid = "1." + "4" * 4400
-    with pytest.raises(FoamSyntaxError) as exc_info:
-        parse_document(f"basis {{ r2 = {mid} digits 5; }}")
-    assert str(exc_info.value).startswith("number literal too large near '1.44")
-
-
 def test_precision_cap_at_parse_time():
     # r2 - 7/5 is positive, but a one-digit enclosure cannot decide it
     text = (
