@@ -162,7 +162,34 @@ def test_basis_block_must_come_first():
 def test_syntax_errors_carry_position():
     with pytest.raises(FoamSyntaxError) as exc_info:
         parse_document("iet s {\n  lengths = [1;\n}")
-    assert exc_info.value.line == 2
+    assert (exc_info.value.line, exc_info.value.col) == (2, 15)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("iet s { lengths = [1.]; perm = [1]; }", "malformed number", 1, 20),
+        ("iet s { lengths = [1.a]; perm = [1]; }", "malformed number", 1, 20),
+        ("\r\n\r\n  12.", "malformed number", 3, 3),
+        ("iet s {\n  lengths = [$1];\n}", "unexpected character '$'", 2, 14),
+        ("iet s { lengths = [\x00]; }", "unexpected character '\\x00'", 1, 20),
+        ("iet \u00e9", "unexpected character '\u00e9'", 1, 5),
+        ("iet s { lengths = [1.5.3]; perm = [1]; }", "unexpected character '.'", 1, 23),
+        ("iet s {\n\tlengths = [1;\n}", "expected ']' near ';'", 2, 14),
+        ("iet s {\t\t$", "unexpected character '$'", 1, 10),
+        ("iet s {\r\n  lengths\r= [1;\r\n}", "expected ']' near ';'", 2, 15),
+        # the column at the end of input does not count a trailing comment
+        ("iet s { lengths = [1]; # no newline", "expected a field name at end of input", 1, 24),
+        ("iet __#", "expected '{' at end of input", 1, 7),
+        ("iet s { lengths = [1]; perm = [1]", "expected ';' at end of input", 1, 34),
+    ],
+)
+def test_syntax_error_positions_are_pinned(text, message, line, col):
+    with pytest.raises(FoamSyntaxError) as exc_info:
+        parse_document(text)
+    err = exc_info.value
+    assert str(err) == f"{message} (line {line}, column {col})"
+    assert (err.line, err.col) == (line, col)
 
 
 def test_semantic_errors_name_the_event():
