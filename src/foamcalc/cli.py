@@ -11,6 +11,7 @@ declared enclosure digits; `--euclid-bound` caps the subtractive reduction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -327,7 +328,10 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args`` call
+    returns a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="foamcalc",
         description="Exact invariants of weighted foam diagrams and"

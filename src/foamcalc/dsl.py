@@ -34,14 +34,21 @@ rational.  `split` takes the flag and the weight of the left output strand;
 the planar `split` takes just that weight.  `label` takes a group element as
 `(<free ints>;<torsion ints>)`.
 
-Syntax errors carry line and column; semantic errors (unknown generator,
-event invalid against the current slice) carry the event index.
-`print_document` emits a canonical form: parsing its output reproduces the
-document exactly.
+The text is split into tokens by one compiled regular expression, in one
+pass that also skips blanks and comments.  A token carries its offset in the
+text; line and column are computed from it only when a message needs them.
+Each weight expression adds its terms into one coefficient map and builds
+one `Weight`.
+
+Syntax errors carry line and column, both counted from 1, the column in
+characters; semantic errors (unknown generator, event invalid against the
+current slice) carry the event index.  `print_document` emits a canonical
+form: parsing its output reproduces the document exactly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NoReturn, Union
@@ -90,82 +97,80 @@ class Document:
         raise DslSemanticError(f"no item named {name!r}")
 
 
-@dataclass(frozen=True)
 class _Tok:
-    kind: str  # "ident" | "num" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+    """A token: its kind ("ident", "num", "sym" or "eof"), its text, and the
+    offset of its first character in the document."""
+
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
 
 
-_SYMBOLS = frozenset("{}[]();,=:*+-/")
+# One token per match, after the blanks and comments before it.  A comment
+# that runs to the end of the input is left to the eof alternative, so that
+# the end of input sits where that comment starts.  The digits of a number
+# are matched whole: a number followed by a dot and no digit is malformed.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*\n)*"
+    r"(?:(?P<sym>[{}\[\]();,=:*+\-/])"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<num>[0-9]+(?![0-9])(?:\.[0-9]+|(?!\.)))"
+    r"|(?P<eof>)(?:#[^\n]*)?\Z"
+    r"|(?P<malformed>[0-9]+\.)"
+    r"|(?P<bad>.))",
+    re.S,
+)
+
+_NOT_TOKENS = frozenset(("eof", "malformed", "bad"))
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch == "_" or "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return _is_ident_start(ch) or "0" <= ch <= "9"
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """Line and column, both counted from 1, of the character at ``offset``;
+    the column counts characters."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
 def _tokenize(text: str) -> list[_Tok]:
+    """The tokens of ``text``, ending with one eof token."""
     toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            toks.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            if j < n and text[j] == ".":
-                if j + 1 >= n or not ("0" <= text[j + 1] <= "9"):
-                    raise FoamSyntaxError("malformed number", line, col)
-                j += 1
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-            toks.append(_Tok("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            toks.append(_Tok("sym", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise FoamSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+    append = toks.append
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind in _NOT_TOKENS:
+            break  # the eof alternative matches at the end of any text
+        append(_Tok(kind, m[kind], m.start(kind)))
+    offset = m.start(kind)
+    if kind == "malformed":
+        raise FoamSyntaxError("malformed number", *_position(text, offset))
+    if kind == "bad":
+        raise FoamSyntaxError(f"unexpected character {m[kind]!r}", *_position(text, offset))
+    append(_Tok("eof", "", offset))
     return toks
 
 
+def _sparse(acc: dict) -> tuple:
+    """The non-zero entries of a coefficient map as a sorted tuple of
+    ``(index, Fraction)`` pairs."""
+    return tuple(sorted([
+        (i, c if c.__class__ is Fraction else Fraction(c))
+        for i, c in acc.items() if c
+    ]))
+
+
 class _Parser:
-    def __init__(self, toks: list[_Tok]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.k = 0
 
     # token plumbing -----------------------------------------------------
+    #
+    # Only a symbol token has a one-symbol text, so a symbol is recognised
+    # by its text alone.
 
     def peek(self, ahead: int = 0) -> _Tok:
         j = min(self.k + ahead, len(self.toks) - 1)
@@ -177,25 +182,27 @@ class _Parser:
             self.k += 1
         return t
 
+    def line(self, t: _Tok) -> int:
+        return _position(self.text, t.offset)[0]
+
     def fail(self, message: str, tok: _Tok | None = None) -> NoReturn:
         t = tok if tok is not None else self.peek()
         text = t.text if len(t.text) <= 24 else t.text[:24] + "..."
         where = f" near {text!r}" if t.kind != "eof" else " at end of input"
-        raise FoamSyntaxError(message + where, t.line, t.col)
+        raise FoamSyntaxError(message + where, *_position(self.text, t.offset))
 
     def at_sym(self, ch: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "sym" and t.text == ch
+        return self.peek(ahead).text == ch
 
     def accept_sym(self, ch: str) -> bool:
-        if self.at_sym(ch):
-            self.advance()
+        if self.toks[self.k].text == ch:
+            self.k += 1
             return True
         return False
 
     def expect_sym(self, ch: str) -> _Tok:
         t = self.advance()
-        if t.kind != "sym" or t.text != ch:
+        if t.text != ch:
             self.fail(f"expected {ch!r}", t)
         return t
 
@@ -224,72 +231,119 @@ class _Parser:
         return -v if neg else v
 
     # weight expressions -------------------------------------------------
+    #
+    # A weight expression adds its terms into one map from generator index
+    # to coefficient and builds one Weight at the end.  A term or factor is
+    # read as ``(q, v)``, its value being q times v: v is a generator index,
+    # 0 (the unit) when the value is the rational q, or the coefficient map
+    # of a parenthesised sum that is not rational.  So ``not v`` says that
+    # the value is rational; a zero q always comes with v = 0.
 
     def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
-        w = self.weight_term(basis, depth)
+        acc: dict = {}
+        self._sum(basis, acc, False, depth)
+        return Weight._of(basis, _sparse(acc))
+
+    def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> None:
+        """Add the terms of a sum into ``acc``, negated when ``neg``."""
+        toks = self.toks
+        term_neg = neg
         while True:
-            if self.at_sym("+"):
-                self.advance()
-                w = w + self.weight_term(basis, depth)
-            elif self.at_sym("-"):
-                self.advance()
-                w = w - self.weight_term(basis, depth)
+            q, v = self._product(basis, term_neg, depth)
+            if v.__class__ is int:
+                c = acc.get(v)
+                acc[v] = q if c is None else c + q
             else:
-                return w
+                for i, c in v.items():
+                    qc = c if q == 1 else q * c
+                    old = acc.get(i)
+                    acc[i] = qc if old is None else old + qc
+            op = toks[self.k].text
+            if op == "+":
+                term_neg = neg
+            elif op == "-":
+                term_neg = not neg
+            else:
+                return
+            self.k += 1
 
-    def weight_term(self, basis: GeneratorBasis, depth: int) -> Weight:
-        w = self.weight_factor(basis, depth)
-        while self.at_sym("*"):
-            star = self.advance()
-            w = self._weight_mul(w, self.weight_factor(basis, depth), star)
-        return w
+    def _product(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
+        """A product of factors, negated when ``neg``.  All factors but one
+        must be rational."""
+        q, v = self._factor(basis, neg, depth)
+        toks = self.toks
+        while toks[self.k].text == "*":
+            star = toks[self.k]
+            self.k += 1
+            qb, vb = self._factor(basis, False, depth)
+            if not vb:
+                q = q * qb
+            elif not v:
+                v = vb
+                if qb != 1:  # q is 1 unless the factor has a unary minus
+                    q = q * qb
+            else:
+                raise DslSemanticError(
+                    f"product of two irrational weights (line {self.line(star)})"
+                )
+            if not q:
+                v = 0
+        return q, v
 
-    def weight_factor(self, basis: GeneratorBasis, depth: int) -> Weight:
+    def _factor(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
+        """One factor, negated when ``neg``."""
+        t = self.toks[self.k]
         if depth > _MAX_EXPR_DEPTH:
-            t = self.peek()
-            raise FoamSyntaxError("expression nested too deeply", t.line, t.col)
-        t = self.advance()
-        if t.kind == "sym" and t.text == "-":
-            return -self.weight_factor(basis, depth + 1)
-        if t.kind == "sym" and t.text == "+":
-            return self.weight_factor(basis, depth + 1)
-        if t.kind == "sym" and t.text == "(":
-            w = self.weight_expr(basis, depth + 1)
-            self.expect_sym(")")
-            return w
-        if t.kind == "num":
-            return Weight.rational(basis, self._rational_after(t))
-        if t.kind == "ident":
+            raise FoamSyntaxError(
+                "expression nested too deeply", *_position(self.text, t.offset)
+            )
+        kind, text = t.kind, t.text
+        if kind == "num":
+            self.k += 1
+            return self._literal(t, neg), 0
+        if kind == "ident":
+            self.k += 1
             # unknown generator -> DslSemanticError from the basis
-            return Weight.generator(basis, t.text)
+            return (-1 if neg else 1), basis.index(text)
+        self.advance()
+        if text == "-":
+            return self._factor(basis, not neg, depth + 1)
+        if text == "+":
+            return self._factor(basis, neg, depth + 1)
+        if text == "(":
+            acc: dict = {}
+            self._sum(basis, acc, neg, depth + 1)
+            self.expect_sym(")")
+            v = {i: c for i, c in acc.items() if c}
+            if v.keys() <= {0}:
+                return v.get(0, 0), 0
+            return 1, v
         self.fail("expected a weight", t)
 
-    def _rational_after(self, t: _Tok) -> Fraction:
-        if "." in t.text:
+    def _literal(self, t: _Tok, neg: bool):
+        """The value of a number token and of the ``/ denominator`` after it,
+        negated when ``neg``."""
+        text = t.text
+        if "." in text:
             try:
-                return Fraction(t.text)
+                q = Fraction(text)
             except ValueError:
                 self.fail("number literal too large", t)
-        num = self._int_value(t, "a number")
-        if self.at_sym("/"):
-            self.advance()
-            dt = self.advance()
-            den = self._int_value(dt, "a denominator")
-            if den == 0:
-                self.fail("zero denominator", dt)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def _weight_mul(self, a: Weight, b: Weight, star: _Tok) -> Weight:
-        qa = a.as_rational()
-        qb = b.as_rational()
-        if qb is not None:
-            return a.scale(qb)
-        if qa is not None:
-            return b.scale(qa)
-        raise DslSemanticError(
-            f"product of two irrational weights (line {star.line})"
-        )
+            return -q if neg else q
+        try:
+            num = int(text)
+        except ValueError:
+            self.fail("integer literal too large", t)
+        if neg:
+            num = -num
+        if self.toks[self.k].text != "/":
+            return num
+        self.k += 1
+        dt = self.advance()
+        den = self._int_value(dt, "a denominator")
+        if den == 0:
+            self.fail("zero denominator", dt)
+        return Fraction(num, den)
 
     # shared list helper -------------------------------------------------
 
@@ -313,11 +367,11 @@ class _Parser:
             name = name_tok.text
             if name in RESERVED:
                 raise DslSemanticError(
-                    f"generator name {name!r} is reserved (line {name_tok.line})"
+                    f"generator name {name!r} is reserved (line {self.line(name_tok)})"
                 )
             if name in seen:
                 raise DslSemanticError(
-                    f"duplicate generator {name!r} (line {name_tok.line})"
+                    f"duplicate generator {name!r} (line {self.line(name_tok)})"
                 )
             self.expect_sym("=")
             neg = self.accept_sym("-")
@@ -335,11 +389,11 @@ class _Parser:
             digits = self._int_value(dt, "a digit count")
             if digits < 1:
                 raise DslSemanticError(
-                    f"digit count must be positive (line {dt.line})"
+                    f"digit count must be positive (line {self.line(dt)})"
                 )
             if digits > MAX_DIGITS:
                 raise DslSemanticError(
-                    f"digit count must be at most {MAX_DIGITS} (line {dt.line})"
+                    f"digit count must be at most {MAX_DIGITS} (line {self.line(dt)})"
                 )
             self.expect_sym(";")
             gens.append(Generator(name, ("-" if neg else "") + num.text, digits))
@@ -417,7 +471,7 @@ class _Parser:
             except FoamError as exc:
                 raise DslSemanticError(
                     f"in {kind} {name!r}: event {len(events)}"
-                    f" (line {kw.line}): {exc}"
+                    f" (line {self.line(kw)}): {exc}"
                 ) from None
             events.append(e)
         self.expect_sym("}")
@@ -475,8 +529,7 @@ class _Parser:
 
 
 def parse_document(text: str, precision_cap: int | None = None) -> Document:
-    toks = _tokenize(text)
-    p = _Parser(toks)
+    p = _Parser(text)
     basis = GeneratorBasis(())
     items: list[tuple[str, str, Item]] = []
     names: set[str] = set()
@@ -498,7 +551,7 @@ def parse_document(text: str, precision_cap: int | None = None) -> Document:
         name = name_tok.text
         if name in names:
             raise DslSemanticError(
-                f"duplicate item name {name!r} (line {name_tok.line})"
+                f"duplicate item name {name!r} (line {p.line(name_tok)})"
             )
         names.add(name)
         if kw.text == "iet":
@@ -516,16 +569,15 @@ def parse_bytes(data: bytes, precision_cap: int | None = None) -> Document:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        prefix = data[: exc.start]
-        line = prefix.count(b"\n") + 1
-        col = exc.start - (prefix.rfind(b"\n") + 1) + 1
-        raise FoamSyntaxError("invalid UTF-8", line, col) from None
+        # the bytes before the first invalid one decode
+        prefix = data[: exc.start].decode("utf-8")
+        raise FoamSyntaxError("invalid UTF-8", *_position(prefix, len(prefix))) from None
     return parse_document(text, precision_cap)
 
 
 def parse_weight(text: str, basis: GeneratorBasis) -> Weight:
     """A weight expression on its own, over an already known basis."""
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     w = p.weight_expr(basis)
     if p.peek().kind != "eof":
         p.fail("unexpected input after the weight expression")

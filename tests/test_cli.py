@@ -387,6 +387,37 @@ def test_precision_flag_and_env(capsys, doc, monkeypatch):
     assert got["error"] == "precision-exhausted"
 
 
+def test_parser_is_built_once_and_defaults_do_not_leak(capsys, doc, monkeypatch):
+    """main() builds the argument parser once per process; each call still
+    starts from the defaults of its subcommand."""
+    import argparse
+
+    from foamcalc.cli import build_parser
+
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "foamcalc":
+            builds.append(kwargs)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    try:
+        code, got = run_json(capsys, "apply", doc, "s", "1*r2 - 7/5", "--precision", "1")
+        assert (code, got["error"]) == (1, "precision-exhausted")
+        monkeypatch.setenv("FOAMCALC_PRECISION", "1")
+        assert run(capsys, "saf", doc, "s", "--output", "text") == (0, "2/1*(1^r2)\n")
+        monkeypatch.delenv("FOAMCALC_PRECISION")
+        # JSON output and the declared precision again
+        code, got = run_json(capsys, "apply", doc, "s", "1*r2 - 7/5")
+        assert (code, got) == (0, {"1": "-7/5", "r2": "2/1"})
+    finally:
+        build_parser.cache_clear()
+    assert len(builds) == 1
+
+
 def test_invalid_precision_env(capsys, doc, monkeypatch):
     monkeypatch.setenv("FOAMCALC_PRECISION", "zero")
     code, got = run_json(capsys, "saf", doc, "s")

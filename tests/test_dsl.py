@@ -1,12 +1,13 @@
 """Text format: parse/print round trips and hostile-input behavior."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foamcalc import foamdiag, planar
+from foamcalc import dsl, foamdiag, planar
 from foamcalc import (
     BracketSum,
     Document,
@@ -16,8 +17,10 @@ from foamcalc import (
     DslSemanticError,
     Iet,
     PlanarFoam,
+    GeneratorBasis,
     PrecisionExhausted,
     RESERVED,
+    Weight,
     parse_bytes,
     parse_document,
     parse_weight,
@@ -25,6 +28,7 @@ from foamcalc import (
     weight_to_text,
 )
 from foamcalc.acceptance import rand_document
+from foamcalc.weights import Generator
 
 SAMPLE = """
 # a representative document
@@ -247,6 +251,326 @@ def test_precision_cap_at_parse_time():
 def test_parse_bytes_rejects_bad_utf8():
     with pytest.raises(FoamSyntaxError):
         parse_bytes(b"iet s { lengths = [\xff]; perm = [1]; }")
+
+
+def test_invalid_utf8_column_counts_characters():
+    # two two-byte characters precede the bad byte on line 2
+    with pytest.raises(FoamSyntaxError) as exc_info:
+        parse_bytes(b"# \xc3\xa9\xc3\xa9\n\xc3\xa9\xc3\xa9\xff")
+    assert str(exc_info.value) == "invalid UTF-8 (line 2, column 3)"
+    assert (exc_info.value.line, exc_info.value.col) == (2, 3)
+
+
+# --- the tokenizer against the character loop it replaced ------------------
+
+
+def _reference_tokenize(text):
+    """The character-by-character tokenizer that the regex one replaced:
+    ``(kind, text, line, col)`` of every token, ending with eof."""
+
+    def ident_start(ch):
+        return ch == "_" or "a" <= ch <= "z" or "A" <= ch <= "Z"
+
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ident_start(ch):
+            j = i
+            while j < n and (ident_start(text[j]) or "0" <= text[j] <= "9"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            if j < n and text[j] == ".":
+                if j + 1 >= n or not ("0" <= text[j + 1] <= "9"):
+                    raise FoamSyntaxError("malformed number", line, col)
+                j += 1
+                while j < n and "0" <= text[j] <= "9":
+                    j += 1
+            toks.append(("num", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "{}[]();,=:*+-/":
+            toks.append(("sym", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise FoamSyntaxError(f"unexpected character {ch!r}", line, col)
+    toks.append(("eof", "", line, col))
+    return toks
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of the FoamError it
+    raises."""
+    try:
+        return fn(*args)
+    except FoamError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _regex_tokens(text):
+    return [
+        (t.kind, t.text, *dsl._position(text, t.offset)) for t in dsl._tokenize(text)
+    ]
+
+
+_PIECES = st.sampled_from(
+    ["iet", "r2", "_x9", "cup", "0", "12", "1.5", "3.", ".", "..", "#", "# c\n",
+     "\n", "\r\n", "\r", "\t", " ", "{", "}", "[", "]", "(", ")", ";", ",",
+     "=", ":", "*", "+", "-", "/", "\u00e9", "\u0663", "\u00a0", "\u2028",
+     "\x00", "$"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_PIECES | st.characters(), max_size=40).map("".join))
+def test_tokenizer_agrees_with_the_character_loop(text):
+    assert _outcome(_regex_tokens, text) == _outcome(_reference_tokenize, text)
+
+
+def test_end_of_input_column_skips_a_trailing_comment():
+    assert _regex_tokens("__#") == [("ident", "__", 1, 1), ("eof", "", 1, 3)]
+    assert _regex_tokens("a\n  # c") == [("ident", "a", 1, 1), ("eof", "", 2, 3)]
+
+
+# --- weight expressions against the public Weight operations ---------------
+#
+# An expression tree in the grammar's own shape: a sum is a list of
+# (sign, product) pairs, a product a list of factors, and a factor one of
+# ("-", f), ("+", f), ("()", sum), ("int", digits, denominator digits or
+# None), ("dec", text) or ("gen", name).
+
+_BASIS = GeneratorBasis(
+    [Generator("r2", "1.4142135623730951", 16), Generator("r3", "1.7320508075688772", 16)]
+)
+
+
+def _digits(small):
+    return st.one_of(small, st.just("9" * 4301))
+
+
+_LEAVES = st.one_of(
+    st.tuples(
+        st.just("int"),
+        _digits(st.integers(0, 40).map(str)),
+        st.none() | _digits(st.sampled_from(["0", "1", "2", "3", "12", "07"])),
+    ),
+    st.tuples(st.just("dec"), st.sampled_from(["0.5", "1.25", "0.0", "3.125"])
+              | st.just("1." + "2" * 4301)),
+    st.tuples(st.just("gen"), st.sampled_from(["r2", "r2", "r3", "r9"])),
+)
+
+
+def _trees(factor):
+    """Sums of products of ``factor``.  The first term has sign "+": a
+    leading minus is read as a unary minus on the first factor."""
+    product = st.lists(factor, min_size=1, max_size=2)
+    return st.tuples(
+        product, st.lists(st.tuples(st.sampled_from("+-"), product), max_size=1)
+    ).map(lambda t: [("+", t[0])] + t[1])
+
+
+_FACTORS = st.recursive(
+    _LEAVES,
+    lambda f: st.one_of(
+        st.tuples(st.sampled_from("-+"), f),
+        st.tuples(st.just("()"), _trees(f)),
+    ),
+    max_leaves=6,
+)
+
+_SUMS = _trees(_FACTORS)
+
+
+def _deep(tree, n):
+    """``tree`` as the one factor of a sum, under ``n`` unary signs and
+    parentheses."""
+    f = ("()", tree)
+    for k in range(n):
+        f = ("-", f) if k % 3 == 0 else ("()", [("+", [f])])
+    return [("+", [f])]
+
+
+class _Oracle:
+    """Renders a tree and evaluates it with the public Weight operations,
+    raising the errors the parser raises, in the order it meets them."""
+
+    def __init__(self, tree):
+        self.parts = []
+        self.at = {}  # id of a node -> offset of its first character
+        self.render_sum(tree)
+        self.text = "".join(self.parts)
+
+    def emit(self, s):
+        self.parts.append(s)
+
+    def offset(self):
+        return sum(len(p) for p in self.parts)
+
+    def render_sum(self, terms):
+        for k, (sign, product) in enumerate(terms):
+            if k:
+                self.emit(f" {sign} ")
+            for j, f in enumerate(product):
+                if j:
+                    self.emit("*")
+                self.render_factor(f)
+
+    def render_factor(self, f):
+        self.at[id(f)] = self.offset()
+        if f[0] in "+-":
+            self.emit(f[0])
+            self.render_factor(f[1])
+        elif f[0] == "()":
+            self.emit("(")
+            self.render_sum(f[1])
+            self.emit(")")
+        elif f[0] == "int":
+            self.emit(f[1])
+            if f[2] is not None:
+                self.emit("/")
+                self.at[id(f), "den"] = self.offset()
+                self.emit(f[2])
+        else:
+            self.emit(f[1])
+
+    def fail(self, message, near, offset):
+        shown = near if len(near) <= 24 else near[:24] + "..."
+        raise FoamSyntaxError(f"{message} near {shown!r}", 1, offset + 1)
+
+    def eval_sum(self, terms, depth):
+        w = self.eval_product(terms[0][1], depth)
+        for sign, product in terms[1:]:
+            x = self.eval_product(product, depth)
+            w = w - x if sign == "-" else w + x
+        return w
+
+    def eval_product(self, product, depth):
+        w = self.eval_factor(product[0], depth)
+        for f in product[1:]:
+            x = self.eval_factor(f, depth)
+            qa, qx = w.as_rational(), x.as_rational()
+            if qx is not None:
+                w = w.scale(qx)
+            elif qa is not None:
+                w = x.scale(qa)
+            else:
+                raise DslSemanticError("product of two irrational weights (line 1)")
+        return w
+
+    def eval_factor(self, f, depth):
+        if depth > 64:
+            raise FoamSyntaxError("expression nested too deeply", 1, self.at[id(f)] + 1)
+        if f[0] == "-":
+            return -self.eval_factor(f[1], depth + 1)
+        if f[0] == "+":
+            return self.eval_factor(f[1], depth + 1)
+        if f[0] == "()":
+            return self.eval_sum(f[1], depth + 1)
+        if f[0] == "gen":
+            return Weight.generator(_BASIS, f[1])
+        if f[0] == "dec":
+            if len(f[1]) > 4300:
+                self.fail("number literal too large", f[1], self.at[id(f)])
+            return Weight.rational(_BASIS, Fraction(f[1]))
+        if len(f[1]) > 4300:
+            self.fail("integer literal too large", f[1], self.at[id(f)])
+        num, den = int(f[1]), 1
+        if f[2] is not None:
+            if len(f[2]) > 4300:
+                self.fail("integer literal too large", f[2], self.at[id(f), "den"])
+            den = int(f[2])
+            if den == 0:
+                self.fail("zero denominator", f[2], self.at[id(f), "den"])
+        return Weight.rational(_BASIS, Fraction(num, den))
+
+
+def _check_weight_expression(tree):
+    oracle = _Oracle(tree)
+    want = _outcome(oracle.eval_sum, tree, 0)
+    got = _outcome(parse_weight, oracle.text, _BASIS)
+    assert got == want, oracle.text
+    if isinstance(got, Weight):
+        assert got.coeffs == want.coeffs and hash(got) == hash(want)
+        assert all(type(c) is Fraction and c for _, c in got.coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SUMS)
+def test_weight_expressions_match_public_operations(tree):
+    _check_weight_expression(tree)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_trees(_LEAVES), st.integers(60, 70))
+def test_deep_weight_expressions_match_public_operations(tree, n):
+    _check_weight_expression(_deep(tree, n))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("(r2-r2)*r3", "0"),
+    ("r3*(r2 - r2)", "0"),
+    ("0*r2*r3", "0"),
+    ("(1 + r2 - r2)*r3", "1*r3"),
+    ("-(1/2 + r2)*2 - -3*r3", "-1-2*r2+3*r3"),
+    ("r2*1/2 + 1/2*r2 - 1.5", "-3/2+1*r2"),
+    ("0.5*-r2", "-1/2*r2"),
+    ("2*-(1 + r2)*-3", "6+6*r2"),
+])
+def test_rational_factors_are_decided_by_their_support(text, want):
+    assert weight_to_text(parse_weight(text, _BASIS)) == want
+
+
+def test_each_weight_expression_builds_one_weight(monkeypatch):
+    """Terms add into one coefficient map: no Weight per literal or operator."""
+    exprs = [
+        "1", "-121/128 + 183/256*r2", "3/7*r2 - 5/11*r3", "r2*1/2 + (1 - r3)*2",
+        "-(-(1/2 + r2))", "(r2 - r2)*r3 + 0.25", "1*r2 + 1*r2 - 2*r2",
+        "2*(1/3 + 1/3*r3)*3", "+1/2", "0",
+    ]
+    text = "basis { r2 = 1.4142135623730951 digits 16; r3 = 1.7320508075688772 digits 16; }\n"
+    text += "".join(
+        f"bracket b{k} = 1*[{a}, {b}];\n" for k, (a, b) in enumerate(zip(exprs, exprs[1:]))
+    )
+    built = []
+    init, of = Weight.__init__, Weight._of.__func__
+
+    def counting_init(self, *args):
+        built.append("init")
+        init(self, *args)
+
+    def counting_of(cls, *args):
+        built.append("_of")
+        return of(cls, *args)
+
+    monkeypatch.setattr(Weight, "__init__", counting_init)
+    monkeypatch.setattr(Weight, "_of", classmethod(counting_of))
+    doc = parse_document(text)
+    monkeypatch.undo()
+    assert len(doc.items) == len(exprs) - 1
+    assert len(built) <= 2 * len(doc.items)
 
 
 def test_random_documents_round_trip():
