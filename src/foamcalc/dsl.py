@@ -152,15 +152,6 @@ def _tokenize(text: str) -> list[_Tok]:
     return toks
 
 
-def _sparse(acc: dict) -> tuple:
-    """The non-zero entries of a coefficient map as a sorted tuple of
-    ``(index, Fraction)`` pairs."""
-    return tuple(sorted([
-        (i, c if c.__class__ is Fraction else Fraction(c))
-        for i, c in acc.items() if c
-    ]))
-
-
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -242,7 +233,10 @@ class _Parser:
     def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
         acc: dict = {}
         self._sum(basis, acc, False, depth)
-        return Weight._of(basis, _sparse(acc))
+        return Weight._of(basis, tuple(sorted([
+            (i, c if c.__class__ is Fraction else Fraction(c))
+            for i, c in acc.items() if c
+        ])))
 
     def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> None:
         """Add the terms of a sum into ``acc``, negated when ``neg``."""
@@ -255,7 +249,7 @@ class _Parser:
                 acc[v] = q if c is None else c + q
             else:
                 for i, c in v.items():
-                    qc = c if q == 1 else q * c
+                    qc = q * c
                     old = acc.get(i)
                     acc[i] = qc if old is None else old + qc
             op = toks[self.k].text

@@ -350,11 +350,6 @@ def test_tokenizer_agrees_with_the_character_loop(text):
     assert _outcome(_regex_tokens, text) == _outcome(_reference_tokenize, text)
 
 
-def test_end_of_input_column_skips_a_trailing_comment():
-    assert _regex_tokens("__#") == [("ident", "__", 1, 1), ("eof", "", 1, 3)]
-    assert _regex_tokens("a\n  # c") == [("ident", "a", 1, 1), ("eof", "", 2, 3)]
-
-
 # --- weight expressions against the public Weight operations ---------------
 #
 # An expression tree in the grammar's own shape: a sum is a list of
