@@ -570,10 +570,7 @@ def _crit_13_dsl(rng: random.Random) -> tuple[bool, str]:
     )
     for i in range(10000):
         n = rng.randrange(0, 100)
-        if i % 2:
-            data = bytes(rng.randrange(256) for _ in range(n))
-        else:
-            data = bytes(rng.choice(alphabet) for _ in range(n))
+        data = rng.randbytes(n) if i % 2 else bytes(rng.choices(alphabet, k=n))
         try:
             parse_bytes(data)
         except FoamError:

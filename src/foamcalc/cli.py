@@ -30,7 +30,7 @@ from .decorated import gamma as gamma_fn
 from .dsl import (
     Document,
     bracket_to_text,
-    parse_document,
+    parse_bytes,
     parse_weight,
     print_document,
     weight_to_text,
@@ -99,20 +99,20 @@ def _brackets(s: BracketSum) -> tuple:
 # --- document plumbing --------------------------------------------------------
 
 
-def _read_source(path: str) -> str:
+def _read_source(path: str) -> bytes:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
         return fh.read()
 
 
 def _load_document(args) -> Document:
     try:
-        text = _read_source(args.file)
+        data = _read_source(args.file)
     except OSError as exc:
         raise _CliError(1, FoamError(f"cannot read {args.file}: {exc}")) from None
     try:
-        return parse_document(text, precision_cap=args.precision)
+        return parse_bytes(data, precision_cap=args.precision)
     except FoamError as exc:
         raise _CliError(2, exc) from None
 

@@ -34,9 +34,11 @@ rational.  `split` takes the flag and the weight of the left output strand;
 the planar `split` takes just that weight.  `label` takes a group element as
 `(<free ints>;<torsion ints>)`.
 
-The text is split into tokens by one compiled regular expression, in one
-pass that also skips blanks and comments.  A token carries its offset in the
-text; line and column are computed from it only when a message needs them.
+The whole text is checked against the token grammar in one regular
+expression match, and its tokens come out of one `findall`, blanks and
+comments skipped.  A token is a plain string, `""` at the end of input.
+Token offsets, and so line and column, are computed by a second scan only
+when a message needs them.
 Each weight expression adds its terms into one coefficient map and builds
 one `Weight`.
 
@@ -97,34 +99,22 @@ class Document:
         raise DslSemanticError(f"no item named {name!r}")
 
 
-class _Tok:
-    """A token: its kind ("ident", "num", "sym" or "eof"), its text, and the
-    offset of its first character in the document."""
+# The token grammar: blanks and comments, then one token; the end of input
+# sits where a comment that runs to it starts.  Quantifiers are possessive, so
+# a match keeps no backtracking stack that grows with the text.  The digits of
+# a number are matched whole: a number followed by a dot and no digit is
+# malformed.
+_SKIP = r"(?:[ \t\r\n]++|#[^\n]*+\n)*+"
+_TOKEN = r"[{}\[\]();,=:*+\-/]|[A-Za-z_][A-Za-z0-9_]*+|[0-9]++(?:\.[0-9]++|(?!\.))"
+_END = r"(?:#[^\n]*+)?\Z"
 
-    __slots__ = ("kind", "text", "offset")
+_DOCUMENT = re.compile(rf"(?:{_SKIP}(?:{_TOKEN}))*+{_SKIP}{_END}")
+_TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN})|{_END})")
+# Groups: 1 a token, 2 the end of input, 3 a malformed number, 4 any other
+# character.
+_SCAN = re.compile(rf"{_SKIP}(?:({_TOKEN})|(){_END}|([0-9]++\.)|(.))", re.S)
 
-    def __init__(self, kind: str, text: str, offset: int):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
-
-
-# One token per match, after the blanks and comments before it.  A comment
-# that runs to the end of the input is left to the eof alternative, so that
-# the end of input sits where that comment starts.  The digits of a number
-# are matched whole: a number followed by a dot and no digit is malformed.
-_TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*\n)*"
-    r"(?:(?P<sym>[{}\[\]();,=:*+\-/])"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<num>[0-9]+(?![0-9])(?:\.[0-9]+|(?!\.)))"
-    r"|(?P<eof>)(?:#[^\n]*)?\Z"
-    r"|(?P<malformed>[0-9]+\.)"
-    r"|(?P<bad>.))",
-    re.S,
-)
-
-_NOT_TOKENS = frozenset(("eof", "malformed", "bad"))
+_DIGITS = frozenset("0123456789")
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -134,22 +124,33 @@ def _position(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    """The tokens of ``text``, ending with one eof token."""
-    toks: list[_Tok] = []
-    append = toks.append
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind in _NOT_TOKENS:
-            break  # the eof alternative matches at the end of any text
-        append(_Tok(kind, m[kind], m.start(kind)))
-    offset = m.start(kind)
-    if kind == "malformed":
-        raise FoamSyntaxError("malformed number", *_position(text, offset))
-    if kind == "bad":
-        raise FoamSyntaxError(f"unexpected character {m[kind]!r}", *_position(text, offset))
-    append(_Tok("eof", "", offset))
+def _tokenize(text: str) -> list[str]:
+    """The token texts of ``text``, ending with ``""`` for the end of input.
+    A token is ``""`` (eof), a symbol, a number when it starts with a digit,
+    or else a name."""
+    if _DOCUMENT.fullmatch(text) is None:
+        _offsets(text)  # raises the token error
+    toks = _TEXTS.findall(text)
+    # after trailing blanks, findall also matches the empty end once more
+    if len(toks) > 1 and not toks[-2]:
+        toks.pop()
     return toks
+
+
+def _offsets(text: str) -> list[int]:
+    """The offset of each token of ``text``, as ``_tokenize`` splits it,
+    ending with the end of input's; raises the first token error instead."""
+    offsets: list[int] = []
+    for m in _SCAN.finditer(text):
+        group = m.lastindex
+        offsets.append(m.start(group))
+        if group != 1:
+            break
+    if group == 3:
+        raise FoamSyntaxError("malformed number", *_position(text, offsets[-1]))
+    if group == 4:
+        raise FoamSyntaxError(f"unexpected character {m[4]!r}", *_position(text, offsets[-1]))
+    return offsets
 
 
 class _Parser:
@@ -160,65 +161,64 @@ class _Parser:
 
     # token plumbing -----------------------------------------------------
     #
-    # Only a symbol token has a one-symbol text, so a symbol is recognised
-    # by its text alone.
+    # A token is its text, and the parser names it by its index in
+    # ``toks``.  A check reads the token at the cursor and moves past it
+    # only when it passes, so a failure points at the cursor.
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        j = min(self.k + ahead, len(self.toks) - 1)
-        return self.toks[j]
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[min(self.k + ahead, len(self.toks) - 1)]
 
-    def advance(self) -> _Tok:
-        t = self.toks[self.k]
-        if t.kind != "eof":
-            self.k += 1
-        return t
+    def where(self, k: int) -> tuple[int, int]:
+        return _position(self.text, _offsets(self.text)[k])
 
-    def line(self, t: _Tok) -> int:
-        return _position(self.text, t.offset)[0]
+    def line(self, k: int) -> int:
+        return self.where(k)[0]
 
-    def fail(self, message: str, tok: _Tok | None = None) -> NoReturn:
-        t = tok if tok is not None else self.peek()
-        text = t.text if len(t.text) <= 24 else t.text[:24] + "..."
-        where = f" near {text!r}" if t.kind != "eof" else " at end of input"
-        raise FoamSyntaxError(message + where, *_position(self.text, t.offset))
+    def fail(self, message: str, k: int | None = None) -> NoReturn:
+        k = self.k if k is None else k
+        t = self.toks[k]
+        text = t if len(t) <= 24 else t[:24] + "..."
+        near = f" near {text!r}" if t else " at end of input"
+        raise FoamSyntaxError(message + near, *self.where(k))
 
-    def at_sym(self, ch: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).text == ch
+    def at(self, word: str, ahead: int = 0) -> bool:
+        return self.peek(ahead) == word
 
-    def accept_sym(self, ch: str) -> bool:
-        if self.toks[self.k].text == ch:
+    def accept(self, word: str) -> bool:
+        if self.toks[self.k] == word:
             self.k += 1
             return True
         return False
 
-    def expect_sym(self, ch: str) -> _Tok:
-        t = self.advance()
-        if t.text != ch:
-            self.fail(f"expected {ch!r}", t)
-        return t
+    def expect(self, word: str) -> None:
+        """Move past ``word``, a symbol or a keyword."""
+        if self.toks[self.k] != word:
+            self.fail(f"expected {word!r}")
+        self.k += 1
 
-    def expect_ident(self, what: str = "a name") -> _Tok:
-        t = self.advance()
-        if t.kind != "ident":
-            self.fail(f"expected {what}", t)
+    def expect_ident(self, what: str) -> str:
+        t = self.toks[self.k]
+        if not t.isidentifier():  # tokens are ASCII: exactly the names
+            self.fail(f"expected {what}")
+        self.k += 1
         return t
 
     # scalar literals ----------------------------------------------------
 
-    def _int_value(self, t: _Tok, what: str) -> int:
-        if t.kind != "num" or "." in t.text:
-            self.fail(f"expected {what}", t)
-        try:
-            return int(t.text)
-        except ValueError:
-            self.fail("integer literal too large", t)
-
     def nonneg_int(self, what: str) -> int:
-        return self._int_value(self.advance(), what)
+        t = self.toks[self.k]
+        if not t.isdigit():
+            self.fail(f"expected {what}")
+        try:
+            v = int(t)
+        except ValueError:
+            self.fail("integer literal too large")
+        self.k += 1
+        return v
 
     def signed_int(self, what: str) -> int:
-        neg = self.accept_sym("-")
-        v = self._int_value(self.advance(), what)
+        neg = self.accept("-")
+        v = self.nonneg_int(what)
         return -v if neg else v
 
     # weight expressions -------------------------------------------------
@@ -252,7 +252,7 @@ class _Parser:
                     qc = q * c
                     old = acc.get(i)
                     acc[i] = qc if old is None else old + qc
-            op = toks[self.k].text
+            op = toks[self.k]
             if op == "+":
                 term_neg = neg
             elif op == "-":
@@ -266,8 +266,8 @@ class _Parser:
         must be rational."""
         q, v = self._factor(basis, neg, depth)
         toks = self.toks
-        while toks[self.k].text == "*":
-            star = toks[self.k]
+        while toks[self.k] == "*":
+            star = self.k
             self.k += 1
             qb, vb = self._factor(basis, False, depth)
             if not vb:
@@ -288,134 +288,131 @@ class _Parser:
         """One factor, negated when ``neg``."""
         t = self.toks[self.k]
         if depth > _MAX_EXPR_DEPTH:
-            raise FoamSyntaxError(
-                "expression nested too deeply", *_position(self.text, t.offset)
-            )
-        kind, text = t.kind, t.text
-        if kind == "num":
-            self.k += 1
+            raise FoamSyntaxError("expression nested too deeply", *self.where(self.k))
+        if t[:1] in _DIGITS:
             return self._literal(t, neg), 0
-        if kind == "ident":
+        if t.isidentifier():
             self.k += 1
             # unknown generator -> DslSemanticError from the basis
-            return (-1 if neg else 1), basis.index(text)
-        self.advance()
-        if text == "-":
+            return (-1 if neg else 1), basis.index(t)
+        if t == "-":
+            self.k += 1
             return self._factor(basis, not neg, depth + 1)
-        if text == "+":
+        if t == "+":
+            self.k += 1
             return self._factor(basis, neg, depth + 1)
-        if text == "(":
+        if t == "(":
+            self.k += 1
             acc: dict = {}
             self._sum(basis, acc, neg, depth + 1)
-            self.expect_sym(")")
+            self.expect(")")
             v = {i: c for i, c in acc.items() if c}
             if v.keys() <= {0}:
                 return v.get(0, 0), 0
             return 1, v
-        self.fail("expected a weight", t)
+        self.fail("expected a weight")
 
-    def _literal(self, t: _Tok, neg: bool):
-        """The value of a number token and of the ``/ denominator`` after it,
-        negated when ``neg``."""
-        text = t.text
-        if "." in text:
+    def _literal(self, t: str, neg: bool):
+        """The value of the number ``t`` at the cursor and of the
+        ``/ denominator`` after it, negated when ``neg``."""
+        if "." in t:
             try:
-                q = Fraction(text)
+                q = Fraction(t)
             except ValueError:
-                self.fail("number literal too large", t)
+                self.fail("number literal too large")
+            self.k += 1
             return -q if neg else q
         try:
-            num = int(text)
+            num = int(t)
         except ValueError:
-            self.fail("integer literal too large", t)
+            self.fail("integer literal too large")
+        self.k += 1
         if neg:
             num = -num
-        if self.toks[self.k].text != "/":
+        if self.toks[self.k] != "/":
             return num
         self.k += 1
-        dt = self.advance()
-        den = self._int_value(dt, "a denominator")
+        den = self.nonneg_int("a denominator")
         if den == 0:
-            self.fail("zero denominator", dt)
+            self.fail("zero denominator", self.k - 1)
         return Fraction(num, den)
 
     # shared list helper -------------------------------------------------
 
     def comma_list(self, one: Callable[[], object], closer: str) -> list:
         out: list = []
-        if self.at_sym(closer):
+        if self.at(closer):
             return out
         out.append(one())
-        while self.accept_sym(","):
+        while self.accept(","):
             out.append(one())
         return out
 
     # blocks ---------------------------------------------------------------
 
     def parse_basis_block(self) -> GeneratorBasis:
-        self.expect_sym("{")
+        self.expect("{")
         gens: list[Generator] = []
         seen: set[str] = set()
-        while not self.accept_sym("}"):
-            name_tok = self.expect_ident("a generator name")
-            name = name_tok.text
+        while not self.accept("}"):
+            mark = self.k
+            name = self.expect_ident("a generator name")
             if name in RESERVED:
                 raise DslSemanticError(
-                    f"generator name {name!r} is reserved (line {self.line(name_tok)})"
+                    f"generator name {name!r} is reserved (line {self.line(mark)})"
                 )
             if name in seen:
                 raise DslSemanticError(
-                    f"duplicate generator {name!r} (line {self.line(name_tok)})"
+                    f"duplicate generator {name!r} (line {self.line(mark)})"
                 )
-            self.expect_sym("=")
-            neg = self.accept_sym("-")
-            num = self.advance()
-            if num.kind != "num":
-                self.fail("expected a decimal enclosure", num)
+            self.expect("=")
+            neg = self.accept("-")
+            num = self.peek()
+            if num[:1] not in _DIGITS:
+                self.fail("expected a decimal enclosure")
             try:
-                Generator(name, num.text, 1).midpoint()
+                Generator(name, num, 1).midpoint()
             except ValueError:
-                self.fail("number literal too large", num)
-            kw = self.expect_ident("'digits'")
-            if kw.text != "digits":
-                self.fail("expected 'digits'", kw)
-            dt = self.advance()
-            digits = self._int_value(dt, "a digit count")
+                self.fail("number literal too large")
+            self.k += 1
+            self.expect("digits")
+            mark = self.k
+            digits = self.nonneg_int("a digit count")
             if digits < 1:
                 raise DslSemanticError(
-                    f"digit count must be positive (line {self.line(dt)})"
+                    f"digit count must be positive (line {self.line(mark)})"
                 )
             if digits > MAX_DIGITS:
                 raise DslSemanticError(
-                    f"digit count must be at most {MAX_DIGITS} (line {self.line(dt)})"
+                    f"digit count must be at most {MAX_DIGITS} (line {self.line(mark)})"
                 )
-            self.expect_sym(";")
-            gens.append(Generator(name, ("-" if neg else "") + num.text, digits))
+            self.expect(";")
+            gens.append(Generator(name, ("-" if neg else "") + num, digits))
             seen.add(name)
         return GeneratorBasis(gens)
 
     def parse_iet(self, basis: GeneratorBasis, name: str) -> Iet:
-        self.expect_sym("{")
+        self.expect("{")
         fields: dict[str, list] = {}
-        while not self.accept_sym("}"):
+        while not self.accept("}"):
             key = self.expect_ident("a field name")
-            if key.text not in ("lengths", "perm", "flips"):
-                self.fail("expected lengths, perm or flips", key)
-            if key.text in fields:
-                self.fail(f"duplicate field {key.text!r}", key)
-            self.expect_sym("=")
-            self.expect_sym("[")
-            if key.text == "lengths":
+            if key not in ("lengths", "perm", "flips"):
+                self.fail("expected lengths, perm or flips", self.k - 1)
+            if key in fields:
+                self.fail(f"duplicate field {key!r}", self.k - 1)
+            self.expect("=")
+            self.expect("[")
+            if key == "lengths":
                 vals = self.comma_list(lambda: self.weight_expr(basis), "]")
-            elif key.text == "perm":
+            elif key == "perm":
                 vals = self.comma_list(
                     lambda: self.nonneg_int("a rank"), "]"
                 )
             else:
-                vals = self.comma_list(lambda: self._word("num", _BITS, "0 or 1"), "]")
-            self.expect_sym("]")
-            self.expect_sym(";")
-            fields[key.text] = vals
+                vals = self.comma_list(lambda: self._word(_BITS, "0 or 1"), "]")
+            self.expect("]")
+            self.expect(";")
+            fields[key] = vals
         if "lengths" not in fields or "perm" not in fields:
             raise DslSemanticError(
                 f"iet {name!r} needs both lengths and perm"
@@ -427,37 +424,37 @@ class _Parser:
         except FoamError as exc:
             raise DslSemanticError(f"in iet {name!r}: {exc}") from None
 
-    def _word(self, kind: str, words: dict, what: str):
+    def _word(self, words: dict, what: str):
         """The value of the next token, which must be one of ``words``."""
-        t = self.advance()
-        if t.kind == kind and t.text in words:
-            return words[t.text]
-        self.fail(f"expected {what}", t)
+        t = self.toks[self.k]
+        if t not in words:
+            self.fail(f"expected {what}")
+        self.k += 1
+        return words[t]
 
     def parse_diagram(
         self, basis: GeneratorBasis, kind: str, name: str
     ) -> FoamDiagram | PlanarFoam:
         calc = _CALCULI[kind]
-        self.expect_sym("{")
-        kw = self.expect_ident("'start'")
-        if kw.text != "start":
-            self.fail("expected 'start'", kw)
-        self.expect_sym("[")
+        self.expect("{")
+        self.expect("start")
+        self.expect("[")
         start = self.comma_list(lambda: calc.read_strand(self, basis), "]")
-        self.expect_sym("]")
-        self.expect_sym(";")
+        self.expect("]")
+        self.expect(";")
         events: list = []
         slices = [tuple(start)]
         while True:
+            mark = self.k
             kw = self.expect_ident("an event keyword")
-            if kw.text == "end":
-                self.expect_sym(";")
+            if kw == "end":
+                self.expect(";")
                 break
-            cls = calc.keywords.get(kw.text)
+            cls = calc.keywords.get(kw)
             if cls is None:
-                self.fail(calc.unknown, kw)
+                self.fail(calc.unknown, mark)
             e = cls(*[read(self, basis) for _, read, _ in _FIELD_CODECS[cls]])
-            self.expect_sym(";")
+            self.expect(";")
             try:
                 slices.append(calc.diagram.step(slices[-1], e))
             except PrecisionExhausted:
@@ -465,60 +462,53 @@ class _Parser:
             except FoamError as exc:
                 raise DslSemanticError(
                     f"in {kind} {name!r}: event {len(events)}"
-                    f" (line {self.line(kw)}): {exc}"
+                    f" (line {self.line(mark)}): {exc}"
                 ) from None
             events.append(e)
-        self.expect_sym("}")
+        self.expect("}")
         return calc.diagram._from_slices(basis, slices[0], tuple(events), tuple(slices))
 
     def _strand(self, basis: GeneratorBasis) -> Strand:
         w = self.weight_expr(basis)
-        self.expect_sym(":")
-        return Strand(w, self._word("ident", _DIRS, "direction u or d"))
+        self.expect(":")
+        return Strand(w, self._word(_DIRS, "direction u or d"))
 
     def _group_label(self, basis: GeneratorBasis) -> GroupLabel:
-        self.expect_sym("(")
+        self.expect("(")
         free = self.comma_list(lambda: self.signed_int("an integer"), ";")
-        self.expect_sym(";")
+        self.expect(";")
         tors = self.comma_list(lambda: self.signed_int("an integer"), ")")
-        self.expect_sym(")")
+        self.expect(")")
         return GroupLabel(tuple(free), tuple(tors))
 
     def parse_bracket(self, basis: GeneratorBasis, name: str) -> BracketSum:
-        self.expect_sym("=")
-        if (
-            self.peek().kind == "num"
-            and self.peek().text == "0"
-            and self.at_sym(";", 1)
-        ):
-            self.advance()
-            self.advance()
+        self.expect("=")
+        if self.at("0") and self.at(";", 1):
+            self.k += 2
             return BracketSum.zero(basis)
         terms = [self._bracket_term(basis, 1)]
         while True:
-            if self.at_sym("+"):
-                self.advance()
+            if self.accept("+"):
                 terms.append(self._bracket_term(basis, 1))
-            elif self.at_sym("-"):
-                self.advance()
+            elif self.accept("-"):
                 terms.append(self._bracket_term(basis, -1))
             else:
                 break
-        self.expect_sym(";")
+        self.expect(";")
         return BracketSum(basis, terms)
 
     def _bracket_term(self, basis, sign: int) -> tuple[int, Weight, Weight]:
-        while self.accept_sym("-"):
+        while self.accept("-"):
             sign = -sign
         c = 1
-        if self.peek().kind == "num":
+        if self.peek()[:1] in _DIGITS:
             c = self.nonneg_int("an integer coefficient")
-            self.expect_sym("*")
-        self.expect_sym("[")
+            self.expect("*")
+        self.expect("[")
         a = self.weight_expr(basis)
-        self.expect_sym(",")
+        self.expect(",")
         b = self.weight_expr(basis)
-        self.expect_sym("]")
+        self.expect("]")
         return (sign * c, a, b)
 
 
@@ -528,43 +518,44 @@ def parse_document(text: str, precision_cap: int | None = None) -> Document:
     items: list[tuple[str, str, Item]] = []
     names: set[str] = set()
     first = True
-    while p.peek().kind != "eof":
+    while p.peek():
         kw = p.expect_ident("a declaration keyword")
-        if kw.text == "basis":
+        if kw == "basis":
             if not first:
-                p.fail("basis block must be the first declaration", kw)
+                p.fail("basis block must be the first declaration", p.k - 1)
             basis = p.parse_basis_block()
             if precision_cap is not None:
                 basis = basis.with_precision_cap(precision_cap)
             first = False
             continue
         first = False
-        if kw.text not in ITEM_KINDS:
-            p.fail("expected basis, iet, foam, planarfoam or bracket", kw)
-        name_tok = p.expect_ident("an item name")
-        name = name_tok.text
+        if kw not in ITEM_KINDS:
+            p.fail("expected basis, iet, foam, planarfoam or bracket", p.k - 1)
+        name = p.expect_ident("an item name")
         if name in names:
             raise DslSemanticError(
-                f"duplicate item name {name!r} (line {p.line(name_tok)})"
+                f"duplicate item name {name!r} (line {p.line(p.k - 1)})"
             )
         names.add(name)
-        if kw.text == "iet":
+        if kw == "iet":
             value: Item = p.parse_iet(basis, name)
-        elif kw.text in _CALCULI:
-            value = p.parse_diagram(basis, kw.text, name)
+        elif kw in _CALCULI:
+            value = p.parse_diagram(basis, kw, name)
         else:
             value = p.parse_bracket(basis, name)
-        items.append((kw.text, name, value))
+        items.append((kw, name, value))
     return Document(basis, tuple(items))
 
 
 def parse_bytes(data: bytes, precision_cap: int | None = None) -> Document:
-    """parse_document on raw bytes; rejects non-UTF-8 with a position."""
+    """parse_document on UTF-8 bytes, after an optional byte order mark;
+    rejects invalid UTF-8 with a position counted after the mark."""
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        # the bytes before the first invalid one decode
-        prefix = data[: exc.start].decode("utf-8")
+        # exc.object holds the bytes after the mark; those before the first
+        # invalid one decode
+        prefix = exc.object[: exc.start].decode("utf-8")
         raise FoamSyntaxError("invalid UTF-8", *_position(prefix, len(prefix))) from None
     return parse_document(text, precision_cap)
 
@@ -573,7 +564,7 @@ def parse_weight(text: str, basis: GeneratorBasis) -> Weight:
     """A weight expression on its own, over an already known basis."""
     p = _Parser(text)
     w = p.weight_expr(basis)
-    if p.peek().kind != "eof":
+    if p.peek():
         p.fail("unexpected input after the weight expression")
     return w
 
@@ -623,8 +614,8 @@ _BITS = {"0": False, "1": True}
 # the parser reads it and how the printer writes it.
 _TEXT_CODECS = {
     "int": (lambda p, basis: p.nonneg_int("a position"), str),
-    "Order": (lambda p, basis: p._word("ident", _ORDERS, "flag L or R"), lambda o: o.value),
-    "Dir": (lambda p, basis: p._word("ident", _DIRS, "direction u or d"), lambda d: d.value),
+    "Order": (lambda p, basis: p._word(_ORDERS, "flag L or R"), lambda o: o.value),
+    "Dir": (lambda p, basis: p._word(_DIRS, "direction u or d"), lambda d: d.value),
     "Weight": (_Parser.weight_expr, weight_to_text),
     "GroupLabel": (_Parser._group_label, _label_text),
 }

@@ -244,10 +244,43 @@ def test_selftest(capsys):
 def test_stdin_input(capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(DOC))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(DOC.encode())))
     code, got = run_json(capsys, "saf", "-", "s")
     assert code == 0
     assert got[0]["coeff"] == "2/1"
+
+
+BAD_UTF8 = b"iet s { lengths = [1]; perm = [1]; }\n# \xff\n"
+
+
+def test_invalid_utf8_is_a_syntax_error(capsys, tmp_path, monkeypatch):
+    """A file and stdin holding the same invalid bytes fail the same way,
+    even inside a comment."""
+    import io
+
+    bad = tmp_path / "bad.fc"
+    bad.write_bytes(BAD_UTF8)
+    expected = {"error": "syntax", "message": "invalid UTF-8 (line 2, column 3)"}
+    assert run_json(capsys, "saf", str(bad), "s") == (2, expected)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BAD_UTF8)))
+    assert run_json(capsys, "saf", "-", "s") == (2, expected)
+
+
+def test_byte_order_mark_is_skipped(capsys, tmp_path):
+    path = tmp_path / "bom.fc"
+    path.write_bytes(b"\xef\xbb\xbf" + DOC.encode())
+    code, got = run_json(capsys, "saf", str(path), "s")
+    assert code == 0
+    assert got[0]["coeff"] == "2/1"
+
+
+def test_invalid_utf8_trace_is_not_json(capsys, doc, tmp_path):
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_bytes(b'[{"schema": "\xff"}]')
+    code, got = run_json(capsys, "validate-trace", doc, "dotted", str(trace_file))
+    assert code == 2
+    assert got["error"] == "semantic"
+    assert got["message"].startswith("trace is not JSON")
 
 
 # ------------------------------------------------------------- golden output
