@@ -110,9 +110,11 @@ _END = r"(?:#[^\n]*+)?\Z"
 
 _DOCUMENT = re.compile(rf"(?:{_SKIP}(?:{_TOKEN}))*+{_SKIP}{_END}")
 _TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN})|{_END})")
-# Groups: 1 a token, 2 the end of input, 3 a malformed number, 4 any other
-# character.
-_SCAN = re.compile(rf"{_SKIP}(?:({_TOKEN})|(){_END}|([0-9]++\.)|(.))", re.S)
+# Only error messages scan, so this one is compiled on first use, through the
+# cache of the re module.  Groups: 1 a token, 2 the end of input, 3 a
+# malformed number, 4 any other character but a newline, which the blanks
+# always take.
+_SCAN = rf"{_SKIP}(?:({_TOKEN})|(){_END}|([0-9]++\.)|(.))"
 
 _DIGITS = frozenset("0123456789")
 
@@ -141,7 +143,7 @@ def _offsets(text: str) -> list[int]:
     """The offset of each token of ``text``, as ``_tokenize`` splits it,
     ending with the end of input's; raises the first token error instead."""
     offsets: list[int] = []
-    for m in _SCAN.finditer(text):
+    for m in re.finditer(_SCAN, text):
         group = m.lastindex
         offsets.append(m.start(group))
         if group != 1:
@@ -163,7 +165,8 @@ class _Parser:
     #
     # A token is its text, and the parser names it by its index in
     # ``toks``.  A check reads the token at the cursor and moves past it
-    # only when it passes, so a failure points at the cursor.
+    # only when it passes, so a failure points at the cursor, and after a
+    # pass ``self.k - 1`` names the token read.
 
     def peek(self, ahead: int = 0) -> str:
         return self.toks[min(self.k + ahead, len(self.toks) - 1)]
@@ -355,15 +358,14 @@ class _Parser:
         gens: list[Generator] = []
         seen: set[str] = set()
         while not self.accept("}"):
-            mark = self.k
             name = self.expect_ident("a generator name")
             if name in RESERVED:
                 raise DslSemanticError(
-                    f"generator name {name!r} is reserved (line {self.line(mark)})"
+                    f"generator name {name!r} is reserved (line {self.line(self.k - 1)})"
                 )
             if name in seen:
                 raise DslSemanticError(
-                    f"duplicate generator {name!r} (line {self.line(mark)})"
+                    f"duplicate generator {name!r} (line {self.line(self.k - 1)})"
                 )
             self.expect("=")
             neg = self.accept("-")
@@ -376,15 +378,14 @@ class _Parser:
                 self.fail("number literal too large")
             self.k += 1
             self.expect("digits")
-            mark = self.k
             digits = self.nonneg_int("a digit count")
             if digits < 1:
                 raise DslSemanticError(
-                    f"digit count must be positive (line {self.line(mark)})"
+                    f"digit count must be positive (line {self.line(self.k - 1)})"
                 )
             if digits > MAX_DIGITS:
                 raise DslSemanticError(
-                    f"digit count must be at most {MAX_DIGITS} (line {self.line(mark)})"
+                    f"digit count must be at most {MAX_DIGITS} (line {self.line(self.k - 1)})"
                 )
             self.expect(";")
             gens.append(Generator(name, ("-" if neg else "") + num, digits))
