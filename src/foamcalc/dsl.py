@@ -116,8 +116,6 @@ _TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN})|{_END})")
 # always take.
 _SCAN = rf"{_SKIP}(?:({_TOKEN})|(){_END}|([0-9]++\.)|(.))"
 
-_DIGITS = frozenset("0123456789")
-
 
 def _position(text: str, offset: int) -> tuple[int, int]:
     """Line and column, both counted from 1, of the character at ``offset``;
@@ -166,7 +164,8 @@ class _Parser:
     # A token is its text, and the parser names it by its index in
     # ``toks``.  A check reads the token at the cursor and moves past it
     # only when it passes, so a failure points at the cursor, and after a
-    # pass ``self.k - 1`` names the token read.
+    # pass ``self.k - 1`` names the token read.  Tokens are ASCII, so
+    # ``isidentifier`` tells the names exactly and ``isdigit`` the integers.
 
     def peek(self, ahead: int = 0) -> str:
         return self.toks[min(self.k + ahead, len(self.toks) - 1)]
@@ -201,7 +200,7 @@ class _Parser:
 
     def expect_ident(self, what: str) -> str:
         t = self.toks[self.k]
-        if not t.isidentifier():  # tokens are ASCII: exactly the names
+        if not t.isidentifier():
             self.fail(f"expected {what}")
         self.k += 1
         return t
@@ -292,7 +291,7 @@ class _Parser:
         t = self.toks[self.k]
         if depth > _MAX_EXPR_DEPTH:
             raise FoamSyntaxError("expression nested too deeply", *self.where(self.k))
-        if t[:1] in _DIGITS:
+        if t[:1].isdigit():
             return self._literal(t, neg), 0
         if t.isidentifier():
             self.k += 1
@@ -370,7 +369,7 @@ class _Parser:
             self.expect("=")
             neg = self.accept("-")
             num = self.peek()
-            if num[:1] not in _DIGITS:
+            if not num[:1].isdigit():
                 self.fail("expected a decimal enclosure")
             try:
                 Generator(name, num, 1).midpoint()
@@ -502,7 +501,7 @@ class _Parser:
         while self.accept("-"):
             sign = -sign
         c = 1
-        if self.peek()[:1] in _DIGITS:
+        if self.peek()[:1].isdigit():
             c = self.nonneg_int("an integer coefficient")
             self.expect("*")
         self.expect("[")
