@@ -65,7 +65,7 @@ from .errors import (
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
 from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
-from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight
+from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _from_rationals, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
 
@@ -235,10 +235,7 @@ class _Parser:
     def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
         acc: dict = {}
         self._sum(basis, acc, False, depth)
-        return Weight._of(basis, tuple(sorted([
-            (i, c if c.__class__ is Fraction else Fraction(c))
-            for i, c in acc.items() if c
-        ])))
+        return Weight._of(basis, *_from_rationals(sorted([(i, c) for i, c in acc.items() if c])))
 
     def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> None:
         """Add the terms of a sum into ``acc``, negated when ``neg``."""
@@ -572,22 +569,19 @@ def parse_weight(text: str, basis: GeneratorBasis) -> Weight:
 # canonical printer ---------------------------------------------------------
 
 
-def _rat_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def weight_to_text(w: Weight) -> str:
     """Canonical expression for a weight; parses back to the same value."""
     if w.is_zero():
         return "0"
     parts: list[str] = []
-    for i, c in w.coeffs:
-        mag = _rat_text(abs(c))
+    for i, n in w.nums:
+        p, q = _ratio(abs(n), w.den)
+        mag = str(p) if q == 1 else f"{p}/{q}"
         body = mag if i == 0 else f"{mag}*{w.basis.name(i)}"
         if parts:
-            parts.append("+" + body if c > 0 else "-" + body)
+            parts.append("+" + body if n > 0 else "-" + body)
         else:
-            parts.append(body if c > 0 else "-" + body)
+            parts.append(body if n > 0 else "-" + body)
     return "".join(parts)
 
 

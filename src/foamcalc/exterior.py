@@ -4,7 +4,9 @@ WedgeValue lives in the exterior square over Q of the span of the declared
 basis: a sparse strictly-upper-triangular rational matrix indexed by
 generator pairs.  Because the generators are declared Q-independent, the
 pairs (i, j) with i < j form a basis of the relevant subspace, so zero is
-structural.
+structural.  Like a Weight, a WedgeValue keeps integer numerators over one
+positive denominator (see ``weights``) and shares its arithmetic; ``wedge``
+multiplies numerators and never builds a Fraction.
 
 TensorH1Value is a vector of Weights, one per free generator of a finitely
 generated abelian group; torsion parts contribute nothing.
@@ -12,77 +14,38 @@ generated abelian group; torsion parts contribute nothing.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
 from .errors import BasisMismatch
-from .weights import GeneratorBasis, Weight, _frac_str, _merge, _negated, _scaled
+from .weights import GeneratorBasis, Weight, _from_rationals, _normalised, _rational, _ratio, _Sparse
 
 
-class WedgeValue:
+class WedgeValue(_Sparse):
     """Sparse map (i, j) with i < j -> rational coefficient.  Immutable."""
 
-    __slots__ = ("basis", "terms", "_hash")
+    __slots__ = ()
+    _noun = "wedge values"
 
     def __init__(self, basis: GeneratorBasis, terms=None):
         clean: dict = {}
         for (i, j), c in (terms or {}).items():
             if i != j:
-                key, c = ((i, j), Fraction(c)) if i < j else ((j, i), -Fraction(c))
+                key, c = ((i, j), _rational(c)) if i < j else ((j, i), -_rational(c))
                 clean[key] = clean.get(key, 0) + c
         self.basis = basis
-        self.terms: tuple = tuple(sorted((k, c) for k, c in clean.items() if c))
-        self._hash = None
-
-    @classmethod
-    def _of(cls, basis: GeneratorBasis, terms: tuple) -> "WedgeValue":
-        """Trusted constructor: ``terms`` is already sorted and sparse, with
-        i < j in every key."""
-        v = object.__new__(cls)
-        v.basis = basis
-        v.terms = terms
-        v._hash = None
-        return v
+        self.den, self.nums = _from_rationals(sorted((k, c) for k, c in clean.items() if c))
+        self._fractions = self._hash = None
 
     @classmethod
     def zero(cls, basis: GeneratorBasis) -> "WedgeValue":
-        return cls._of(basis, ())
+        return cls._of(basis, 1, ())
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WedgeValue)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.basis, self.terms))
-        return h
-
-    def _check_basis(self, other: "WedgeValue") -> None:
-        if self.basis != other.basis:
-            raise BasisMismatch("wedge values over different bases")
-
-    def __add__(self, other: "WedgeValue") -> "WedgeValue":
-        self._check_basis(other)
-        return WedgeValue._of(self.basis, _merge(self.terms, other.terms))
-
-    def __sub__(self, other: "WedgeValue") -> "WedgeValue":
-        self._check_basis(other)
-        return WedgeValue._of(self.basis, _merge(self.terms, other.terms, True))
-
-    def __neg__(self) -> "WedgeValue":
-        return WedgeValue._of(self.basis, _negated(self.terms))
-
-    def scale(self, q) -> "WedgeValue":
-        return WedgeValue._of(self.basis, _scaled(self.terms, q))
+    terms = property(_Sparse._as_fractions, doc="The sorted ``((i, j), Fraction)`` pairs.")
+    # An attribute of this class, so that perfbench's tracer can wrap it here.
+    __add__ = _Sparse.__add__
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "WedgeValue(0)"
         bits = [
             f"{c}*({self.basis.name(i)}^{self.basis.name(j)})"
@@ -92,32 +55,52 @@ class WedgeValue:
 
     def to_json(self) -> list:
         """Sorted array of {left, right, coeff} with left < right in basis order."""
+        name, den = self.basis.name, self.den
         return [
-            {
-                "left": self.basis.name(i),
-                "right": self.basis.name(j),
-                "coeff": _frac_str(c),
-            }
-            for (i, j), c in self.terms
+            {"left": name(i), "right": name(j), "coeff": "%d/%d" % _ratio(n, den)}
+            for (i, j), n in self.nums
         ]
 
 
+def _expand(terms: dict, a: tuple, b: tuple, m: int) -> None:
+    """Add m times the numerators of a ^ b into ``terms``, for the weight
+    numerators ``a`` and ``b``."""
+    get = terms.get
+    for i, na in a:
+        na *= m
+        for j, nb in b:
+            if i < j:
+                key, n = (i, j), na * nb
+            elif i > j:
+                key, n = (j, i), -na * nb
+            else:
+                continue
+            terms[key] = get(key, 0) + n
+
+
 def wedge(a: Weight, b: Weight) -> WedgeValue:
-    """Bilinear expansion of a ^ b over generator pairs."""
+    """Bilinear expansion of a ^ b over generator pairs: the numerators
+    multiply, over the denominator ``a.den * b.den``."""
     if a.basis != b.basis:
         raise BasisMismatch("wedge of weights over different bases")
     terms: dict = {}
-    for i, ca in a.coeffs:
-        for j, cb in b.coeffs:
-            if i == j:
-                continue
-            c = ca * cb
-            if i > j:
-                key, c = (j, i), -c
-            else:
-                key = (i, j)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return WedgeValue._of(a.basis, tuple(sorted((k, c) for k, c in terms.items() if c)))
+    _expand(terms, a.nums, b.nums, 1)
+    return WedgeValue._of(a.basis, *_normalised(a.den * b.den, terms))
+
+
+def wedge_starts(basis: GeneratorBasis, lengths: list) -> WedgeValue:
+    """The sum of lam_k ^ s_k over the weights lam_k, where s_k is the sum
+    of the weights before lam_k.  One pass keeps s_k as integers over the
+    lcm of the denominators, and the sum is normalised once."""
+    den = lcm(*[lam.den for lam in lengths])
+    terms: dict = {}
+    start: dict = {}
+    for lam in lengths:
+        m = den // lam.den
+        _expand(terms, lam.nums, start.items(), m)
+        for k, n in lam.nums:
+            start[k] = start.get(k, 0) + n * m
+    return WedgeValue._of(basis, *_normalised(den * den, terms))
 
 
 class TensorH1Value:

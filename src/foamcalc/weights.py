@@ -11,25 +11,34 @@ The basis parses each enclosure once, into integers over one shared
 denominator ``10**D``: the midpoint ``mid_i / 10**D`` and the radius
 ``rad_i / 10**D``, where D is the largest digit count or midpoint decimal
 count of the basis.  The sign of a nonzero weight ``sum c_i x_i`` is then
-decided without building a Fraction: with the coefficients brought to one
-denominator as integers ``n_i``, the enclosure of the weight is
+decided without building a Fraction: with the coefficients written as
+integers ``n_i`` over one denominator, the enclosure of the weight is
 ``center +/- spread`` over a positive denominator, where
 ``center = sum n_i mid_i`` and ``spread = sum |n_i| rad_i``.  When the
 enclosure straddles zero the oracle raises :class:`PrecisionExhausted`
 instead of guessing; its message gives the exact Fraction bounds of
 :meth:`Weight.interval`.
 
-Weights and wedge values (``exterior.WedgeValue``) are sparse vectors: sorted
-tuples of ``(key, Fraction)`` with no zero entries.  Their arithmetic goes
-through one linear merge, ``_merge``, and their hashes are computed on first
-use.
+A weight is stored as integers: a positive denominator ``den`` and a sorted
+tuple ``nums`` of ``(index, numerator)`` pairs with no zero numerator and
+``gcd(den, *numerators) == 1``, so equal weights have equal fields and zero
+is ``(1, ())``.  Wedge values (``exterior.WedgeValue``) use the same form
+with generator pairs as keys.  Addition, subtraction and scaling of both go
+through one integer merge and one ``gcd``, in their shared base ``_Sparse``;
+the sign oracle reads the numerators as the ``n_i`` above.  Fractions
+appear only at the edge: constructor input, the ``coeffs`` (``terms``)
+tuple of ``(key, Fraction)`` pairs, built on first use, ``coeff``,
+``lex_key``, ``as_rational``, ``interval`` and JSON input.  Hashes are
+computed from the integers on first use, and equal those of the Fraction
+tuples.  A float is refused wherever a coefficient or scalar comes in.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import BasisMismatch, DslSemanticError, PrecisionExhausted
@@ -120,6 +129,7 @@ class GeneratorBasis:
         )
         self.entries: tuple[Generator, ...] = tuple(entries)
         self._index = {g.name: i for i, g in enumerate(self.entries)}
+        self._scale = scale
         self._hash = hash(self.entries)
 
     def __len__(self) -> int:
@@ -160,143 +170,199 @@ class GeneratorBasis:
         return GeneratorBasis(capped)
 
 
-def _merge(a: tuple, b: tuple, negate: bool = False) -> tuple:
-    """``a + b`` (``a - b`` when ``negate``) of two sparse vectors: sorted
-    tuples of ``(key, Fraction)`` without zeros.  The result is one too."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        ka, ca = a[i]
-        kb, cb = b[j]
-        if ka < kb:
-            out.append(a[i])
-            i += 1
-        elif kb < ka:
-            out.append((kb, -cb) if negate else b[j])
-            j += 1
-        else:
-            c = ca - cb if negate else ca + cb
-            if c:
-                out.append((ka, c))
-            i += 1
-            j += 1
-    rest = b[j:]
-    return tuple(out) + a[i:] + (_negated(rest) if negate else rest)
+def _rational(q):
+    """``q`` as an int or a Fraction.  A float is refused: its binary
+    rounding error would enter the exact arithmetic as a true value."""
+    if isinstance(q, float):
+        raise TypeError(f"float {q!r} in exact arithmetic; pass an int, a Fraction or a string")
+    return q if q.__class__ is int or q.__class__ is Fraction else Fraction(q)
 
 
-def _negated(v: tuple) -> tuple:
-    return tuple([(k, -c) for k, c in v])
+def _from_rationals(items: list) -> tuple[int, tuple]:
+    """``(den, nums)`` of the sparse vector given as sorted ``(key, q)``
+    pairs with q a nonzero int or Fraction.  With ``den`` the lcm of the
+    reduced denominators, ``gcd(den, *nums)`` is already 1."""
+    den = lcm(*[q.denominator for _, q in items])
+    return den, tuple([(k, q.numerator * (den // q.denominator)) for k, q in items])
 
 
-def _scaled(v: tuple, q) -> tuple:
-    """The sparse vector ``v`` times the rational ``q``."""
-    q = Fraction(q)
-    if not q:
-        return ()
-    return tuple([(k, c * q) for k, c in v])
+def _normalised(den: int, terms: dict) -> tuple[int, tuple]:
+    """``(den, nums)`` of the map ``terms`` from key to numerator over
+    ``den``: zeros dropped, keys sorted, the common factor divided out."""
+    out = sorted([kn for kn in terms.items() if kn[1]])
+    if not out:
+        return 1, ()
+    g = gcd(den, *[n for _, n in out])
+    if g != 1:
+        den //= g
+        out = [(k, n // g) for k, n in out]
+    return den, tuple(out)
 
 
-def _check_same_basis(a: "Weight", b: "Weight") -> None:
-    if a.basis != b.basis:
-        raise BasisMismatch("weights over different bases")
+def _combine(da: int, a: tuple, db: int, b: tuple, sign: int) -> tuple[int, tuple]:
+    """``a/da + sign * b/db`` for two sparse integer vectors, normalised."""
+    g = gcd(da, db)
+    ma, mb = db // g, sign * da // g
+    acc = dict(a) if ma == 1 else {k: n * ma for k, n in a}
+    get = acc.get
+    for k, n in b:
+        acc[k] = get(k, 0) + n * mb
+    return _normalised(da * ma, acc)
 
 
-class Weight:
-    """Sparse Q-linear combination over a basis.  Immutable and hashable."""
+def _ratio(n: int, den: int) -> tuple[int, int]:
+    """``n/den`` in lowest terms."""
+    g = gcd(n, den)
+    return n // g, den // g
 
-    __slots__ = ("basis", "coeffs", "_hash")
 
-    def __init__(self, basis: GeneratorBasis, coeffs: Mapping[int, Fraction]):
-        clean = {}
-        for i, c in coeffs.items():
-            c = Fraction(c)
-            if c != 0:
-                if not 0 <= i < len(basis):
-                    raise BasisMismatch(f"generator index {i} outside basis")
-                clean[i] = c
-        self.basis = basis
-        self.coeffs: tuple[tuple[int, Fraction], ...] = tuple(sorted(clean.items()))
-        self._hash = None
+_MODULUS = sys.hash_info.modulus
+
+
+def _rational_hash(n: int, den: int) -> int:
+    """``hash(Fraction(n, den))`` from the integers, by Python's rule for
+    rationals: with n/d in lowest terms, |n| * d**-1 modulo the prime hash
+    modulus (infinity's hash if d is a multiple of it), signed like n."""
+    if not den % _MODULUS:
+        n, den = _ratio(n, den)
+    h = hash(hash(abs(n)) * pow(den, -1, _MODULUS)) if den % _MODULUS else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
+_ZERO = Fraction(0)
+
+
+class _Sparse:
+    """The integer core shared by Weight and WedgeValue: a rational vector
+    as integer numerators ``nums``, a sorted tuple of ``(key, n)`` with no
+    zero n, over the positive denominator ``den``, with
+    ``gcd(den, *n) == 1``.  So equal vectors have equal fields."""
+
+    __slots__ = ("basis", "den", "nums", "_fractions", "_hash")
+    _noun = "vectors"  # for the basis-mismatch message
 
     @classmethod
-    def _of(cls, basis: GeneratorBasis, coeffs: tuple) -> "Weight":
-        """Trusted constructor: ``coeffs`` is already sorted, sparse and in
-        range."""
-        w = object.__new__(cls)
-        w.basis = basis
-        w.coeffs = coeffs
-        w._hash = None
-        return w
+    def _of(cls, basis: GeneratorBasis, den: int, nums: tuple):
+        """Trusted constructor: ``(den, nums)`` is normalised already and
+        every key is valid."""
+        v = object.__new__(cls)
+        v.basis = basis
+        v.den = den
+        v.nums = nums
+        v._fractions = v._hash = None
+        return v
+
+    def _as_fractions(self) -> tuple:
+        f = self._fractions
+        if f is None:
+            den = self.den
+            f = self._fractions = tuple([(k, Fraction(n, den)) for k, n in self.nums])
+        return f
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, self.__class__)
+            and self.basis == other.basis
+            and self.nums == other.nums
+            and self.den == other.den
+        )
+
+    def __hash__(self) -> int:
+        """``hash((basis, coeffs))`` (``terms``), without the Fractions."""
+        h = self._hash
+        if h is None:
+            den = self.den
+            h = self._hash = hash(
+                (self.basis, tuple([(k, _rational_hash(n, den)) for k, n in self.nums]))
+            )
+        return h
+
+    def _check_basis(self, other) -> None:
+        if self.basis != other.basis:
+            raise BasisMismatch(f"{self._noun} over different bases")
+
+    def __add__(self, other):
+        self._check_basis(other)
+        return self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, 1))
+
+    def __sub__(self, other):
+        self._check_basis(other)
+        return self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, -1))
+
+    def __neg__(self):
+        return self._of(self.basis, self.den, tuple([(k, -n) for k, n in self.nums]))
+
+    def scale(self, q):
+        """This vector times the rational ``q``."""
+        q = _rational(q)
+        p = q.numerator
+        return self._of(self.basis, *_normalised(self.den * q.denominator, {k: n * p for k, n in self.nums}))
+
+
+class Weight(_Sparse):
+    """Sparse Q-linear combination over a basis, keyed by generator index.
+    Immutable and hashable."""
+
+    __slots__ = ()
+    _noun = "weights"
+
+    def __init__(self, basis: GeneratorBasis, coeffs: Mapping[int, Fraction]):
+        items = []
+        for i, c in coeffs.items():
+            c = _rational(c)
+            if c:
+                if not 0 <= i < len(basis):
+                    raise BasisMismatch(f"generator index {i} outside basis")
+                items.append((i, c))
+        items.sort()
+        self.basis = basis
+        self.den, self.nums = _from_rationals(items)
+        self._fractions = self._hash = None
 
     @classmethod
     def rational(cls, basis: GeneratorBasis, q) -> "Weight":
-        return cls(basis, {0: Fraction(q)})
+        return cls(basis, {0: q})
 
     @classmethod
     def generator(cls, basis: GeneratorBasis, name: str) -> "Weight":
-        return cls(basis, {basis.index(name): Fraction(1)})
+        return cls._of(basis, 1, ((basis.index(name), 1),))
+
+    coeffs = property(_Sparse._as_fractions, doc="The sorted ``(index, Fraction)`` pairs.")
 
     def coeff(self, i: int) -> Fraction:
         for j, c in self.coeffs:
             if j == i:
                 return c
-        return Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Weight)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.basis, self.coeffs))
-        return h
-
-    def __add__(self, other: "Weight") -> "Weight":
-        _check_same_basis(self, other)
-        return Weight._of(self.basis, _merge(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        _check_same_basis(self, other)
-        return Weight._of(self.basis, _merge(self.coeffs, other.coeffs, True))
-
-    def __neg__(self) -> "Weight":
-        return Weight._of(self.basis, _negated(self.coeffs))
-
-    def scale(self, q) -> "Weight":
-        return Weight._of(self.basis, _scaled(self.coeffs, q))
+        return _ZERO
 
     def lex_key(self) -> tuple[Fraction, ...]:
         """Dense coefficient vector; the total preorder used for brackets."""
-        return tuple(self.coeff(i) for i in range(len(self.basis)))
+        dense = [_ZERO] * len(self.basis)
+        for i, c in self.coeffs:
+            dense[i] = c
+        return tuple(dense)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when supported on the unit alone."""
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1 and self.coeffs[0][0] == 0:
-            return self.coeffs[0][1]
+        nums = self.nums
+        if not nums:
+            return _ZERO
+        if len(nums) == 1 and nums[0][0] == 0:
+            return Fraction(nums[0][1], self.den)
         return None
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the real value."""
-        lo = hi = Fraction(0)
-        bounds = self.basis.bounds
-        for i, c in self.coeffs:
-            g_lo, g_hi = bounds[i]
-            if c >= 0:
-                lo += c * g_lo
-                hi += c * g_hi
-            else:
-                lo += c * g_hi
-                hi += c * g_lo
-        return lo, hi
+        basis = self.basis
+        mid, rad = basis._mid, basis._rad
+        center = sum([n * mid[i] for i, n in self.nums])
+        spread = sum([abs(n) * rad[i] for i, n in self.nums])
+        scale = self.den * basis._scale
+        return Fraction(center - spread, scale), Fraction(center + spread, scale)
 
     def sign(self) -> int:
         """NEGATIVE, ZERO or POSITIVE; raises PrecisionExhausted if undecided.
@@ -304,17 +370,15 @@ class Weight:
         Zero is structural (declared independence); otherwise the enclosure
         ``center +/- spread`` (see the module docstring) must exclude 0.
         """
-        coeffs = self.coeffs
-        if not coeffs:
+        nums = self.nums
+        if not nums:
             return ZERO
-        if len(coeffs) == 1 and coeffs[0][0] == 0:  # a rational
-            return POSITIVE if coeffs[0][1] > 0 else NEGATIVE
+        if len(nums) == 1 and nums[0][0] == 0:  # a rational
+            return POSITIVE if nums[0][1] > 0 else NEGATIVE
         basis = self.basis
         mid, rad = basis._mid, basis._rad
-        den = lcm(*[c.denominator for _, c in coeffs])
         center = spread = 0
-        for i, c in coeffs:
-            n = c.numerator * (den // c.denominator)
+        for i, n in nums:
             center += n * mid[i]
             spread += abs(n) * rad[i]
         if center > spread:
@@ -327,7 +391,7 @@ class Weight:
         )
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "Weight(0)"
         parts = []
         for i, c in self.coeffs:
@@ -337,11 +401,8 @@ class Weight:
 
     def to_json(self) -> dict:
         """Object mapping generator name -> "p/q", keys in basis order."""
-        return {self.basis.name(i): _frac_str(c) for i, c in self.coeffs}
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+        name, den = self.basis.name, self.den
+        return {name(i): "%d/%d" % _ratio(n, den) for i, n in self.nums}
 
 
 def weight_from_json(basis: GeneratorBasis, obj: Mapping[str, str]) -> Weight:
@@ -356,7 +417,7 @@ def weight_from_json(basis: GeneratorBasis, obj: Mapping[str, str]) -> Weight:
             coeffs[basis.index(str(name))] = Fraction(str(text))
         except (ValueError, ZeroDivisionError):
             raise DslSemanticError(f"bad rational {text!r} for generator {name!r}") from None
-    return Weight(basis, coeffs)
+    return Weight._of(basis, *_from_rationals(sorted([(i, q) for i, q in coeffs.items() if q])))
 
 
 def weight_cmp(x: Weight, y: Weight) -> int:

@@ -1,12 +1,14 @@
 """Weights: exact linear combinations over a declared generator basis."""
 
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foamcalc import weights
+from foamcalc import dsl, weights
 from foamcalc import (
     BasisMismatch,
     DslSemanticError,
@@ -16,7 +18,10 @@ from foamcalc import (
     POSITIVE,
     PrecisionExhausted,
     Weight,
+    WedgeValue,
     ZERO,
+    parse_weight,
+    wedge,
     weight_cmp,
     weight_from_json,
 )
@@ -313,3 +318,76 @@ def test_arithmetic_matches_public_constructor(data):
     _same_weight(a.scale(q), _public(basis, (a.coeffs, q)))
     assert (a - a).coeffs == () and a.scale(0).coeffs == ()
     assert hash(basis) == hash(basis.entries)
+
+
+def _integer_form(v):
+    """The stored form: positive den, sorted keys, no zero numerator, no
+    common factor, and zero as (1, ())."""
+    assert v.den.__class__ is int and v.den > 0
+    keys = [k for k, _ in v.nums]
+    assert keys == sorted(set(keys))
+    assert all(n.__class__ is int and n != 0 for _, n in v.nums)
+    assert gcd(v.den, *[n for _, n in v.nums]) == 1
+    if v.is_zero():
+        assert (v.den, v.nums) == (1, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_integer_form_is_normalised(data):
+    basis = GeneratorBasis([Generator("r2", "1.41", 2), Generator("r3", "1.73", 2)])
+    sparse = st.dictionaries(st.integers(0, 2), _fracs | st.integers(-4, 4), max_size=3)
+    a = Weight(basis, data.draw(sparse))
+    b = Weight(basis, data.draw(sparse))
+    q = data.draw(_fracs | st.integers(-4, 4))
+    text = dsl.weight_to_text(a) + " - (" + dsl.weight_to_text(b) + ")*" + str(q)
+    for v in (a, b, a + b, a - b, -a, a - a, a.scale(q), a.scale(0),
+              wedge(a, b), wedge(a, b) + wedge(b, a), wedge(a, b).scale(q),
+              parse_weight(text, basis), weight_from_json(basis, a.to_json())):
+        _integer_form(v)
+    assert parse_weight(text, basis) == a - b.scale(q)
+
+
+def test_arithmetic_builds_no_fraction(w3, monkeypatch):
+    a = w3("1/3 + 2/7*r2 - 5/11*r3")
+    b = w3("-3/4 + 1/6*r2 + 5/11*r3")
+    u, v = wedge(a, b), wedge(b, w3("1/5*r3"))
+    made = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    results = [a + b, a - b, -a, wedge(a, b), u + v, u - v]
+    monkeypatch.undo()
+    assert made == []
+    assert results[0] == w3("-5/12 + 19/42*r2")
+    assert results[4] == u + v
+
+
+def test_floats_are_refused(basis):
+    """A float would carry its binary rounding into the exact arithmetic."""
+    with pytest.raises(TypeError, match="float"):
+        Weight(basis, {0: 0.1})
+    with pytest.raises(TypeError, match="float"):
+        Weight.rational(basis, 0.1)
+    with pytest.raises(TypeError, match="float"):
+        Weight.generator(basis, "r2").scale(0.1)
+    with pytest.raises(TypeError, match="float"):
+        WedgeValue(basis, {(0, 1): 0.3})
+    with pytest.raises(TypeError, match="float"):
+        WedgeValue(basis, {(0, 1): 1}).scale(0.5)
+    assert Weight(basis, {0: "0.1"}) == Weight.rational(basis, Fraction(1, 10))
+
+
+def test_hash_matches_fractions_at_the_hash_modulus(basis):
+    """A denominator that is a multiple of the hash modulus has no inverse
+    modulo it: such a coefficient hashes like infinity, as a Fraction does."""
+    p = sys.hash_info.modulus
+    for coeffs in ({0: Fraction(1, p), 1: Fraction(1, 3)}, {0: Fraction(-5, 2 * p)}, {1: -1}):
+        x = Weight(basis, coeffs)
+        assert hash(x) == hash((basis, x.coeffs))
+    u = WedgeValue(basis, {(0, 1): Fraction(-1, p)})
+    assert hash(u) == hash((basis, u.terms))
