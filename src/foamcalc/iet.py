@@ -111,7 +111,7 @@ class Iet:
 
 def _coalesced(lengths, ranks, flips) -> Iet:
     """The canonical Iet of pieces given in source order by length, image
-    rank (any increasing labels) and flip.  The next piece continues a run
+    rank (consecutive integers) and flip.  The next piece continues a run
     when it has the run's flip and its rank follows the last piece's rank
     in the run's direction; a run's image starts at its smallest rank, and
     the merged pieces are ranked by that, so no weight is compared."""
@@ -167,12 +167,13 @@ def iet_compose(second: Iet, first: Iet) -> Iet:
     raises PrecisionExhausted on the same inputs.  Its comparisons include
     the sweep's, and any pair of cut points differs by a sum of neighbouring
     differences, which is decided when they are: a sum of weights decided
-    positive is decided.  The segments need no sorting.
-    In source order they come first piece by first piece, reversed inside
-    a flipped one; in image order, second piece by second piece in perm
-    order, reversed inside a flipped one.  Adjacent pieces that continue
-    each other are coalesced, so inverse pairs compose to the one-piece
-    identity.
+    positive is decided.
+
+    The segments need no sorting.  In source order they come first piece
+    by first piece, reversed inside a flipped one; in image order, second
+    piece by second piece in perm order, reversed inside a flipped one.
+    Adjacent pieces that continue each other are coalesced, so inverse
+    pairs compose to the one-piece identity.
     """
     if first.basis != second.basis:
         raise TotalMismatch("IETs over different bases")
