@@ -53,6 +53,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from math import gcd
 from typing import Callable, NoReturn, Union
 
 from .decorated import GroupLabel
@@ -65,7 +66,7 @@ from .errors import (
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
 from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
-from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _from_rationals, _ratio
+from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
 
@@ -226,62 +227,69 @@ class _Parser:
     # weight expressions -------------------------------------------------
     #
     # A weight expression adds its terms into one map from generator index
-    # to coefficient and builds one Weight at the end.  A term or factor is
-    # read as ``(q, v)``, its value being q times v: v is a generator index,
-    # 0 (the unit) when the value is the rational q, or the coefficient map
-    # of a parenthesised sum that is not rational.  So ``not v`` says that
-    # the value is rational; a zero q always comes with v = 0.
+    # to integer numerator over one denominator, and builds one Weight at
+    # the end.  A term or factor is read as ``(n, d, v)``, its value being
+    # n/d times v with d positive: v is a generator index, 0 (the unit)
+    # when the value is the rational n/d, or ``(den, map)``, the numerators
+    # over den of a parenthesised sum that is not rational.  So ``not v``
+    # says that the value is rational; a zero n always comes with v = 0.
+    # No Fraction is built, except for a decimal literal.
 
     def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
         acc: dict = {}
-        self._sum(basis, acc, False, depth)
-        return Weight._of(basis, *_from_rationals(sorted([(i, c) for i, c in acc.items() if c])))
+        den = self._sum(basis, acc, False, depth)
+        return Weight._of(basis, *_normalised(den, acc))
 
-    def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> None:
-        """Add the terms of a sum into ``acc``, negated when ``neg``."""
+    def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> int:
+        """Add the terms of a sum into ``acc``, negated when ``neg``, as
+        numerators over the denominator it returns."""
         toks = self.toks
         term_neg = neg
+        den = 1
         while True:
-            q, v = self._product(basis, term_neg, depth)
+            n, d, v = self._product(basis, term_neg, depth)
+            if v.__class__ is not int:
+                vd, v = v
+                d *= vd
+            if den % d:  # widen acc to the lcm of den and d
+                m = d // gcd(den, d)
+                for i in acc:
+                    acc[i] *= m
+                den *= m
+            n *= den // d
             if v.__class__ is int:
-                c = acc.get(v)
-                acc[v] = q if c is None else c + q
+                acc[v] = acc.get(v, 0) + n
             else:
                 for i, c in v.items():
-                    qc = q * c
-                    old = acc.get(i)
-                    acc[i] = qc if old is None else old + qc
+                    acc[i] = acc.get(i, 0) + n * c
             op = toks[self.k]
             if op == "+":
                 term_neg = neg
             elif op == "-":
                 term_neg = not neg
             else:
-                return
+                return den
             self.k += 1
 
     def _product(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
         """A product of factors, negated when ``neg``.  All factors but one
         must be rational."""
-        q, v = self._factor(basis, neg, depth)
+        n, d, v = self._factor(basis, neg, depth)
         toks = self.toks
         while toks[self.k] == "*":
             star = self.k
             self.k += 1
-            qb, vb = self._factor(basis, False, depth)
-            if not vb:
-                q = q * qb
-            elif not v:
-                v = vb
-                if qb != 1:  # q is 1 unless the factor has a unary minus
-                    q = q * qb
-            else:
+            nb, db, vb = self._factor(basis, False, depth)
+            if vb and v:
                 raise DslSemanticError(
                     f"product of two irrational weights (line {self.line(star)})"
                 )
-            if not q:
+            n, d, v = n * nb, d * db, v or vb
+            g = gcd(n, d)  # in lowest terms, so long products stay small
+            n, d = n // g, d // g
+            if not n:
                 v = 0
-        return q, v
+        return n, d, v
 
     def _factor(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
         """One factor, negated when ``neg``."""
@@ -289,11 +297,11 @@ class _Parser:
         if depth > _MAX_EXPR_DEPTH:
             raise FoamSyntaxError("expression nested too deeply", *self.where(self.k))
         if t[:1].isdigit():
-            return self._literal(t, neg), 0
+            return (*self._literal(t, neg), 0)
         if t.isidentifier():
             self.k += 1
             # unknown generator -> DslSemanticError from the basis
-            return (-1 if neg else 1), basis.index(t)
+            return (-1 if neg else 1), 1, basis.index(t)
         if t == "-":
             self.k += 1
             return self._factor(basis, not neg, depth + 1)
@@ -303,24 +311,24 @@ class _Parser:
         if t == "(":
             self.k += 1
             acc: dict = {}
-            self._sum(basis, acc, neg, depth + 1)
+            den = self._sum(basis, acc, neg, depth + 1)
             self.expect(")")
             v = {i: c for i, c in acc.items() if c}
             if v.keys() <= {0}:
-                return v.get(0, 0), 0
-            return 1, v
+                return v.get(0, 0), den, 0
+            return 1, 1, (den, v)
         self.fail("expected a weight")
 
-    def _literal(self, t: str, neg: bool):
-        """The value of the number ``t`` at the cursor and of the
-        ``/ denominator`` after it, negated when ``neg``."""
+    def _literal(self, t: str, neg: bool) -> tuple[int, int]:
+        """``(n, d)``: the value of the number ``t`` at the cursor and of
+        the ``/ denominator`` after it, negated when ``neg``."""
         if "." in t:
             try:
                 q = Fraction(t)
             except ValueError:
                 self.fail("number literal too large")
             self.k += 1
-            return -q if neg else q
+            return (-q.numerator if neg else q.numerator), q.denominator
         try:
             num = int(t)
         except ValueError:
@@ -329,12 +337,12 @@ class _Parser:
         if neg:
             num = -num
         if self.toks[self.k] != "/":
-            return num
+            return num, 1
         self.k += 1
         den = self.nonneg_int("a denominator")
         if den == 0:
             self.fail("zero denominator", self.k - 1)
-        return Fraction(num, den)
+        return num, den
 
     # shared list helper -------------------------------------------------
 
