@@ -183,9 +183,9 @@ def test_saf_homomorphism_hand_case(w):
 # ------------------------------------------------- the sweep against an oracle
 
 
-def _reference_ranks(pieces):
-    """Perm of ``(source_start, length, image_start, flip)`` pieces from
-    their image starts, by weight comparison."""
+def _reference_iet(pieces):
+    """The Iet of ``(source_start, length, image_start, flip)`` pieces in
+    source order, its perm ranked by comparing the image starts."""
     by_image = cmp_to_key(lambda a, b: weight_cmp(pieces[a][2], pieces[b][2]))
     ranked = sorted(range(len(pieces)), key=by_image)
     perm = [0] * len(pieces)
@@ -203,7 +203,7 @@ def _reference_canonical(t):
                 merged[-1] = [plam + lam, ps, u if f else pu, f]
                 continue
         merged.append([lam, s, u, f])
-    return _reference_ranks([(s, lam, u, f) for lam, s, u, f in merged])
+    return _reference_iet([(s, lam, u, f) for lam, s, u, f in merged])
 
 
 def _reference_piece(t, starts, x):
@@ -241,7 +241,7 @@ def reference_compose(second, first):
             x0 = s + (hi - d) if f1 else s + (c - u)
             sub.append((x0, seg, y0, f1 != f2))
     sub.sort(key=cmp_to_key(lambda a, b: weight_cmp(a[0], b[0])))
-    return _reference_canonical(_reference_ranks(sub))
+    return _reference_canonical(_reference_iet(sub))
 
 
 FULL = GeneratorBasis([
