@@ -43,7 +43,6 @@ from .iet import (
     Iet,
     iet_apply,
     iet_compose,
-    iet_displacements,
     iet_inverse,
     saf,
     same_map,
@@ -63,7 +62,6 @@ from .foamdiag import (
     apply_event,
     circle,
     classify,
-    cross_contribution,
     disjoint_union,
     event_to_json,
     iet_closure,
@@ -72,7 +70,6 @@ from .foamdiag import (
     nu_events,
     u_block_events,
     u_diagram,
-    vertex_contribution,
     zerofoam_class,
 )
 from .moves import (
@@ -101,7 +98,6 @@ from .planar import (
     classify_bracket,
     foam_make_positive,
     mirror_planar,
-    pevent_to_json,
     planar_classify,
     psi_pair,
     psi_sum,

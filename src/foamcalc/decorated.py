@@ -29,9 +29,10 @@ from .foamdiag import (
     Merge,
     Order,
     Split,
-    nu,
+    nu_events,
 )
 from .moves import MoveInstance, _candidates, _matching, apply_move, move_from_json
+from .weights import Weight
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,18 @@ def gamma(d: FoamDiagram, spec: AbelianGroupSpec) -> tuple[TensorH1Value, WedgeV
         raise OpenDiagram("gamma needs a closed diagram")
     if d.has_dots():
         raise UnsupportedDecoration("gamma is defined without flip dots")
-    first = TensorH1Value.zero(d.basis, spec.free_rank)
-    for cur, e in zip(d.slices, d.events):
-        if isinstance(e, Label):
-            g = e.g.reduced(spec)
-            a = cur[e.pos].weight
-            first = first + TensorH1Value([a.scale(n) for n in g.free])
-    stripped = d.replace_events([e for e in d.events if not isinstance(e, Label)])
-    return first, nu(stripped)
+    labels = [
+        (e.g.reduced(spec).free, cur[e.pos].weight)
+        for cur, e in zip(d.slices, d.events)
+        if isinstance(e, Label)
+    ]
+    first = TensorH1Value(
+        Weight.combination(d.basis, [(free[k], a) for free, a in labels])
+        for k in range(spec.free_rank)
+    )
+    # Labels leave every slice as it is, so the events without them have
+    # the same nu terms.
+    return first, nu_events(d)
 
 
 def label_merge(d: FoamDiagram, k: int) -> FoamDiagram:

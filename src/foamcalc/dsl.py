@@ -66,7 +66,7 @@ from .errors import (
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
 from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
-from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _ratio
+from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _parse_decimal, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
 
@@ -377,7 +377,7 @@ class _Parser:
             if not num[:1].isdigit():
                 self.fail("expected a decimal enclosure")
             try:
-                Generator(name, num, 1).midpoint()
+                _parse_decimal(num)
             except ValueError:
                 self.fail("number literal too large")
             self.k += 1

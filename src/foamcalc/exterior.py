@@ -5,8 +5,10 @@ basis: a sparse strictly-upper-triangular rational matrix indexed by
 generator pairs.  Because the generators are declared Q-independent, the
 pairs (i, j) with i < j form a basis of the relevant subspace, so zero is
 structural.  Like a Weight, a WedgeValue keeps integer numerators over one
-positive denominator (see ``weights``) and shares its arithmetic; ``wedge``
-multiplies numerators and never builds a Fraction.
+positive denominator (see ``weights``) and shares its arithmetic.
+``wedge_sum`` expands every wedge of a sum into numerator products and adds
+them in one accumulator, normalised once; ``wedge`` is its one-term case.
+Neither builds a Fraction.
 
 TensorH1Value is a vector of Weights, one per free generator of a finitely
 generated abelian group; torsion parts contribute nothing.
@@ -17,7 +19,17 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import BasisMismatch
-from .weights import GeneratorBasis, Weight, _from_rationals, _normalised, _rational, _ratio, _Sparse
+from .weights import (
+    GeneratorBasis,
+    Weight,
+    _add_into,
+    _from_rationals,
+    _normalised,
+    _rational,
+    _ratio,
+    _sum,
+    _Sparse,
+)
 
 
 class WedgeValue(_Sparse):
@@ -62,30 +74,30 @@ class WedgeValue(_Sparse):
         ]
 
 
-def _expand(terms: dict, a: tuple, b: tuple, m: int) -> None:
-    """Add m times the numerators of a ^ b into ``terms``, for the weight
-    numerators ``a`` and ``b``."""
-    get = terms.get
-    for i, na in a:
-        na *= m
-        for j, nb in b:
-            if i < j:
-                key, n = (i, j), na * nb
-            elif i > j:
-                key, n = (j, i), -na * nb
-            else:
-                continue
-            terms[key] = get(key, 0) + n
+def _wedge_nums(a, b) -> list:
+    """The numerators of a ^ b, for the weight numerators ``a`` and ``b``:
+    ``((i, j), n)`` pairs with i < j, in which a key may repeat."""
+    return [
+        ((i, j), na * nb) if i < j else ((j, i), -na * nb)
+        for i, na in a for j, nb in b if i != j
+    ]
+
+
+def wedge_sum(basis: GeneratorBasis, terms) -> WedgeValue:
+    """The sum of c * (a ^ b) over the ``(int c, Weight a, Weight b)``
+    terms: the numerators of every a ^ b, over ``a.den * b.den``, go into
+    one sum over the lcm of those denominators, normalised once."""
+    items = []
+    for c, a, b in terms:
+        if a.basis != basis or b.basis != basis:
+            raise BasisMismatch("wedge of weights over different bases")
+        items.append((c, a.den * b.den, _wedge_nums(a.nums, b.nums)))
+    return WedgeValue._of(basis, *_sum(items))
 
 
 def wedge(a: Weight, b: Weight) -> WedgeValue:
-    """Bilinear expansion of a ^ b over generator pairs: the numerators
-    multiply, over the denominator ``a.den * b.den``."""
-    if a.basis != b.basis:
-        raise BasisMismatch("wedge of weights over different bases")
-    terms: dict = {}
-    _expand(terms, a.nums, b.nums, 1)
-    return WedgeValue._of(a.basis, *_normalised(a.den * b.den, terms))
+    """Bilinear expansion of a ^ b over generator pairs."""
+    return wedge_sum(a.basis, ((1, a, b),))
 
 
 def wedge_starts(basis: GeneratorBasis, lengths: list) -> WedgeValue:
@@ -97,9 +109,8 @@ def wedge_starts(basis: GeneratorBasis, lengths: list) -> WedgeValue:
     start: dict = {}
     for lam in lengths:
         m = den // lam.den
-        _expand(terms, lam.nums, start.items(), m)
-        for k, n in lam.nums:
-            start[k] = start.get(k, 0) + n * m
+        _add_into(terms, m, _wedge_nums(lam.nums, start.items()))
+        _add_into(start, m, lam.nums)
     return WedgeValue._of(basis, *_normalised(den * den, terms))
 
 
@@ -111,22 +122,11 @@ class TensorH1Value:
     def __init__(self, components):
         self.components: tuple[Weight, ...] = tuple(components)
 
-    @classmethod
-    def zero(cls, basis: GeneratorBasis, rank: int) -> "TensorH1Value":
-        return cls([Weight(basis, {}) for _ in range(rank)])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TensorH1Value) and self.components == other.components
 
     def __hash__(self) -> int:
         return hash(self.components)
-
-    def __add__(self, other: "TensorH1Value") -> "TensorH1Value":
-        if len(self.components) != len(other.components):
-            raise BasisMismatch("tensor values of different ranks")
-        return TensorH1Value(
-            [a + b for a, b in zip(self.components, other.components)]
-        )
 
     def is_zero(self) -> bool:
         return all(w.is_zero() for w in self.components)

@@ -36,7 +36,7 @@ from .errors import (
     OpenDiagram,
     UnsupportedDecoration,
 )
-from .exterior import WedgeValue, wedge
+from .exterior import WedgeValue, wedge_sum
 from .iet import Iet, saf
 from .weights import NEGATIVE, POSITIVE, GeneratorBasis, Weight
 
@@ -321,22 +321,6 @@ def reflected(e, width: int, **changes):
     return replace(e, pos=width - e.consumes - e.pos, **changes)
 
 
-def vertex_contribution(kind: str, order: Order, d: Dir, x: Weight, y: Weight) -> WedgeValue:
-    """Local nu value of a merge/split with left thin weight x, right y."""
-    zero_order = Order.L if d is Dir.UP else Order.R
-    if order is zero_order:
-        return WedgeValue.zero(x.basis)
-    if kind == "merge":
-        return wedge(x, y)
-    return wedge(y, x)
-
-
-def cross_contribution(a: Strand, b: Strand) -> WedgeValue:
-    if a.dir == b.dir:
-        return wedge(a.weight, b.weight)
-    return wedge(b.weight, a.weight)
-
-
 def nu(d: FoamDiagram) -> WedgeValue:
     """Sum of local contributions; the complete invariant on closed diagrams."""
     if not d.is_closed():
@@ -348,17 +332,24 @@ def nu(d: FoamDiagram) -> WedgeValue:
 
 def nu_events(d: FoamDiagram) -> WedgeValue:
     """Local contribution sum, ignoring closure and decorations."""
-    acc = WedgeValue.zero(d.basis)
+    return wedge_sum(d.basis, _nu_terms(d))
+
+
+def _nu_terms(d: FoamDiagram):
+    """The nonzero entries of the table in the module docstring, as
+    ``(c, a, b)`` terms of c * (a ^ b)."""
     for cur, e in zip(d.slices, d.events):
-        if isinstance(e, Merge):
+        if isinstance(e, Cross):
             a, b = cur[e.pos], cur[e.pos + 1]
-            acc = acc + vertex_contribution("merge", e.order, a.dir, a.weight, b.weight)
-        elif isinstance(e, Split):
+            yield (1 if a.dir is b.dir else -1), a.weight, b.weight
+        elif isinstance(e, (Merge, Split)):
             s = cur[e.pos]
-            acc = acc + vertex_contribution("split", e.order, s.dir, e.left, s.weight - e.left)
-        elif isinstance(e, Cross):
-            acc = acc + cross_contribution(cur[e.pos], cur[e.pos + 1])
-    return acc
+            if e.order is (Order.R if s.dir is Dir.UP else Order.L):
+                if isinstance(e, Merge):
+                    yield 1, s.weight, cur[e.pos + 1].weight
+                else:
+                    # y ^ x with x = e.left and y = s - x is s ^ x.
+                    yield 1, s.weight, e.left
 
 
 def classify(d: FoamDiagram) -> WedgeValue:
@@ -443,13 +434,10 @@ def zerofoam_class(points: Iterable[tuple[int, Weight]]) -> Weight:
     """Invariant of a weighted oriented 0-foam: the signed weight sum."""
     points = list(points)
     if not points:
-        raise DslSemanticError("zerofoam_class of nothing: pass at least one basis")
-    basis = points[0][1].basis
-    acc = Weight(basis, {})
+        raise DslSemanticError("zerofoam_class of nothing: pass at least one point")
     for sign, w in points:
         if w.sign() != POSITIVE:
             raise NonPositiveWeight(f"0-foam point weight {w} is not positive")
         if sign not in (POSITIVE, NEGATIVE):
             raise DslSemanticError("0-foam point sign must be +1 or -1")
-        acc = acc + (w if sign == POSITIVE else -w)
-    return acc
+    return Weight.combination(points[0][1].basis, [(int(sign), w) for sign, w in points])

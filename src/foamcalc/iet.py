@@ -42,15 +42,13 @@ class Iet:
             if len(flips) != r:
                 raise DslSemanticError("flips length differs from lengths")
         basis = lengths[0].basis
-        total = Weight(basis, {})
         for lam in lengths:
             if lam.sign() != POSITIVE:
                 raise NonPositiveWeight(f"piece length {lam} is not positive")
-            total = total + lam
         self.lengths = lengths
         self.perm = perm
         self.flips = flips
-        self.total = total
+        self.total = Weight.combination(basis, [(1, lam) for lam in lengths])
         self.basis = basis
 
     @classmethod
@@ -129,15 +127,6 @@ def _coalesced(lengths, ranks, flips) -> Iet:
     for rank, m in enumerate(order, start=1):
         perm[m] = rank
     return Iet([run[0] for run in runs], perm, [run[3] for run in runs])
-
-
-def iet_displacements(t: Iet) -> list[Weight]:
-    """Exact displacement of each piece: image start minus source start."""
-    if t.is_flipped():
-        raise FlippedIet("displacements are defined for unflipped IETs only")
-    src = t.source_starts()
-    tgt = t.target_starts()
-    return [u - s for s, u in zip(src, tgt)]
 
 
 def saf(t: Iet) -> WedgeValue:

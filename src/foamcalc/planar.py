@@ -25,8 +25,8 @@ from .errors import (
     OpenDiagram,
     PrecisionExhausted,
 )
-from .exterior import WedgeValue, wedge
-from .foamdiag import SlicedDiagram, event_kind, event_to_json, reflected
+from .exterior import WedgeValue, wedge_sum
+from .foamdiag import SlicedDiagram, event_kind, reflected
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
 
 
@@ -104,9 +104,6 @@ class PlanarFoam(SlicedDiagram):
 
     def all_positive(self) -> bool:
         return all(w.sign() == POSITIVE for cur in self.slices for w in cur)
-
-
-pevent_to_json = event_to_json
 
 
 def mirror_planar(f: PlanarFoam) -> PlanarFoam:
@@ -215,10 +212,7 @@ def _vertex_terms(f: PlanarFoam) -> BracketSum:
 
 
 def theta(s: BracketSum) -> WedgeValue:
-    acc = WedgeValue.zero(s.basis)
-    for c, a, b in s.terms:
-        acc = acc + wedge(a, b).scale(c)
-    return acc
+    return wedge_sum(s.basis, s.terms)
 
 
 DEFAULT_EUCLID_BOUND = 64
@@ -304,30 +298,31 @@ def bracket_make_positive(c: int, a: Weight, b: Weight) -> BracketSum:
     """The bending map from symbols over all of R to symbols with positive
     entries.  Zero entries map to 0; [-a,-b] folds to [a,b]; a mixed-sign
     symbol bends to the symbol of the turned-around vertex."""
-    basis = a.basis
+    return BracketSum(a.basis, _bent(c, a, b))
+
+
+def _bent(c: int, a: Weight, b: Weight) -> tuple:
+    """The terms of ``bracket_make_positive(c, a, b)``: one or none."""
     if c == 0 or a.is_zero() or b.is_zero():
-        return BracketSum.zero(basis)
+        return ()
     sa, sb = a.sign(), b.sign()
     if sa == POSITIVE and sb == POSITIVE:
-        return bracket(basis, c, a, b)
+        return ((c, a, b),)
     if sa != POSITIVE and sb != POSITIVE:
-        return bracket(basis, c, -a, -b)
+        return ((c, -a, -b),)
     if sa == POSITIVE:
         pos_b = -b
         rel = weight_cmp(a, pos_b)
         if rel == 0:
-            return BracketSum.zero(basis)
+            return ()
         if rel > 0:
-            return bracket(basis, c, pos_b, a - pos_b)
-        return bracket(basis, c, pos_b - a, a)
-    return bracket_make_positive(-c, b, a)
+            return ((c, pos_b, a - pos_b),)
+        return ((c, pos_b - a, a),)
+    return _bent(-c, b, a)
 
 
 def bracket_sum_make_positive(s: BracketSum) -> BracketSum:
-    acc = BracketSum.zero(s.basis)
-    for c, a, b in s.terms:
-        acc = acc + bracket_make_positive(c, a, b)
-    return acc
+    return BracketSum(s.basis, [t for c, a, b in s.terms for t in _bent(c, a, b)])
 
 
 def tripod_block(x: Weight, y: Weight) -> list:

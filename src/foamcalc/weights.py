@@ -24,13 +24,16 @@ tuple ``nums`` of ``(index, numerator)`` pairs with no zero numerator and
 ``gcd(den, *numerators) == 1``, so equal weights have equal fields and zero
 is ``(1, ())``.  Wedge values (``exterior.WedgeValue``) use the same form
 with generator pairs as keys.  Addition, subtraction and scaling of both go
-through one integer merge and one ``gcd``, in their shared base ``_Sparse``;
-the sign oracle reads the numerators as the ``n_i`` above.  Fractions
-appear only at the edge: constructor input, the ``coeffs`` (``terms``)
-tuple of ``(key, Fraction)`` pairs, built on first use, ``coeff``,
-``lex_key``, ``as_rational``, ``interval`` and JSON input.  Hashes are
-computed from the integers on first use, and equal those of the Fraction
-tuples.  A float is refused wherever a coefficient or scalar comes in.
+through one integer merge and one ``gcd``, in their shared base ``_Sparse``.
+A sum of many terms (``_Sparse.combination``, and ``exterior.wedge_sum``
+for wedges) adds every term's numerators over the lcm of the denominators
+and takes the ``gcd`` once.  The sign oracle reads the numerators as the
+``n_i`` above.  Fractions appear only at the edge: constructor input, the
+``coeffs`` (``terms``) tuple of ``(key, Fraction)`` pairs, built on first
+use, ``lex_key``, ``as_rational``, ``interval`` (the only form of the exact
+enclosure bounds) and JSON input.  Hashes are computed from the integers on
+first use, and equal those of the Fraction tuples.  A float is refused
+wherever a coefficient or scalar comes in.
 """
 
 from __future__ import annotations
@@ -80,24 +83,14 @@ class Generator:
     enclosure: str
     digits: int
 
-    def midpoint(self) -> Fraction:
-        n, e = _parse_decimal(self.enclosure)
-        return Fraction(n, 10 ** e)
-
-    def radius(self) -> Fraction:
-        # The unit has an exact value; everything else is mid +/- 10^-digits.
-        if self.name == "1":
-            return Fraction(0)
-        return Fraction(1, 10 ** self.digits)
-
 
 UNIT = Generator("1", "1", 0)
 
 
 class GeneratorBasis:
-    """Ordered list of generators; entry 0 is always the unit.  ``bounds[i]``
-    is the exact enclosure (lo, hi) of generator i, parsed once here; the
-    sign oracle reads the same enclosures as integers over ``10**D``."""
+    """Ordered list of generators; entry 0 is always the unit.  Each
+    enclosure is parsed once, here, into the integers over ``10**D`` that
+    the sign oracle reads."""
 
     def __init__(self, entries: Iterable[Generator] = ()):
         entries = list(entries)
@@ -119,17 +112,12 @@ class GeneratorBasis:
             n, e = _parse_decimal(g.enclosure)  # validates the enclosure
             mids.append((n, e))
             D = max(D, e)
-        scale = 10 ** D
         # Entry 0 is the unit, the only entry named "1": its radius is 0.
         self._mid = tuple(n * 10 ** (D - e) for n, e in mids)
         self._rad = (0,) + tuple(10 ** (D - g.digits) for g in entries[1:])
-        self.bounds: tuple[tuple[Fraction, Fraction], ...] = tuple(
-            (Fraction(m - r, scale), Fraction(m + r, scale))
-            for m, r in zip(self._mid, self._rad)
-        )
         self.entries: tuple[Generator, ...] = tuple(entries)
         self._index = {g.name: i for i, g in enumerate(self.entries)}
-        self._scale = scale
+        self._scale = 10 ** D
         self._hash = hash(self.entries)
 
     def __len__(self) -> int:
@@ -210,6 +198,25 @@ def _combine(da: int, a: tuple, db: int, b: tuple, sign: int) -> tuple[int, tupl
     return _normalised(da * ma, acc)
 
 
+def _add_into(acc: dict, m: int, nums) -> None:
+    """Add m times the ``(key, n)`` numerators ``nums`` into the map
+    ``acc`` from key to numerator; a key may repeat in ``nums``."""
+    get = acc.get
+    for k, n in nums:
+        acc[k] = get(k, 0) + n * m
+
+
+def _sum(terms: list) -> tuple[int, tuple]:
+    """``(den, nums)`` of the sum of ``m * nums / d`` over the ``(m, d,
+    nums)`` terms, m an int: every term's numerators are added over the lcm
+    of the denominators, and the sum is normalised once."""
+    den = lcm(*[t[1] for t in terms])
+    acc: dict = {}
+    for m, d, nums in terms:
+        _add_into(acc, m * (den // d), nums)
+    return _normalised(den, acc)
+
+
 def _ratio(n: int, den: int) -> tuple[int, int]:
     """``n/den`` in lowest terms."""
     g = gcd(n, den)
@@ -252,6 +259,17 @@ class _Sparse:
         v.nums = nums
         v._fractions = v._hash = None
         return v
+
+    @classmethod
+    def combination(cls, basis: GeneratorBasis, terms):
+        """The sum of ``m * v`` over the ``(int m, vector v)`` terms, every v
+        over ``basis``; zero when there are no terms."""
+        items = []
+        for m, v in terms:
+            if v.basis != basis:
+                raise BasisMismatch(f"{cls._noun} over different bases")
+            items.append((m, v.den, v.nums))
+        return cls._of(basis, *_sum(items))
 
     def _as_fractions(self) -> tuple:
         f = self._fractions
@@ -332,12 +350,6 @@ class Weight(_Sparse):
         return cls._of(basis, 1, ((basis.index(name), 1),))
 
     coeffs = property(_Sparse._as_fractions, doc="The sorted ``(index, Fraction)`` pairs.")
-
-    def coeff(self, i: int) -> Fraction:
-        for j, c in self.coeffs:
-            if j == i:
-                return c
-        return _ZERO
 
     def lex_key(self) -> tuple[Fraction, ...]:
         """Dense coefficient vector; the total preorder used for brackets."""

@@ -1,20 +1,38 @@
 """Wedge values: the antisymmetric pairing on weights."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from foamcalc import exterior, weights
 from foamcalc import (
+    AbelianGroupSpec,
     BasisMismatch,
+    BracketSum,
     Generator,
     GeneratorBasis,
+    GroupLabel,
+    Iet,
+    Label,
+    Merge,
+    Order,
+    Split,
     TensorH1Value,
     Weight,
     WedgeValue,
+    gamma,
+    iet_closure,
+    nu,
+    theta,
     wedge,
+    zerofoam_class,
 )
+from foamcalc.acceptance import demo_basis, rand_nonzero_weight, rand_positive_weight
+from foamcalc.exterior import wedge_sum
 
 
 def test_rational_wedge_rational_is_zero(w):
@@ -49,13 +67,11 @@ def test_basis_mismatch(basis, basis3):
 
 def test_tensor_value_arithmetic(w, basis):
     t = TensorH1Value([w("1"), w("1*r2")])
-    z = TensorH1Value.zero(basis, 2)
-    assert t + z == t
+    z = TensorH1Value([w("0"), w("0")])
+    assert t == TensorH1Value([w("1"), w("1*r2")]) and t != z
     assert not t.is_zero()
     assert z.is_zero()
     assert t.to_json() == [{"1": "1/1"}, {"r2": "1/1"}]
-    with pytest.raises(BasisMismatch):
-        t + TensorH1Value.zero(basis, 3)
 
 
 _fracs = st.fractions(min_value=-9, max_value=9, max_denominator=9)
@@ -118,3 +134,61 @@ def test_wedge_arithmetic_matches_public_constructor(data):
     a, b = Weight(basis, data.draw(sparse)), Weight(basis, data.draw(sparse))
     expanded = {(i, j): ca * cb for i, ca in a.coeffs for j, cb in b.coeffs}
     _same_value(wedge(a, b), WedgeValue(basis, expanded))
+
+
+# ------------------------------------------------------------- one sum
+
+
+def test_wedge_sum_checks_the_basis(basis, basis3):
+    a = Weight.generator(basis, "r2")
+    b = Weight.generator(basis3, "r2")
+    assert wedge_sum(basis, []) == WedgeValue.zero(basis)
+    with pytest.raises(BasisMismatch):
+        wedge_sum(basis, [(1, a, b)])
+    with pytest.raises(BasisMismatch):
+        wedge_sum(basis3, [(1, b, b), (1, a, b)])
+    with pytest.raises(BasisMismatch):
+        Weight.combination(basis, [(1, a), (1, b)])
+
+
+def test_each_invariant_sum_normalises_once(monkeypatch):
+    """nu, theta, the total of an Iet, the point class and each component of
+    gamma put their terms over one denominator and gcd-normalise once."""
+    rng = random.Random(14)
+    basis = demo_basis("r2", "r3")
+    lengths = [rand_positive_weight(rng, basis).scale(Fraction(1, k)) for k in (1, 2, 3, 5)]
+    closure = iet_closure(Iet(lengths, [4, 2, 3, 1]))
+    d = closure.replace_events([  # R-flags make the vertices count as well
+        replace(e, order=Order.R) if isinstance(e, (Merge, Split)) else e
+        for e in closure.events
+    ])
+    labelled = d.replace_events(
+        d.events[:2] + (Label(1, GroupLabel((1, -2), ())), Label(2, GroupLabel((3, 1), ())))
+        + d.events[2:]
+    )
+    s = BracketSum(basis, [(c, rand_nonzero_weight(rng, basis), rand_nonzero_weight(rng, basis))
+                           for c in (1, -2, 3, 5)])
+    points = [(1, x) for x in lengths] + [(-1, lengths[0])]
+    calls = []
+
+    def counted(real):
+        def normalised(*args):
+            calls.append(args)
+            return real(*args)
+        return normalised
+
+    monkeypatch.setattr(weights, "_normalised", counted(weights._normalised))
+    monkeypatch.setattr(exterior, "_normalised", counted(exterior._normalised))
+
+    def normalisations(f, *args):
+        calls.clear()
+        value = f(*args)
+        return len(calls), value
+
+    count, value = normalisations(nu, d)
+    assert count == 1 and len(value.nums) > 1
+    assert normalisations(theta, s)[0] == 1
+    assert normalisations(Iet, lengths, [2, 1, 4, 3])[0] == 1
+    assert normalisations(zerofoam_class, points)[0] == 1
+    count, (first, second) = normalisations(gamma, labelled, AbelianGroupSpec(2))
+    assert count == 3 and second == value and not first.is_zero()

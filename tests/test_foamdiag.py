@@ -1,5 +1,7 @@
 """Sliced foam diagrams and the nu invariant."""
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -31,12 +33,14 @@ from foamcalc import (
     iet_closure,
     mirror,
     nu,
+    nu_events,
     print_document,
     saf,
     u_diagram,
     wedge,
     zerofoam_class,
 )
+from foamcalc.acceptance import demo_basis, rand_closed_diagram, rand_positive_weight
 
 # ------------------------------------------------------------ slice rules
 
@@ -156,15 +160,17 @@ def test_classify_is_nu(w):
     assert classify(d) == nu(d)
 
 
-def test_crossing_direction_rule(w):
+def test_crossing_direction_rule(w, basis):
     # parallel strands contribute left^right; antiparallel right^left
-    from foamcalc import Strand
-    from foamcalc.foamdiag import cross_contribution
-
     a, b = w("1"), w("1*r2")
-    assert cross_contribution(Strand(a, Dir.UP), Strand(b, Dir.UP)) == wedge(a, b)
-    assert cross_contribution(Strand(a, Dir.DOWN), Strand(b, Dir.DOWN)) == wedge(a, b)
-    assert cross_contribution(Strand(a, Dir.UP), Strand(b, Dir.DOWN)) == wedge(b, a)
+
+    def one_crossing(da, db):
+        return nu_events(FoamDiagram(basis, [Strand(a, da), Strand(b, db)], [Cross(0)]))
+
+    assert one_crossing(Dir.UP, Dir.UP) == wedge(a, b)
+    assert one_crossing(Dir.DOWN, Dir.DOWN) == wedge(a, b)
+    assert one_crossing(Dir.UP, Dir.DOWN) == wedge(b, a)
+    assert one_crossing(Dir.DOWN, Dir.UP) == wedge(b, a)
 
 
 def test_two_circles_crossing_twice(w, basis):
@@ -184,6 +190,112 @@ def test_two_circles_crossing_twice(w, basis):
         ],
     )
     assert nu(d).is_zero()
+
+
+# ------------------------------------------------------------ nu reference
+
+
+def reference_vertex(kind, order, d, x, y):
+    """Local nu value of a merge/split with left thin weight x, right y:
+    the table of the foamdiag docstring, one WedgeValue per vertex."""
+    zero_order = Order.L if d is Dir.UP else Order.R
+    if order is zero_order:
+        return WedgeValue.zero(x.basis)
+    if kind == "merge":
+        return wedge(x, y)
+    return wedge(y, x)
+
+
+def reference_cross(a, b):
+    if a.dir == b.dir:
+        return wedge(a.weight, b.weight)
+    return wedge(b.weight, a.weight)
+
+
+def reference_nu(d):
+    """nu_events term by term: one WedgeValue addition per event."""
+    acc = WedgeValue.zero(d.basis)
+    for cur, e in zip(d.slices, d.events):
+        if isinstance(e, Merge):
+            a, b = cur[e.pos], cur[e.pos + 1]
+            acc = acc + reference_vertex("merge", e.order, a.dir, a.weight, b.weight)
+        elif isinstance(e, Split):
+            s = cur[e.pos]
+            acc = acc + reference_vertex("split", e.order, s.dir, e.left, s.weight - e.left)
+        elif isinstance(e, Cross):
+            acc = acc + reference_cross(cur[e.pos], cur[e.pos + 1])
+    return acc
+
+
+def _with_random_flags(rng, d):
+    """d with each vertex flag redrawn; the slices do not depend on them."""
+    return d.replace_events([
+        replace(e, order=rng.choice((Order.L, Order.R)))
+        if isinstance(e, (Merge, Split)) else e
+        for e in d.events
+    ])
+
+
+def _rand_walk(rng, basis):
+    """Open diagram of random cups, crossings (antiparallel ones too),
+    splits at third and quarter points, and merges of parallel pairs."""
+    dirs, flags = (Dir.UP, Dir.DOWN), (Order.L, Order.R)
+    start = [Strand(rand_positive_weight(rng, basis), rng.choice(dirs))
+             for _ in range(rng.randint(0, 3))]
+    d = FoamDiagram(basis, start, [])
+    for _ in range(rng.randint(0, 12)):
+        cur = d.slices[-1]
+        kind = rng.randrange(4) if len(cur) >= 2 else 0
+        if kind == 0:
+            e = Cup(rng.randint(0, len(cur)), rand_positive_weight(rng, basis), rng.choice(dirs))
+        elif kind == 1:
+            e = Cross(rng.randrange(len(cur) - 1))
+        elif kind == 2:
+            p = rng.randrange(len(cur))
+            e = Split(p, rng.choice(flags), cur[p].weight.scale(rng.choice(("1/3", "3/4"))))
+        else:
+            pairs = [p for p in range(len(cur) - 1) if cur[p].dir is cur[p + 1].dir]
+            if not pairs:
+                continue
+            e = Merge(rng.choice(pairs), rng.choice(flags))
+        d = d.spliced(len(d.events), 0, [e])
+    return d
+
+
+def test_nu_events_matches_the_term_by_term_sum():
+    """Closed diagrams (mirrored ones among them), the same with random
+    vertex flags, their lower and upper parts, and random open walks."""
+    rng = random.Random(11)
+    basis = demo_basis("r2", "r3")
+    seen_nonzero = 0
+    for _ in range(150):
+        d = rand_closed_diagram(rng, basis)
+        flagged = _with_random_flags(rng, d)
+        k = rng.randint(0, len(d.events))
+        lower = FoamDiagram(basis, [], d.events[:k])
+        upper = FoamDiagram(basis, d.slices[k], d.events[k:])
+        for x in (d, flagged, lower, upper, _rand_walk(rng, basis)):
+            want = reference_nu(x)
+            assert nu_events(x) == want
+            if x.is_closed():
+                assert nu(x) == want
+            seen_nonzero += not want.is_zero()
+    assert seen_nonzero > 250
+
+
+def test_zerofoam_class_matches_iterated_addition():
+    rng = random.Random(12)
+    basis = demo_basis("r2", "r3")
+    for _ in range(100):
+        points = []
+        for _ in range(rng.randint(1, 6)):
+            x = rand_positive_weight(rng, basis).scale(Fraction(1, rng.randint(1, 6)))
+            points.append((rng.choice((1, -1)), x))
+        points += [(-sign, x) for sign, x in points if rng.random() < 0.3]  # cancelling pairs
+        want = points[0][1] if points[0][0] == 1 else -points[0][1]
+        for sign, x in points[1:]:
+            want = want + x if sign == 1 else want - x
+        assert zerofoam_class(points) == want
 
 
 # ------------------------------------------------------------ event kinds
@@ -264,5 +376,5 @@ def test_zerofoam_signed_sum(w):
 
 
 def test_zerofoam_needs_points():
-    with pytest.raises(DslSemanticError):
+    with pytest.raises(DslSemanticError, match="at least one point"):
         zerofoam_class([])

@@ -1,6 +1,7 @@
 """Unoriented planar foams, bracket sums, theta, and the classifier."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,14 +16,15 @@ from foamcalc import (
     PMerge,
     PSplit,
     PlanarFoam,
+    WedgeValue,
     bracket,
     bracket_make_positive,
     bracket_simplify,
     bracket_sum_make_positive,
     classify_bracket,
+    event_to_json,
     foam_make_positive,
     mirror_planar,
-    pevent_to_json,
     planar_classify,
     print_document,
     psi_pair,
@@ -32,7 +34,7 @@ from foamcalc import (
     verify_z4,
     wedge,
 )
-from foamcalc.acceptance import demo_basis, rand_signed_planar
+from foamcalc.acceptance import demo_basis, rand_nonzero_weight, rand_signed_planar
 
 # ------------------------------------------------------------- foams
 
@@ -170,7 +172,7 @@ def _every_kind(w, basis):
 
 def test_every_event_kind_json_and_text(w, basis):
     f = _every_kind(w, basis)
-    assert [pevent_to_json(e) for e in f.events] == [
+    assert [event_to_json(e) for e in f.events] == [
         {"event": "cup", "pos": 0, "weight": {"r2": "1/1"}},
         {"event": "split", "pos": 2, "left": {"1": "-1/2"}},
         {"event": "merge", "pos": 2},
@@ -194,7 +196,7 @@ def test_every_event_kind_json_and_text(w, basis):
 def test_mirror_of_every_event_kind(w, basis):
     f = _every_kind(w, basis)
     m = mirror_planar(f)
-    assert [pevent_to_json(e) for e in m.events] == [
+    assert [event_to_json(e) for e in m.events] == [
         {"event": "cup", "pos": 1, "weight": {"r2": "1/1"}},
         {"event": "split", "pos": 0, "left": {"1": "3/2"}},
         {"event": "merge", "pos": 0},
@@ -251,6 +253,34 @@ def test_sum_make_positive_additive(w, basis):
     s = bracket(basis, 1, w("1*r2"), w("-1")) + bracket(basis, -1, w("-1"), w("2"))
     got = bracket_sum_make_positive(s)
     assert theta(got) == theta(s)
+
+
+def test_theta_and_sum_make_positive_match_iterated_addition():
+    """theta against one WedgeValue addition per term, and the bent sum
+    against one BracketSum addition per term, on sums with mixed
+    denominators and with terms that cancel."""
+    rng = random.Random(13)
+    basis = demo_basis("r2", "r3")
+    for _ in range(150):
+        terms = []
+        for _ in range(rng.randint(0, 5)):
+            a = rand_nonzero_weight(rng, basis).scale(Fraction(1, rng.randint(1, 5)))
+            b = rand_nonzero_weight(rng, basis).scale(Fraction(1, rng.randint(1, 5)))
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            terms.append((c, a, b))
+            if rng.random() < 0.3:
+                terms.append((c, b, a))  # cancels a ^ b
+            if rng.random() < 0.2:
+                terms.append((1, a, a))  # theta of [a, a] is 0
+        s = BracketSum(basis, terms)
+        want = WedgeValue.zero(basis)
+        for c, a, b in s.terms:
+            want = want + wedge(a, b).scale(c)
+        assert theta(s) == want
+        bent = BracketSum.zero(basis)
+        for c, a, b in s.terms:
+            bent = bent + bracket_make_positive(c, a, b)
+        assert bracket_sum_make_positive(s) == bent
 
 
 # ------------------------------------------------------------- finite model

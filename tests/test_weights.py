@@ -31,21 +31,19 @@ from foamcalc import (
 
 def test_unit_is_prepended(basis):
     assert basis.entries[0].name == "1"
-    assert basis.entries[0].radius() == 0
+    assert Weight.rational(basis, 3).interval() == (3, 3)  # the unit is exact
     assert len(basis) == 2
 
 
 def test_enclosures_are_parsed_once(basis, monkeypatch):
-    assert basis.bounds == (
-        (Fraction(1), Fraction(1)),
-        (Fraction("1.4142135623730951") - Fraction(1, 10**16),
-         Fraction("1.4142135623730951") + Fraction(1, 10**16)),
-    )
-
     def no_parse(text):
         raise AssertionError("enclosure re-parsed")
 
     monkeypatch.setattr(weights, "_parse_decimal", no_parse)
+    assert Weight.generator(basis, "r2").interval() == (
+        Fraction("1.4142135623730951") - Fraction(1, 10**16),
+        Fraction("1.4142135623730951") + Fraction(1, 10**16),
+    )
     assert Weight.generator(basis, "r2").scale(-1).sign() == NEGATIVE
 
 
@@ -61,7 +59,8 @@ def test_generator_validation_checks_digits_first():
 def test_digit_count_bound():
     assert weights.MAX_DIGITS == 4300
     at_bound = GeneratorBasis([Generator("x", "1.5", weights.MAX_DIGITS)])
-    assert at_bound.bounds[1][1] - at_bound.bounds[1][0] == Fraction(2, 10**4300)
+    lo, hi = Weight.generator(at_bound, "x").interval()
+    assert hi - lo == Fraction(2, 10**4300)
 
 
 def test_duplicate_generator_names_rejected():
