@@ -6,9 +6,9 @@ generator pairs.  Because the generators are declared Q-independent, the
 pairs (i, j) with i < j form a basis of the relevant subspace, so zero is
 structural.  Like a Weight, a WedgeValue keeps integer numerators over one
 positive denominator (see ``weights``) and shares its arithmetic.
-``wedge_sum`` expands every wedge of a sum into numerator products and adds
-them in one accumulator, normalised once; ``wedge`` is its one-term case.
-Neither builds a Fraction.
+``wedge_sum`` adds the numerator products of every wedge of a sum into one
+accumulator, normalised once; ``wedge`` is its one-term case.  Neither
+builds a Fraction.
 
 TensorH1Value is a vector of Weights, one per free generator of a finitely
 generated abelian group; torsion parts contribute nothing.
@@ -74,13 +74,21 @@ class WedgeValue(_Sparse):
         ]
 
 
-def _wedge_nums(a, b) -> list:
-    """The numerators of a ^ b, for the weight numerators ``a`` and ``b``:
-    ``((i, j), n)`` pairs with i < j, in which a key may repeat."""
-    return [
-        ((i, j), na * nb) if i < j else ((j, i), -na * nb)
-        for i, na in a for j, nb in b if i != j
-    ]
+def _add_wedge(acc: dict, m: int, ab: tuple) -> None:
+    """Add m times the numerators of a ^ b into ``acc``, for the pair
+    ``ab`` of weight numerators ``(a, b)``."""
+    a, b = ab
+    get = acc.get
+    for i, na in a:
+        na *= m
+        for j, nb in b:
+            if i < j:
+                key, n = (i, j), na * nb
+            elif i > j:
+                key, n = (j, i), -na * nb
+            else:
+                continue
+            acc[key] = get(key, 0) + n
 
 
 def wedge_sum(basis: GeneratorBasis, terms) -> WedgeValue:
@@ -91,8 +99,8 @@ def wedge_sum(basis: GeneratorBasis, terms) -> WedgeValue:
     for c, a, b in terms:
         if a.basis != basis or b.basis != basis:
             raise BasisMismatch("wedge of weights over different bases")
-        items.append((c, a.den * b.den, _wedge_nums(a.nums, b.nums)))
-    return WedgeValue._of(basis, *_sum(items))
+        items.append((c, a.den * b.den, (a.nums, b.nums)))
+    return WedgeValue._of(basis, *_sum(items, _add_wedge))
 
 
 def wedge(a: Weight, b: Weight) -> WedgeValue:
@@ -109,7 +117,7 @@ def wedge_starts(basis: GeneratorBasis, lengths: list) -> WedgeValue:
     start: dict = {}
     for lam in lengths:
         m = den // lam.den
-        _add_into(terms, m, _wedge_nums(lam.nums, start.items()))
+        _add_wedge(terms, m, (lam.nums, start.items()))
         _add_into(start, m, lam.nums)
     return WedgeValue._of(basis, *_normalised(den * den, terms))
 

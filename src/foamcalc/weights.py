@@ -200,20 +200,21 @@ def _combine(da: int, a: tuple, db: int, b: tuple, sign: int) -> tuple[int, tupl
 
 def _add_into(acc: dict, m: int, nums) -> None:
     """Add m times the ``(key, n)`` numerators ``nums`` into the map
-    ``acc`` from key to numerator; a key may repeat in ``nums``."""
+    ``acc`` from key to numerator."""
     get = acc.get
     for k, n in nums:
         acc[k] = get(k, 0) + n * m
 
 
-def _sum(terms: list) -> tuple[int, tuple]:
-    """``(den, nums)`` of the sum of ``m * nums / d`` over the ``(m, d,
-    nums)`` terms, m an int: every term's numerators are added over the lcm
-    of the denominators, and the sum is normalised once."""
+def _sum(terms: list, add=_add_into) -> tuple[int, tuple]:
+    """``(den, nums)`` of the sum of ``m * x / d`` over the ``(m, d, x)``
+    terms, m an int, where ``add(acc, k, x)`` adds k times the numerators
+    of x into ``acc``: every term goes in over the lcm of the denominators,
+    and the sum is normalised once."""
     den = lcm(*[t[1] for t in terms])
     acc: dict = {}
-    for m, d, nums in terms:
-        _add_into(acc, m * (den // d), nums)
+    for m, d, x in terms:
+        add(acc, m * (den // d), x)
     return _normalised(den, acc)
 
 
