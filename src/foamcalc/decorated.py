@@ -12,6 +12,7 @@ part and keeps nu as the second component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable
 
 from .errors import (
@@ -41,9 +42,10 @@ class AbelianGroupSpec:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "free_rank", index(self.free_rank))
         if self.free_rank < 0:
             raise DslSemanticError("free rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(n) for n in self.torsion))
+        object.__setattr__(self, "torsion", tuple(index(n) for n in self.torsion))
         for n in self.torsion:
             if n < 2:
                 raise DslSemanticError(f"torsion factor {n} must be at least 2")
@@ -55,8 +57,8 @@ class GroupLabel:
     tors: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "free", tuple(int(n) for n in self.free))
-        object.__setattr__(self, "tors", tuple(int(n) for n in self.tors))
+        object.__setattr__(self, "free", tuple(index(n) for n in self.free))
+        object.__setattr__(self, "tors", tuple(index(n) for n in self.tors))
 
     def __add__(self, other: "GroupLabel") -> "GroupLabel":
         if len(self.free) != len(other.free) or len(self.tors) != len(other.tors):

@@ -13,6 +13,8 @@ refused for flipped IETs, whose cobordism theory is handled elsewhere.
 
 from __future__ import annotations
 
+from operator import index
+
 from .errors import (
     DslSemanticError,
     FlippedIet,
@@ -29,7 +31,7 @@ class Iet:
 
     def __init__(self, lengths, perm, flips=None):
         lengths = tuple(lengths)
-        perm = tuple(int(k) for k in perm)
+        perm = tuple(index(k) for k in perm)
         if not lengths:
             raise DslSemanticError("an IET needs at least one piece")
         r = len(lengths)

@@ -16,15 +16,13 @@ fully resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cmp_to_key
+from itertools import zip_longest
+from math import gcd, inf
+from operator import index
 from typing import Iterable
 
-from .errors import (
-    DslSemanticError,
-    InternalError,
-    NonPositiveWeight,
-    OpenDiagram,
-    PrecisionExhausted,
-)
+from .errors import DslSemanticError, InternalError, NonPositiveWeight, OpenDiagram
 from .exterior import WedgeValue, wedge_sum
 from .foamdiag import SlicedDiagram, event_kind, reflected
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
@@ -115,15 +113,30 @@ def mirror_planar(f: PlanarFoam) -> PlanarFoam:
     return PlanarFoam(f.basis, tuple(reversed(f.start)), new_events)
 
 
+_END = (inf, 0)  # pads the shorter numerator tuple
+
+
+def _lex_cmp(x: Weight, y: Weight) -> int:
+    """The lexicographic order of coefficient vectors: the sign of the
+    first numerator of ``x - y``, read off the two numerator tuples."""
+    dx, dy = x.den, y.den
+    for (i, n), (j, m) in zip_longest(x.nums, y.nums, fillvalue=_END):
+        d = n * dy - m * dx if i == j else n if i < j else -m
+        if d:
+            return 1 if d > 0 else -1
+    return 0
+
+
 class BracketSum:
-    """Integer combination of ordered bracket symbols [a, b].  Immutable."""
+    """Integer combination of ordered bracket symbols [a, b], sorted by
+    the lexicographic order of [a, b].  Immutable."""
 
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: GeneratorBasis, terms: Iterable[tuple[int, Weight, Weight]] = ()):
         acc: dict[tuple[Weight, Weight], int] = {}
         for c, a, b in terms:
-            c = int(c)
+            c = index(c)
             if c == 0:
                 continue
             key = (a, b)
@@ -133,8 +146,8 @@ class BracketSum:
         self.basis = basis
         self.terms: tuple = tuple(
             sorted(
-                ((c, a, b) for (a, b), c in acc.items()),
-                key=lambda t: (t[1].lex_key(), t[2].lex_key()),
+                [(c, a, b) for (a, b), c in acc.items()],
+                key=cmp_to_key(lambda s, t: _lex_cmp(s[1], t[1]) or _lex_cmp(s[2], t[2])),
             )
         )
 
@@ -165,6 +178,7 @@ class BracketSum:
         return self + (-other)
 
     def scale(self, n: int) -> "BracketSum":
+        n = index(n)
         return BracketSum(self.basis, [(c * n, a, b) for c, a, b in self.terms])
 
     def swap(self) -> "BracketSum":
@@ -219,40 +233,37 @@ DEFAULT_EUCLID_BOUND = 64
 
 
 def _euclid_collapses(a: Weight, b: Weight, bound: int) -> bool:
-    """True iff subtracting the smaller entry from the larger provably
-    reaches an equal pair within the step bound.  Probes only positive
-    pairs.  Incommensurable pairs can outgrow the declared enclosure
-    precision before the bound (the differences shrink like a continued
-    fraction); an undecidable comparison is a failed proof, so the pair is
-    reported as not collapsing rather than aborting the classification."""
+    """True iff subtracting the smaller entry from the larger reaches an
+    equal pair within ``bound`` comparisons.  Probes only positive pairs.
+    Under the declared independence that happens only when b = q*a for a
+    rational q, and the subtractive loop on (a, q*a) makes exactly as many
+    comparisons as the partial quotients of q sum to, so the rule reads
+    that sum off the integers.  Any other pair never collapses."""
     if a.sign() != POSITIVE or b.sign() != POSITIVE:
         return False
-    try:
-        for _ in range(bound):
-            c = weight_cmp(a, b)
-            if c == 0:
-                return True
-            if c > 0:
-                a = a - b
-            else:
-                b = b - a
-    except PrecisionExhausted:
-        return False
-    return False
+    ga, gb = gcd(*[n for _, n in a.nums]), gcd(*[n for _, n in b.nums])
+    if [(k, n // ga) for k, n in a.nums] != [(k, n // gb) for k, n in b.nums]:
+        return False  # the primitive vectors differ
+    n, d, steps = gb * a.den, ga * b.den, 0  # b = (n/d) * a
+    while d:
+        steps += n // d
+        n, d = d, n % d
+    return steps <= bound
 
 
 def bracket_simplify(s: BracketSum, euclid_bound: int = DEFAULT_EUCLID_BOUND) -> BracketSum:
     """Terminating rewrite subset: drop [x,x] and zero entries, orient each
-    term by the lexicographic preorder (so [a,b] with a greater becomes
-    -[b,a]), cancel, then kill any term whose pair collapses to equality
-    under subtractive Euclid within the bound.  A term whose Euclid probe
-    exhausts the bound is kept as-is, so the result is stable under
-    re-application."""
+    term by the lexicographic order of coefficient vectors (so [a,b] with a
+    greater becomes -[b,a]), cancel, then kill any term [a, b] with
+    positive entries and b = q*a whose partial quotients of q sum to at
+    most the bound: the number of steps subtractive Euclid takes to reach
+    an equal pair.  Every other term is kept as-is, so the result is stable
+    under re-application."""
     oriented = []
     for c, a, b in s.terms:
         if a.is_zero() or b.is_zero() or a == b:
             continue
-        if a.lex_key() > b.lex_key():
+        if _lex_cmp(a, b) > 0:
             c, a, b = -c, b, a
         oriented.append((c, a, b))
     combined = BracketSum(s.basis, oriented)

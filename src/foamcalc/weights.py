@@ -29,16 +29,15 @@ A sum of many terms (``_Sparse.combination``, and ``exterior.wedge_sum``
 for wedges) adds every term's numerators over the lcm of the denominators
 and takes the ``gcd`` once.  The sign oracle reads the numerators as the
 ``n_i`` above.  Fractions appear only at the edge: constructor input, the
-``coeffs`` (``terms``) tuple of ``(key, Fraction)`` pairs, built on first
-use, ``lex_key``, ``as_rational``, ``interval`` (the only form of the exact
-enclosure bounds) and JSON input.  Hashes are computed from the integers on
-first use, and equal those of the Fraction tuples.  A float is refused
-wherever a coefficient or scalar comes in.
+``coeffs`` (``terms``) tuple of ``(key, Fraction)`` pairs, built on each
+access, ``as_rational``, ``interval`` (the only form of the exact
+enclosure bounds) and JSON input.  The hash is that of ``(basis, den,
+nums)``, computed on first use.  A float is refused wherever a coefficient
+or scalar comes in.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -224,20 +223,6 @@ def _ratio(n: int, den: int) -> tuple[int, int]:
     return n // g, den // g
 
 
-_MODULUS = sys.hash_info.modulus
-
-
-def _rational_hash(n: int, den: int) -> int:
-    """``hash(Fraction(n, den))`` from the integers, by Python's rule for
-    rationals: with n/d in lowest terms, |n| * d**-1 modulo the prime hash
-    modulus (infinity's hash if d is a multiple of it), signed like n."""
-    if not den % _MODULUS:
-        n, den = _ratio(n, den)
-    h = hash(hash(abs(n)) * pow(den, -1, _MODULUS)) if den % _MODULUS else sys.hash_info.inf
-    h = h if n >= 0 else -h
-    return -2 if h == -1 else h
-
-
 _ZERO = Fraction(0)
 
 
@@ -247,7 +232,7 @@ class _Sparse:
     zero n, over the positive denominator ``den``, with
     ``gcd(den, *n) == 1``.  So equal vectors have equal fields."""
 
-    __slots__ = ("basis", "den", "nums", "_fractions", "_hash")
+    __slots__ = ("basis", "den", "nums", "_hash")
     _noun = "vectors"  # for the basis-mismatch message
 
     @classmethod
@@ -258,7 +243,7 @@ class _Sparse:
         v.basis = basis
         v.den = den
         v.nums = nums
-        v._fractions = v._hash = None
+        v._hash = None
         return v
 
     @classmethod
@@ -273,11 +258,8 @@ class _Sparse:
         return cls._of(basis, *_sum(items))
 
     def _as_fractions(self) -> tuple:
-        f = self._fractions
-        if f is None:
-            den = self.den
-            f = self._fractions = tuple([(k, Fraction(n, den)) for k, n in self.nums])
-        return f
+        den = self.den
+        return tuple([(k, Fraction(n, den)) for k, n in self.nums])
 
     def is_zero(self) -> bool:
         return not self.nums
@@ -291,13 +273,9 @@ class _Sparse:
         )
 
     def __hash__(self) -> int:
-        """``hash((basis, coeffs))`` (``terms``), without the Fractions."""
         h = self._hash
         if h is None:
-            den = self.den
-            h = self._hash = hash(
-                (self.basis, tuple([(k, _rational_hash(n, den)) for k, n in self.nums]))
-            )
+            h = self._hash = hash((self.basis, self.den, self.nums))
         return h
 
     def _check_basis(self, other) -> None:
@@ -340,7 +318,7 @@ class Weight(_Sparse):
         items.sort()
         self.basis = basis
         self.den, self.nums = _from_rationals(items)
-        self._fractions = self._hash = None
+        self._hash = None
 
     @classmethod
     def rational(cls, basis: GeneratorBasis, q) -> "Weight":
@@ -351,13 +329,6 @@ class Weight(_Sparse):
         return cls._of(basis, 1, ((basis.index(name), 1),))
 
     coeffs = property(_Sparse._as_fractions, doc="The sorted ``(index, Fraction)`` pairs.")
-
-    def lex_key(self) -> tuple[Fraction, ...]:
-        """Dense coefficient vector; the total preorder used for brackets."""
-        dense = [_ZERO] * len(self.basis)
-        for i, c in self.coeffs:
-            dense[i] = c
-        return tuple(dense)
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction when supported on the unit alone."""

@@ -224,6 +224,19 @@ def test_zerofoam_without_points(capsys, doc):
         assert "POINTS is empty" in got["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("apply", "s", "1+"), ("apply", "s", "1/0"), ("zerofoam", "+")],
+)
+def test_malformed_point_is_a_domain_error(capsys, doc, argv):
+    """POINT and POINTS are arguments, not the document: a malformed one
+    is the `syntax` error with exit 1, not the parse exit 2."""
+    cmd, *rest = argv
+    code, got = run_json(capsys, cmd, doc, *rest)
+    assert code == 1
+    assert got["error"] == "syntax"
+
+
 def test_verify_z4_pinned_line(capsys):
     code, out = run(capsys, "verify-z4")
     assert code == 0

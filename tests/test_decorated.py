@@ -171,6 +171,24 @@ def test_gamma_preconditions(w, basis):
         gamma(bad_shape, AbelianGroupSpec(1))
 
 
+def test_group_label_refuses_non_integers():
+    """int() would truncate (1.5,), (0.7,) to (1,), (0,)."""
+    with pytest.raises(TypeError):
+        GroupLabel((1.5,), (0,))
+    with pytest.raises(TypeError):
+        GroupLabel((1,), (0.7,))
+    assert GroupLabel([2], [True]) == GroupLabel((2,), (1,))
+
+
+def test_group_spec_refuses_non_integers():
+    """A float rank used to be accepted and fail later, inside gamma."""
+    with pytest.raises(TypeError):
+        AbelianGroupSpec(1.5)
+    with pytest.raises(TypeError):
+        AbelianGroupSpec(1, (2.0,))
+    assert AbelianGroupSpec(1, [3]).torsion == (3,)
+
+
 # ------------------------------------------------------------- label moves
 
 

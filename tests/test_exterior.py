@@ -112,7 +112,7 @@ def _public_wedge(basis, *terms):
 def _same_value(got, want):
     assert got.terms == want.terms
     assert all(c != 0 for _, c in got.terms)
-    assert hash(got) == hash(want) == hash((want.basis, want.terms))
+    assert got == want and hash(got) == hash(want)
 
 
 @settings(max_examples=150, deadline=None)

@@ -143,6 +143,14 @@ def test_constructor_validation(w):
     assert "bijection" in str(exc_info.value)
 
 
+def test_perm_refuses_non_integers(w):
+    """int() would truncate [1.5, 2] to the identity's [1, 2]."""
+    with pytest.raises(TypeError):
+        Iet([w("1"), w("1*r2")], [1.5, 2])
+    with pytest.raises(TypeError):
+        Iet([w("1"), w("1*r2")], [Fraction(2), 1])
+
+
 def test_compose_total_mismatch(w):
     with pytest.raises(TotalMismatch):
         iet_compose(Iet.identity(w("1")), Iet.identity(w("2")))

@@ -6,17 +6,22 @@ from fractions import Fraction
 import pytest
 
 from foamcalc import (
+    POSITIVE,
     BracketSum,
     Document,
     DslSemanticError,
     FoamDiagram,
+    Generator,
+    GeneratorBasis,
     OpenDiagram,
     PCap,
     PCup,
     PMerge,
     PSplit,
     PlanarFoam,
+    PrecisionExhausted,
     WedgeValue,
+    Weight,
     bracket,
     bracket_make_positive,
     bracket_simplify,
@@ -33,7 +38,9 @@ from foamcalc import (
     tripod_decompose,
     verify_z4,
     wedge,
+    weight_cmp,
 )
+from foamcalc import planar
 from foamcalc.acceptance import demo_basis, rand_nonzero_weight, rand_signed_planar
 
 # ------------------------------------------------------------- foams
@@ -148,6 +155,149 @@ def test_euclid_bound_is_honest(w, basis):
     s = bracket(basis, 1, w("1*r2"), w("3*r2"))
     assert classify_bracket(s).verdict == "ZeroBracket"
     assert classify_bracket(s, euclid_bound=1).verdict == "Unknown"
+    # 10**6 has the one partial quotient 10**6: the bound is met exactly
+    s = bracket(basis, 1, w("1"), w("1000000"))
+    assert classify_bracket(s, euclid_bound=10**6).verdict == "ZeroBracket"
+    assert classify_bracket(s, euclid_bound=10**6 - 1).verdict == "Unknown"
+
+
+def reference_euclid(a, b, bound):
+    """The subtractive loop: compare through the sign oracle, subtract the
+    smaller entry from the larger, and count a comparison it cannot decide
+    as a failed proof."""
+    if a.sign() != POSITIVE or b.sign() != POSITIVE:
+        return False
+    try:
+        for _ in range(bound):
+            c = weight_cmp(a, b)
+            if c == 0:
+                return True
+            if c > 0:
+                a = a - b
+            else:
+                b = b - a
+    except PrecisionExhausted:
+        return False
+    return False
+
+
+def _quotient_sum(q):
+    """The sum of the partial quotients of the positive rational q."""
+    total = 0
+    while q:
+        whole = q.numerator // q.denominator
+        total += whole
+        q = q - whole
+        q = 1 / q if q else 0
+    return total
+
+
+def _low_digit_basis(digits):
+    return GeneratorBasis(
+        [Generator("r2", "1.41421", digits), Generator("r3", "1.73205", digits)]
+    )
+
+
+def _positive_weight(rng, basis):
+    """A random positive weight with mixed-sign coefficients, or None when
+    its sign is not decided at the basis' precision."""
+    coeffs = {
+        i: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for i in range(len(basis))
+    }
+    x = Weight(basis, coeffs)
+    try:
+        s = x.sign()
+    except PrecisionExhausted:
+        return None
+    return x if s == POSITIVE else (-x if s else None)
+
+
+def test_euclid_rule_matches_the_subtractive_loop():
+    """Commensurable pairs (q = 1, integers, fractions) at every bound from
+    0 to the quotient sum + 1, and pairs of independent random weights,
+    over 1-3 digit enclosures too, where the loop runs out of precision or
+    of bound."""
+    rng = random.Random(1207)
+    qs = [Fraction(1), Fraction(2), Fraction(7), Fraction(1, 5)]
+    checked = 0
+    for digits in (1, 2, 3, 16):
+        basis = demo_basis("r2", "r3") if digits == 16 else _low_digit_basis(digits)
+        for k in range(60):
+            a = _positive_weight(rng, basis)
+            if a is None:
+                continue
+            q = qs[k] if k < len(qs) else Fraction(rng.randint(1, 40), rng.randint(1, 40))
+            b = a.scale(q)
+            for bound in range(_quotient_sum(q) + 2):
+                assert planar._euclid_collapses(a, b, bound) == reference_euclid(a, b, bound), (a, q, bound)
+                checked += 1
+            c = _positive_weight(rng, basis)
+            if c is None:
+                continue
+            for bound in range(12):
+                assert planar._euclid_collapses(a, c, bound) == reference_euclid(a, c, bound), (a, c, bound)
+                checked += 1
+    assert checked > 3000
+
+
+def test_euclid_rule_makes_no_comparison(w, monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return weight_cmp(x, y)
+
+    monkeypatch.setattr(planar, "weight_cmp", counted)
+    a = w("1/3*1*r2")
+    assert planar._euclid_collapses(a, a.scale(1000), 1000)
+    assert not planar._euclid_collapses(a, a.scale(1000), 999)
+    assert bracket_simplify(bracket(a.basis, 1, a, a.scale(Fraction(355, 113)))).is_zero()
+    assert calls == []
+
+
+def _fraction_lex(x):
+    dense = [Fraction(0)] * len(x.basis)
+    for i, c in x.coeffs:
+        dense[i] = c
+    return tuple(dense)
+
+
+def test_term_order_is_fraction_lex():
+    """BracketSum sorts, and bracket_simplify orients, by the lexicographic
+    order of the Fraction coefficient vectors, on rank 1-3 bases with
+    mixed denominators."""
+    rng = random.Random(1208)
+    for names in ((), ("r2",), ("r2", "r3")):
+        basis = demo_basis(*names)
+        pool = []
+        for _ in range(12):
+            x = Weight(basis, {
+                i: Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6, 7)))
+                for i in range(len(basis)) if rng.random() < 0.7
+            })
+            pool += [x, x.scale(rng.choice((2, Fraction(-1, 3))))]
+        for x in pool:
+            for y in pool:
+                kx, ky = _fraction_lex(x), _fraction_lex(y)
+                assert planar._lex_cmp(x, y) == (kx > ky) - (kx < ky), (x, y)
+        for _ in range(40):
+            terms = [(rng.randint(-3, 3), rng.choice(pool), rng.choice(pool)) for _ in range(8)]
+            s = BracketSum(basis, terms)
+            keys = [(_fraction_lex(a), _fraction_lex(b)) for _, a, b in s.terms]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            for _, a, b in bracket_simplify(s).terms:
+                assert _fraction_lex(a) < _fraction_lex(b)
+
+
+def test_integer_fields_refuse_fractions_and_floats(w, basis):
+    a, b = w("1"), w("1*r2")
+    with pytest.raises(TypeError):
+        BracketSum(basis, [(0.5, a, b)])
+    with pytest.raises(TypeError):
+        bracket(basis, Fraction(3, 2), a, b)
+    with pytest.raises(TypeError):
+        bracket(basis, 1, a, b).scale(0.5)
+    assert bracket(basis, 2, a, b) == bracket(basis, 1, a, b).scale(2)
 
 
 # ------------------------------------------------------------- mirror

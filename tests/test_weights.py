@@ -298,7 +298,7 @@ def _public(basis, *terms):
 def _same_weight(got, want):
     assert got.coeffs == want.coeffs
     assert all(c != 0 for _, c in got.coeffs)
-    assert hash(got) == hash(want) == hash((want.basis, want.coeffs))
+    assert got == want and hash(got) == hash(want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,12 +381,17 @@ def test_floats_are_refused(basis):
     assert Weight(basis, {0: "0.1"}) == Weight.rational(basis, Fraction(1, 10))
 
 
-def test_hash_matches_fractions_at_the_hash_modulus(basis):
-    """A denominator that is a multiple of the hash modulus has no inverse
-    modulo it: such a coefficient hashes like infinity, as a Fraction does."""
+def test_equal_values_hash_equal_at_the_hash_modulus(basis):
+    """Equal values hash equal, whether built by the constructor or by
+    arithmetic, also when a denominator is a multiple of the prime modulus
+    of Python's rational hash (which has no inverse modulo it)."""
     p = sys.hash_info.modulus
     for coeffs in ({0: Fraction(1, p), 1: Fraction(1, 3)}, {0: Fraction(-5, 2 * p)}, {1: -1}):
         x = Weight(basis, coeffs)
-        assert hash(x) == hash((basis, x.coeffs))
+        y = Weight(basis, {i: 2 * c for i, c in coeffs.items()}).scale(Fraction(1, 2))
+        z = Weight(basis, {i: c + 1 for i, c in coeffs.items()}) - Weight(basis, dict.fromkeys(coeffs, 1))
+        assert x == y == z and hash(x) == hash(y) == hash(z)
     u = WedgeValue(basis, {(0, 1): Fraction(-1, p)})
-    assert hash(u) == hash((basis, u.terms))
+    v = WedgeValue(basis, {(1, 0): Fraction(3, 3 * p)}) + WedgeValue.zero(basis)
+    assert u == v and hash(u) == hash(v)
+    assert hash(Weight(basis, {0: Fraction(1, p)})) != hash(Weight(basis, {0: Fraction(2, p)}))
