@@ -32,7 +32,8 @@ from .foamdiag import (
     Split,
     nu_events,
 )
-from .moves import MoveInstance, _candidates, _matching, apply_move, move_from_json
+from .moves import (MoveInstance, _candidates, _matching, apply_move, move_from_json,
+                    split_off_and_kill)
 from .weights import Weight
 
 
@@ -131,14 +132,22 @@ def _step(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDia
     return out
 
 
-def _kill_dots(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
-    """Split every dot off onto its own circle and kill the circle."""
+def _split_off(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDiagram:
+    """Record the split-off move m and the death of its block; build only
+    the diagram after both."""
+    out, death = split_off_and_kill(d, m)
+    trace += (m, death)
+    return out
+
+
+def _kill_dots(d: FoamDiagram, trace: list[MoveInstance], j: int = 0) -> FoamDiagram:
+    """Split every dot off onto its own circle and kill the circle.  There
+    is no dot below event j."""
     while True:
-        j = next((i for i, e in enumerate(d.events) if isinstance(e, Dot)), None)
+        j = next((i for i in range(j, len(d.events)) if isinstance(d.events[i], Dot)), None)
         if j is None:
             return d
-        d = _step(d, trace, MoveInstance("dot_splitoff", j))
-        d = _step(d, trace, MoveInstance("dotted_circle_death", len(d.events) - 3))
+        d = _split_off(d, trace, MoveInstance("dot_splitoff", j))
 
 
 # Candidate moves in order of choice: at the first crossing, at the last
@@ -155,9 +164,11 @@ _CIRCLE = _candidates(("circle_death", {}))
 
 def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     """Split each parallel crossing off as a standard block and kill it;
-    smooth antiparallel crossings of equal weight."""
+    smooth antiparallel crossings of equal weight.  Neither move leaves a
+    crossing at or below its index, so the scan resumes there."""
+    j = 0
     while True:
-        j = next((i for i, e in enumerate(d.events) if isinstance(e, Cross)), None)
+        j = next((i for i in range(j, len(d.events)) if isinstance(d.events[i], Cross)), None)
         if j is None:
             return d
         m = next(_matching(d, j, _UNCROSS), None)
@@ -166,18 +177,18 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
                 "antiparallel crossing with distinct weights: "
                 "outside the reducible braid-closure class"
             )
-        d = _step(d, trace, m)
-        if m.schema == "crossing_splitoff":
-            d = _step(d, trace, MoveInstance("u_ab_death", len(d.events) - 5))
+        d = _split_off(d, trace, m) if m.schema == "crossing_splitoff" else _step(d, trace, m)
 
 
 def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     """Turn every R-flag vertex into an L-flag one by passing a dot pair
-    through it, then kill the stray dots."""
+    through it, then kill the stray dots.  The dots and the flipped vertex
+    lie at or above the vertex's index, so both scans resume there."""
+    j = 0
     while True:
         j = next(
-            (i for i, e in enumerate(d.events)
-             if isinstance(e, (Merge, Split)) and e.order is Order.R),
+            (i for i in range(j, len(d.events))
+             if isinstance(e := d.events[i], (Merge, Split)) and e.order is Order.R),
             None,
         )
         if j is None:
@@ -189,7 +200,7 @@ def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         else:
             d = _step(d, trace, MoveInstance("dot_pair_birth", j, {"pos": e.pos}))
             d = _step(d, trace, MoveInstance("dot_through_vertex", j + 1, {"dir": "expand"}))
-        d = _kill_dots(d, trace)
+        d = _kill_dots(d, trace, j)
 
 
 def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
@@ -211,19 +222,34 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
 
 
 def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
+    """Kill innermost circles, first match first.  A death at i can only
+    make a new circle of events i-1 and i, so the scan resumes there."""
+    i = 0
     while d.events:
-        m = next((m for i in range(len(d.events)) for m in _matching(d, i, _CIRCLE)), None)
+        m = next((m for k in range(max(i - 1, 0), len(d.events))
+                  for m in _matching(d, k, _CIRCLE)), None)
         if m is None:
             raise SchemaMismatch("residual diagram is not a union of circles")
         d = _step(d, trace, m)
+        i = m.index
     return d
 
 
 def flip_reduce(d: FoamDiagram) -> list[MoveInstance]:
     """Certificate that d is null-cobordant once flips are allowed: a trace
-    of registered moves ending at the empty diagram.  Phases: kill dots,
-    split off and kill crossings, normalize vertex flags, cancel vertices,
-    kill circles."""
+    of registered moves ending at the empty diagram.  Phases, each resuming
+    its scan where its last move left nothing to do below:
+
+    - kill dots: split each dot off onto a dotted circle, and kill it;
+    - split each parallel crossing off as a standard block and kill it, or
+      smooth an antiparallel one;
+    - normalize vertex flags by passing dot pairs through R-flag vertices;
+    - cancel each split against a merge (``_collapse``);
+    - kill the circles left.
+
+    A split-off and the death of its block are recorded as two trace
+    steps, which :func:`validate_trace` replays, but only the diagram that
+    survives both is built."""
     if not d.is_closed():
         raise OpenDiagram("flip_reduce needs a closed diagram")
     if d.has_labels():

@@ -196,25 +196,27 @@ def apply_event(strands: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
     raise DslSemanticError(f"unknown event {e!r}")
 
 
-def _extend_slices(step, slices: list, events: tuple, old: tuple = (), reuse_from: int = 0,
-                   shift: int = 0) -> tuple:
-    """All slices of ``events``, given the first ``len(slices)`` of them.
+def _extend_slices(step, cur: tuple, events: tuple, k: int = 0, old: tuple = (),
+                   reuse_from: int = 0, shift: int = 0) -> tuple:
+    """All slices of ``events``, given their slice k ``cur`` and, from
+    ``old``, the slices below it.
 
-    Applies the remaining events one by one through ``step`` and names the
-    failing event's index in the error.  With ``old`` slices, from index
-    ``reuse_from`` on, it stops as soon as a computed slice equals
-    ``old[i + shift]`` and takes the rest from ``old``: the events from there
-    on are the old ones, which were validated against equal slices."""
-    i = len(slices) - 1
-    while i < len(events):
-        if old and i >= reuse_from and slices[i] == old[i + shift]:
-            return tuple(slices[:i]) + old[i + shift :]
+    Applies events k, k+1, ... one by one through ``step`` into a short list
+    and names the failing event's index in the error.  With ``old`` slices,
+    from index ``reuse_from`` on, it stops as soon as a computed slice i
+    equals ``old[i + shift]`` and takes the rest from ``old``: the events
+    from there on are the old ones, which were validated against equal
+    slices.  The result is joined once: ``old[:k]``, the computed slices,
+    the reused tail."""
+    new = [cur]
+    for i in range(k, len(events)):
+        if old and i >= reuse_from and new[-1] == old[i + shift]:
+            return old[:k] + tuple(new[:-1]) + old[i + shift :]
         try:
-            slices.append(step(slices[i], events[i]))
+            new.append(step(new[-1], events[i]))
         except DslSemanticError as exc:
             raise DslSemanticError(f"event {i}: {exc}") from None
-        i += 1
-    return tuple(slices)
+    return old[:k] + tuple(new)
 
 
 class SlicedDiagram:
@@ -225,11 +227,15 @@ class SlicedDiagram:
     takes a slice and an event to the next slice and raises
     DslSemanticError when the event does not validate against it.  The
     constructor applies every event in turn.  :meth:`spliced` recomputes
-    only the slices a local change alters: it keeps the slices below the
-    change, applies events from there, and reuses the old slices from the
-    first recomputed slice past the change that equals its old counterpart.
-    Both give the same slices and the same errors.  Diagrams are equal when
-    they have the same type, basis, start and events."""
+    only the slices a local change alters: it applies events from the slice
+    below the change into a short list, stops at the first recomputed slice
+    past the change that equals its old counterpart, and joins the old
+    slices below, the recomputed ones and the old tail once.  Both give the
+    same slices and the same errors.  A rewrite that knows its new slices,
+    such as an exchange of disjoint events (``moves._exchanged``), builds
+    the diagram through :meth:`_from_slices` and applies no event.
+    Diagrams are equal when they have the same type, basis, start and
+    events."""
 
     __slots__ = ("basis", "start", "events", "slices")
 
@@ -237,7 +243,7 @@ class SlicedDiagram:
         self.basis = basis
         self.start = tuple(start)
         self.events = tuple(events)
-        self.slices = _extend_slices(self.step, [self.start], self.events)
+        self.slices = _extend_slices(self.step, self.start, self.events)
 
     @classmethod
     def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple, slices: tuple):
@@ -247,12 +253,18 @@ class SlicedDiagram:
         return d
 
     def spliced(self, k: int, removed: int, added: Iterable):
-        """The diagram with ``events[k:k+removed]`` replaced by ``added``."""
+        """The diagram with ``events[k:k+removed]`` replaced by ``added``.
+
+        Applies the new events from slice k, and then the old ones until a
+        slice past the change equals its old counterpart; slices below k
+        and from there on are the old ones.  An event that does not
+        validate raises ``DslSemanticError`` naming its index
+        (``event i: ...``), as the constructor does."""
         if not 0 <= k <= k + removed <= len(self.events):
             raise IndexError(f"splice of {removed} events at {k} out of range")
         added = tuple(added)
         events = self.events[:k] + added + self.events[k + removed :]
-        slices = _extend_slices(self.step, list(self.slices[: k + 1]), events, self.slices,
+        slices = _extend_slices(self.step, self.slices[k], events, k, self.slices,
                                 k + len(added), removed - len(added))
         return self._from_slices(self.basis, self.start, events, slices)
 

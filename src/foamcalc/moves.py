@@ -188,27 +188,55 @@ def _shifted(e, dp: int):
 
 
 def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+    """Events k and k+1, which must be disjoint, in the other order.
+
+    Only the middle slice changes, and it is assembled from its neighbours
+    without applying an event: the strands below, with the strands that the
+    upper event f consumes replaced by the strands f produces, read from
+    the slice above.  That is what f gives below the other event, because
+    f reads only the strands it consumes, so the slices stay validated."""
     e, f = d.events[k : k + 2]
     if f.pos >= e.pos + e.produces:
-        new = [_shifted(f, e.consumes - e.produces), e]
+        new = (_shifted(f, e.consumes - e.produces), e)
     elif f.pos + f.consumes <= e.pos:
-        new = [f, _shifted(e, f.produces - f.consumes)]
+        new = (f, _shifted(e, f.produces - f.consumes))
     else:
         raise SchemaMismatch("events overlap; exchange does not apply")
-    return d.spliced(k, 2, new)
+    below, above, q = d.slices[k], d.slices[k + 2], new[0].pos
+    mid = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
+    return d._from_slices(d.basis, d.start, d.events[:k] + new + d.events[k + 2 :],
+                          d.slices[: k + 1] + (mid,) + d.slices[k + 2 :])
 
 
-def _split_off_crossing(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+def _uncrossed(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+    """The parallel crossing at k as a merge and a split."""
     p, o = env["p"], Order.L if env["d"] is Dir.UP else Order.R
-    base = len(d.slices[-1])
-    d = d.spliced(k, 1, [Merge(p, o), Split(p, o, env["b"])])
-    return d.spliced(len(d.events), 0, u_block_events(base, env["a"], env["b"]))
+    return d.spliced(k, 1, [Merge(p, o), Split(p, o, env["b"])])
 
 
-def _split_off_dot(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
-    base = len(d.slices[-1])
-    d = d.spliced(k, 1, [])
-    return d.spliced(len(d.events), 0, [Cup(base, env["w"], Dir.UP), Dot(base), Cap(base)])
+# The split-off schemas, each ``schema: (rewrite, block, death)``.  A
+# split-off rewrites its window in place, ``rewrite(d, k, env)``, and puts a
+# separate component on at the right end: ``block(base, env)``, its events at
+# strand ``base``, which the schema ``death`` deletes as its next step.
+_SPLIT_OFFS = {
+    "crossing_splitoff": (
+        _uncrossed, lambda base, env: u_block_events(base, env["a"], env["b"]), "u_ab_death"),
+    "dot_splitoff": (
+        lambda d, k, env: d.spliced(k, 1, []),
+        lambda base, env: [Cup(base, env["w"], Dir.UP), Dot(base), Cap(base)],
+        "dotted_circle_death"),
+}
+
+
+def _split_off(schema: str):
+    """The right-hand side of a split-off rule: the rewrite, then the block."""
+    rewrite, block, _ = _SPLIT_OFFS[schema]
+
+    def rhs(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+        out = rewrite(d, k, env)
+        return out.spliced(len(out.events), 0, block(len(d.slices[-1]), env))
+
+    return rhs
 
 
 # --- the registries: schema -> (selector params, their defaults, {selector
@@ -261,7 +289,8 @@ NU_SCHEMAS: dict = {
     "saddle": _directions("kind", ("remove", "insert"), Rule("cap p; cup p w d", "", "p: w d")),
     "circle_birth": _fixed((_CIRCLE, 1)),
     "circle_death": _fixed((_CIRCLE, 0)),
-    "crossing_splitoff": _fixed((Rule("cross p", _split_off_crossing, "p: a d; p+1: b d"), 0)),
+    "crossing_splitoff": _fixed((Rule("cross p", _split_off("crossing_splitoff"),
+                                      "p: a d; p+1: b d"), 0)),
 }
 
 FLIP_SCHEMAS: dict = {
@@ -271,7 +300,7 @@ FLIP_SCHEMAS: dict = {
         "dir", ("expand", "contract"),
         Rule("merge p o; dot p", "dot p; dot p+1; merge p o'"),
         Rule("dot p; split p o l", "split p o' l; dot p; dot p+1")),
-    "dot_splitoff": _fixed((Rule("dot p", _split_off_dot, "p: w"), 0)),
+    "dot_splitoff": _fixed((Rule("dot p", _split_off("dot_splitoff"), "p: w"), 0)),
     "dotted_circle_death": _fixed((Rule("cup p w d; dot p; cap p"), 0),
                                   (Rule("cup p w d; dot p+1; cap p"), 0)),
     "u_ab_death": _fixed((Rule("cup p w D; split p+1 L l; cross p+1; merge p+1 L; cap p"), 0)),
@@ -311,11 +340,13 @@ def _matching(d: FoamDiagram, k: int, candidates: tuple):
                 break
 
 
-def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
+def _first_match(d: FoamDiagram, m: MoveInstance, apply: bool):
+    """What the first alternative of m's schema that matches at m.index
+    gives: the diagram rewritten (``apply``) or the window's bindings."""
     alternatives = _alternatives(m.schema, m.params)
     try:
         for rule, side in alternatives:
-            out = rule.sides[side][1](d, m.index, m.params, True)
+            out = rule.sides[side][1](d, m.index, m.params, apply)
             if out is not None:
                 return out
     except (DslSemanticError, NonPositiveWeight) as exc:
@@ -325,6 +356,21 @@ def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
     windows = " or ".join(repr(rule.texts[side]) if rule.texts[side] else "insertion point"
                           for rule, side in alternatives)
     raise SchemaMismatch(f"{m.schema} at {m.index}: no {windows} here")
+
+
+def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
+    return _first_match(d, m, True)
+
+
+def split_off_and_kill(d: FoamDiagram, m: MoveInstance) -> tuple[FoamDiagram, MoveInstance]:
+    """The split-off move m (``crossing_splitoff`` or ``dot_splitoff``)
+    followed by the death of the block it puts on: the diagram after both
+    steps and the death move.  Only the in-place rewrite is built, never the
+    block nor the diagram that carries it; ``apply_move`` of m and then of
+    the death move gives the same diagram."""
+    rewrite, _, death = _SPLIT_OFFS[m.schema]
+    out = rewrite(d, m.index, _first_match(d, m, False))
+    return out, MoveInstance(death, len(out.events))
 
 
 # The window candidates that enumerate_moves tries at each event, in order.

@@ -22,7 +22,8 @@ from math import gcd, inf
 from operator import index
 from typing import Iterable
 
-from .errors import DslSemanticError, InternalError, NonPositiveWeight, OpenDiagram
+from .errors import (BasisMismatch, DslSemanticError, InternalError, NonPositiveWeight,
+                     OpenDiagram)
 from .exterior import WedgeValue, wedge_sum
 from .foamdiag import SlicedDiagram, event_kind, reflected
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
@@ -129,13 +130,16 @@ def _lex_cmp(x: Weight, y: Weight) -> int:
 
 class BracketSum:
     """Integer combination of ordered bracket symbols [a, b], sorted by
-    the lexicographic order of [a, b].  Immutable."""
+    the lexicographic order of [a, b].  Immutable.  Every weight must be
+    over ``basis``; ``BasisMismatch`` otherwise."""
 
     __slots__ = ("basis", "terms")
 
     def __init__(self, basis: GeneratorBasis, terms: Iterable[tuple[int, Weight, Weight]] = ()):
         acc: dict[tuple[Weight, Weight], int] = {}
         for c, a, b in terms:
+            if a.basis != basis or b.basis != basis:
+                raise BasisMismatch("bracket of weights over different bases")
             c = index(c)
             if c == 0:
                 continue
