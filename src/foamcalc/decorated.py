@@ -247,9 +247,9 @@ def flip_reduce(d: FoamDiagram) -> list[MoveInstance]:
     - cancel each split against a merge (``_collapse``);
     - kill the circles left.
 
-    A split-off and the death of its block are recorded as two trace
-    steps, which :func:`validate_trace` replays, but only the diagram that
-    survives both is built."""
+    It records each split-off block's birth and death as two trace steps,
+    which :func:`validate_trace` replays, but builds only the diagram that
+    survives both."""
     if not d.is_closed():
         raise OpenDiagram("flip_reduce needs a closed diagram")
     if d.has_labels():

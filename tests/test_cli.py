@@ -527,6 +527,17 @@ def test_closed_stdout_exits_quietly(doc):
     assert proc.stderr == ""
 
 
+def test_python_dash_m_runs_the_command_line():
+    """``python -m foamcalc`` works from a checkout, without the installed script."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "foamcalc", "verify-z4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "64/64 cocycle instances OK, psi([1,3])=1"
+    assert proc.stderr == ""
+
+
 def test_installed_script():
     exe = shutil.which("foamcalc")
     assert exe, "console script not installed"

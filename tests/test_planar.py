@@ -7,6 +7,7 @@ import pytest
 
 from foamcalc import (
     POSITIVE,
+    BasisMismatch,
     BracketSum,
     Document,
     DslSemanticError,
@@ -287,6 +288,18 @@ def test_term_order_is_fraction_lex():
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             for _, a, b in bracket_simplify(s).terms:
                 assert _fraction_lex(a) < _fraction_lex(b)
+
+
+def test_bracket_sum_refuses_weights_over_another_basis(w, w3, basis, basis3):
+    """Every weight of a bracket sum is over its basis, as in
+    Weight.combination and wedge_sum; zero coefficients are no exception."""
+    a, b, c = w("1"), w("1*r2"), w3("1*r3")
+    for terms in ([(1, a, c)], [(1, c, b)], [(0, c, c)]):
+        with pytest.raises(BasisMismatch, match="different bases"):
+            BracketSum(basis, terms)
+    with pytest.raises(BasisMismatch):
+        bracket(basis, 1, a, b) + bracket(basis3, 1, w3("1"), c)
+    assert BracketSum(basis, [(1, a, b)]) == bracket(basis, 1, a, b)
 
 
 def test_integer_fields_refuse_fractions_and_floats(w, basis):
