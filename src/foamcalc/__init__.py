@@ -45,7 +45,6 @@ from .iet import (
     iet_compose,
     iet_inverse,
     saf,
-    same_map,
 )
 from .foamdiag import (
     Cap,
@@ -61,7 +60,6 @@ from .foamdiag import (
     Strand,
     apply_event,
     circle,
-    classify,
     disjoint_union,
     event_to_json,
     iet_closure,
@@ -97,7 +95,6 @@ from .planar import (
     bracket_sum_make_positive,
     classify_bracket,
     foam_make_positive,
-    mirror_planar,
     planar_classify,
     psi_pair,
     psi_sum,

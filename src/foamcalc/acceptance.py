@@ -9,7 +9,7 @@ run this battery.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from typing import Callable
@@ -33,7 +33,6 @@ from .foamdiag import (
     FoamDiagram,
     Label,
     circle,
-    classify,
     disjoint_union,
     iet_closure,
     mirror,
@@ -58,6 +57,7 @@ from .planar import (
     theta,
     tripod_decompose,
     verify_z4,
+    z4_ok,
 )
 from .weights import Generator, GeneratorBasis, Weight, weight_cmp
 
@@ -321,12 +321,7 @@ class CriterionResult:
         return f"[{mark}] criterion {self.number:02d} {self.name}: {self.detail}"
 
     def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "ok": self.ok,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _crit_01_saf_homomorphism(rng: random.Random) -> tuple[bool, str]:
@@ -397,7 +392,7 @@ def _crit_05_crossing_splitoff(rng: random.Random) -> tuple[bool, str]:
             continue
         k = rng.choice(sites)
         d2 = apply_move(d, MoveInstance("crossing_splitoff", k))
-        if classify(d2) != classify(d):
+        if nu(d2) != nu(d):
             return False, f"classification changed at crossing {k}"
         done += 1
     return done == 50, f"{done}/50 crossing split-offs conserved the class"
@@ -405,15 +400,8 @@ def _crit_05_crossing_splitoff(rng: random.Random) -> tuple[bool, str]:
 
 def _crit_06_z4(rng: random.Random) -> tuple[bool, str]:
     res = verify_z4()
-    ok = (
-        res["cocycle_ok"]
-        and res["cocycle_total"] == 64
-        and res["pairs_ok"]
-        and res["bilin_ok"]
-        and res["psi_1_3"] == 1
-    )
-    return ok, (
-        f"{res['cocycle_total']}/64 cocycle instances, pairs "
+    return z4_ok(res), (
+        f"{res['cocycle_ok']}/{res['cocycle_total']} cocycle instances, pairs "
         f"{'ok' if res['pairs_ok'] else 'bad'}, psi([1,3])={res['psi_1_3']}"
     )
 

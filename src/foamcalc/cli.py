@@ -51,6 +51,7 @@ from .planar import (
     theta,
     tripod_decompose,
     verify_z4,
+    z4_ok,
 )
 from .weights import Weight
 
@@ -100,17 +101,18 @@ def _brackets(s: BracketSum) -> tuple:
 
 
 def _read_source(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
+    """The bytes of the file, or of stdin for ``-``; exit 1 if unreadable."""
+    try:
+        if path == "-":
+            return sys.stdin.buffer.read()
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise _CliError(1, FoamError(f"cannot read {path}: {exc}")) from None
 
 
 def _load_document(args) -> Document:
-    try:
-        data = _read_source(args.file)
-    except OSError as exc:
-        raise _CliError(1, FoamError(f"cannot read {args.file}: {exc}")) from None
+    data = _read_source(args.file)
     try:
         return parse_bytes(data, precision_cap=args.precision)
     except FoamError as exc:
@@ -163,10 +165,7 @@ def _flip_reduce(args, doc, d) -> tuple:
 
 
 def _validate_trace(args, doc, d, trace_path) -> tuple:
-    try:
-        raw = _read_source(trace_path)
-    except OSError as exc:
-        raise _CliError(1, FoamError(f"cannot read {trace_path}: {exc}")) from None
+    raw = _read_source(trace_path)
     try:
         data = json.loads(raw)
     except ValueError as exc:
@@ -186,10 +185,7 @@ def _gamma(args, doc, d) -> tuple:
             (len(e.g.free) for e in d.events if hasattr(e, "g")), default=0
         )
     tensor, base = gamma_fn(d, AbelianGroupSpec(free_rank, args.torsion))
-    obj = {
-        "tensor": [w.to_json() for w in tensor.components],
-        "nu": base.to_json(),
-    }
+    obj = {"tensor": tensor.to_json(), "nu": base.to_json()}
     text = (
         "tensor: ["
         + ", ".join(weight_to_text(w) for w in tensor.components)
@@ -214,15 +210,9 @@ def _zerofoam(args, doc, text) -> tuple:
     return obj, f"class = {weight_to_text(w)}; zero: {'yes' if w.is_zero() else 'no'}"
 
 
-def _z4_ok(res: dict) -> bool:
-    return bool(
-        res["cocycle_ok"] and res["pairs_ok"] and res["bilin_ok"] and res["psi_1_3"] == 1
-    )
-
-
 def _verify_z4(args, doc) -> tuple:
     res = verify_z4()
-    return res, Z4_SUMMARY if _z4_ok(res) else f"FAILED: {res}"
+    return res, Z4_SUMMARY if z4_ok(res) else f"FAILED: {res}"
 
 
 def _selftest(args, doc) -> tuple:
@@ -312,7 +302,7 @@ COMMANDS = (
              (_Arg("file", help="document supplying the basis"),
               _Arg("points", help="signed weights, e.g. '+1/2 -r2 +3'")),
              _zerofoam),
-    _Command("verify-z4", "exhaustive finite-model check", (), _verify_z4, ok=_z4_ok),
+    _Command("verify-z4", "exhaustive finite-model check", (), _verify_z4, ok=z4_ok),
     _Command("selftest", "run the acceptance battery", (), _selftest,
              ok=lambda results: all(r["ok"] for r in results)),
 )

@@ -90,9 +90,6 @@ class Document:
     basis: GeneratorBasis
     items: tuple[tuple[str, str, Item], ...]  # (kind, name, value)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for _, name, _ in self.items)
-
     def get(self, name: str) -> tuple[str, Item]:
         for kind, n, value in self.items:
             if n == name:
@@ -174,8 +171,11 @@ class _Parser:
     def where(self, k: int) -> tuple[int, int]:
         return _position(self.text, _offsets(self.text)[k])
 
-    def line(self, k: int) -> int:
-        return self.where(k)[0]
+    def semantic(self, message: str, k: int | None = None, detail: str = "") -> NoReturn:
+        """A semantic error at token k, by default the token just read:
+        the message, ``(line N)``, then the detail."""
+        k = self.k - 1 if k is None else k
+        raise DslSemanticError(f"{message} (line {self.where(k)[0]}){detail}") from None
 
     def fail(self, message: str, k: int | None = None) -> NoReturn:
         k = self.k if k is None else k
@@ -281,9 +281,7 @@ class _Parser:
             self.k += 1
             nb, db, vb = self._factor(basis, False, depth)
             if vb and v:
-                raise DslSemanticError(
-                    f"product of two irrational weights (line {self.line(star)})"
-                )
+                self.semantic("product of two irrational weights", star)
             n, d, v = n * nb, d * db, v or vb
             g = gcd(n, d)  # in lowest terms, so long products stay small
             n, d = n // g, d // g
@@ -364,13 +362,9 @@ class _Parser:
         while not self.accept("}"):
             name = self.expect_ident("a generator name")
             if name in RESERVED:
-                raise DslSemanticError(
-                    f"generator name {name!r} is reserved (line {self.line(self.k - 1)})"
-                )
+                self.semantic(f"generator name {name!r} is reserved")
             if name in seen:
-                raise DslSemanticError(
-                    f"duplicate generator {name!r} (line {self.line(self.k - 1)})"
-                )
+                self.semantic(f"duplicate generator {name!r}")
             self.expect("=")
             neg = self.accept("-")
             num = self.peek()
@@ -384,13 +378,9 @@ class _Parser:
             self.expect("digits")
             digits = self.nonneg_int("a digit count")
             if digits < 1:
-                raise DslSemanticError(
-                    f"digit count must be positive (line {self.line(self.k - 1)})"
-                )
+                self.semantic("digit count must be positive")
             if digits > MAX_DIGITS:
-                raise DslSemanticError(
-                    f"digit count must be at most {MAX_DIGITS} (line {self.line(self.k - 1)})"
-                )
+                self.semantic(f"digit count must be at most {MAX_DIGITS}")
             self.expect(";")
             gens.append(Generator(name, ("-" if neg else "") + num, digits))
             seen.add(name)
@@ -465,10 +455,7 @@ class _Parser:
             except PrecisionExhausted:
                 raise
             except FoamError as exc:
-                raise DslSemanticError(
-                    f"in {kind} {name!r}: event {len(events)}"
-                    f" (line {self.line(mark)}): {exc}"
-                ) from None
+                self.semantic(f"in {kind} {name!r}: event {len(events)}", mark, f": {exc}")
             events.append(e)
         self.expect("}")
         return calc.diagram._from_slices(basis, slices[0], tuple(events), tuple(slices))
@@ -538,9 +525,7 @@ def parse_document(text: str, precision_cap: int | None = None) -> Document:
             p.fail("expected basis, iet, foam, planarfoam or bracket", p.k - 1)
         name = p.expect_ident("an item name")
         if name in names:
-            raise DslSemanticError(
-                f"duplicate item name {name!r} (line {p.line(p.k - 1)})"
-            )
+            p.semantic(f"duplicate item name {name!r}")
         names.add(name)
         if kw == "iet":
             value: Item = p.parse_iet(basis, name)

@@ -327,14 +327,9 @@ def event_to_json(e) -> dict:
     return out
 
 
-def reflected(e, width: int, **changes):
-    """e at its mirror position in a slice of the given width, with the
-    given fields changed."""
-    return replace(e, pos=width - e.consumes - e.pos, **changes)
-
-
 def nu(d: FoamDiagram) -> WedgeValue:
-    """Sum of local contributions; the complete invariant on closed diagrams."""
+    """Sum of local contributions; the complete invariant on closed diagrams:
+    the diagram is null-cobordant iff the result is zero."""
     if not d.is_closed():
         raise OpenDiagram("nu needs a closed diagram")
     if d.has_dots() or d.has_labels():
@@ -362,11 +357,6 @@ def _nu_terms(d: FoamDiagram):
                 else:
                     # y ^ x with x = e.left and y = s - x is s ^ x.
                     yield 1, s.weight, e.left
-
-
-def classify(d: FoamDiagram) -> WedgeValue:
-    """nu(d); the diagram is null-cobordant iff the result is zero."""
-    return nu(d)
 
 
 def iet_closure(t: Iet) -> FoamDiagram:
@@ -418,7 +408,7 @@ def mirror(d: FoamDiagram) -> FoamDiagram:
             fix = {"left": cur[e.pos].weight - e.left}
         elif isinstance(e, Cup):
             fix = {"dir": e.dir.flip()}
-        new_events.append(reflected(e, len(cur), **fix))
+        new_events.append(replace(e, pos=len(cur) - e.consumes - e.pos, **fix))
     return FoamDiagram(d.basis, tuple(reversed(d.start)), new_events)
 
 

@@ -241,8 +241,3 @@ def iet_apply(t: Iet, x: Weight) -> Weight:
                 return tgt[i]
             return tgt[i] + (src[i] + t.lengths[i] - x)
     raise OutOfDomain(f"no piece contains {x}")
-
-
-def same_map(a: Iet, b: Iet) -> bool:
-    """Equality as maps: canonical forms agree structurally."""
-    return a.canonical() == b.canonical()

@@ -322,8 +322,7 @@ def _alternatives(schema: str, params: dict) -> tuple:
         return options[chosen]
     except (KeyError, TypeError):
         pass
-    raise SchemaMismatch(f"bad {schema} " + ", ".join(
-        f"{key} {val!r}" for key, val in zip(keys, chosen)))
+    raise SchemaMismatch("bad " + ", ".join(f"{key} {val!r}" for key, val in zip(keys, chosen)))
 
 
 def _candidates(*pairs) -> tuple:
@@ -342,14 +341,15 @@ def _matching(d: FoamDiagram, k: int, candidates: tuple):
 
 def _first_match(d: FoamDiagram, m: MoveInstance, apply: bool):
     """What the first alternative of m's schema that matches at m.index
-    gives: the diagram rewritten (``apply``) or the window's bindings."""
-    alternatives = _alternatives(m.schema, m.params)
+    gives: the diagram rewritten (``apply``) or the window's bindings.
+    Every ``SchemaMismatch`` it raises starts with ``<schema> at <index>:``."""
     try:
+        alternatives = _alternatives(m.schema, m.params)
         for rule, side in alternatives:
             out = rule.sides[side][1](d, m.index, m.params, apply)
             if out is not None:
                 return out
-    except (DslSemanticError, NonPositiveWeight) as exc:
+    except (SchemaMismatch, DslSemanticError, NonPositiveWeight) as exc:
         raise SchemaMismatch(f"{m.schema} at {m.index}: {exc}") from None
     except IndexError:
         raise SchemaMismatch(f"{m.schema} at {m.index}: position out of range") from None

@@ -25,7 +25,7 @@ from typing import Iterable
 from .errors import (BasisMismatch, DslSemanticError, InternalError, NonPositiveWeight,
                      OpenDiagram)
 from .exterior import WedgeValue, wedge_sum
-from .foamdiag import SlicedDiagram, event_kind, reflected
+from .foamdiag import SlicedDiagram, event_kind
 from .weights import POSITIVE, GeneratorBasis, Weight, weight_cmp
 
 
@@ -105,15 +105,6 @@ class PlanarFoam(SlicedDiagram):
         return all(w.sign() == POSITIVE for cur in self.slices for w in cur)
 
 
-def mirror_planar(f: PlanarFoam) -> PlanarFoam:
-    """Left-right reflection; tripod terms swap their entries."""
-    new_events: list[PEvent] = []
-    for cur, e in zip(f.slices, f.events):
-        fix = {"left": cur[e.pos] - e.left} if isinstance(e, PSplit) else {}
-        new_events.append(reflected(e, len(cur), **fix))
-    return PlanarFoam(f.basis, tuple(reversed(f.start)), new_events)
-
-
 _END = (inf, 0)  # pads the shorter numerator tuple
 
 
@@ -184,10 +175,6 @@ class BracketSum:
     def scale(self, n: int) -> "BracketSum":
         n = index(n)
         return BracketSum(self.basis, [(c * n, a, b) for c, a, b in self.terms])
-
-    def swap(self) -> "BracketSum":
-        """Term-wise [a,b] -> [b,a]."""
-        return BracketSum(self.basis, [(c, b, a) for c, a, b in self.terms])
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -426,3 +413,10 @@ def verify_z4() -> dict:
         "bilin_ok": bilin_ok,
         "psi_1_3": psi_pair(1, 3),
     }
+
+
+def z4_ok(res: dict) -> bool:
+    """Whether a ``verify_z4`` report passes: all 64 cocycle instances
+    hold, both pair checks and the bilinearity check hold, and psi([1,3])=1."""
+    return bool(res["cocycle_ok"] == res["cocycle_total"] == 64 and res["pairs_ok"]
+                and res["bilin_ok"] and res["psi_1_3"] == 1)

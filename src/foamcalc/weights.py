@@ -30,10 +30,9 @@ for wedges) adds every term's numerators over the lcm of the denominators
 and takes the ``gcd`` once.  The sign oracle reads the numerators as the
 ``n_i`` above.  Fractions appear only at the edge: constructor input, the
 ``coeffs`` (``terms``) tuple of ``(key, Fraction)`` pairs, built on each
-access, ``as_rational``, ``interval`` (the only form of the exact
-enclosure bounds) and JSON input.  The hash is that of ``(basis, den,
-nums)``, computed on first use.  A float is refused wherever a coefficient
-or scalar comes in.
+access, ``interval`` (the only form of the exact enclosure bounds) and JSON
+input.  The hash is that of ``(basis, den, nums)``, computed on first use.
+A float is refused wherever a coefficient or scalar comes in.
 """
 
 from __future__ import annotations
@@ -223,9 +222,6 @@ def _ratio(n: int, den: int) -> tuple[int, int]:
     return n // g, den // g
 
 
-_ZERO = Fraction(0)
-
-
 class _Sparse:
     """The integer core shared by Weight and WedgeValue: a rational vector
     as integer numerators ``nums``, a sorted tuple of ``(key, n)`` with no
@@ -329,15 +325,6 @@ class Weight(_Sparse):
         return cls._of(basis, 1, ((basis.index(name), 1),))
 
     coeffs = property(_Sparse._as_fractions, doc="The sorted ``(index, Fraction)`` pairs.")
-
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction when supported on the unit alone."""
-        nums = self.nums
-        if not nums:
-            return _ZERO
-        if len(nums) == 1 and nums[0][0] == 0:
-            return Fraction(nums[0][1], self.den)
-        return None
 
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the real value."""

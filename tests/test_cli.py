@@ -246,6 +246,21 @@ def test_verify_z4_pinned_line(capsys):
     assert got["cocycle_ok"] == 64
 
 
+def test_a_failed_cocycle_count_fails_verify_z4_and_criterion_6(capsys, monkeypatch):
+    """63 of 64 cocycle instances is a failure, in the CLI and in the
+    battery, although the count is not zero."""
+    from foamcalc import acceptance, cli
+
+    report = dict(planar.verify_z4(), cocycle_ok=63)
+    monkeypatch.setattr(cli, "verify_z4", lambda: report)
+    monkeypatch.setattr(acceptance, "verify_z4", lambda: report)
+    code, out = run(capsys, "verify-z4")
+    assert code == 1 and out.startswith("FAILED: ")
+    result = acceptance.run_criterion(6)
+    assert not result.ok
+    assert result.detail.startswith("63/64 cocycle instances")
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

@@ -80,7 +80,7 @@ bracket z = 0;
 
 def test_parse_sample_document():
     doc = parse_document(SAMPLE)
-    assert tuple(doc.names()) == ("s", "f", "u", "marked", "p", "b", "z")
+    assert [name for _, name, _ in doc.items] == ["s", "f", "u", "marked", "p", "b", "z"]
     kind, item = doc.get("s")
     assert kind == "iet" and isinstance(item, Iet)
     assert isinstance(doc.get("u")[1], FoamDiagram)
@@ -480,6 +480,13 @@ def _deep(tree, n):
     return [("+", [f])]
 
 
+def _rational(w):
+    """w as a Fraction when it is a multiple of the unit (index 0), else None."""
+    if any(i for i, _ in w.nums):
+        return None
+    return Fraction(sum(n for _, n in w.nums), w.den)
+
+
 class _Oracle:
     """Renders a tree and evaluates it with the public Weight operations,
     raising the errors the parser raises, in the order it meets them."""
@@ -538,7 +545,7 @@ class _Oracle:
         w = self.eval_factor(product[0], depth)
         for f in product[1:]:
             x = self.eval_factor(f, depth)
-            qa, qx = w.as_rational(), x.as_rational()
+            qa, qx = _rational(w), _rational(x)
             if qx is not None:
                 w = w.scale(qx)
             elif qa is not None:

@@ -27,7 +27,6 @@ from foamcalc import (
     UnsupportedDecoration,
     WedgeValue,
     circle,
-    classify,
     disjoint_union,
     event_to_json,
     iet_closure,
@@ -153,11 +152,6 @@ def test_nu_preconditions(w, basis):
     dotted = FoamDiagram(basis, [], [Cup(0, w("1"), Dir.UP), Dot(0), Cap(0)])
     with pytest.raises(UnsupportedDecoration):
         nu(dotted)
-
-
-def test_classify_is_nu(w):
-    d = u_diagram(w("1"), w("1*r2"))
-    assert classify(d) == nu(d)
 
 
 def test_crossing_direction_rule(w, basis):

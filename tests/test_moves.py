@@ -109,6 +109,24 @@ def test_apply_move_rejects_wrong_location(w):
         apply_move(d, MoveInstance("no-such-schema", 0))
 
 
+def test_every_mismatch_names_its_step(w):
+    """Each way a move can fail, the exchange's own check and a bad selector
+    included, reads ``<schema> at <index>:``, in apply_move and in the
+    reason of validate_trace."""
+    d = FoamDiagram(w("1").basis, [], [Cup(0, w("1"), Dir.UP), Cap(0)])
+    cases = [
+        (MoveInstance("exchange", 0), "exchange at 0: events overlap; exchange does not apply"),
+        (MoveInstance("vertex_flip", 1, {"dir": [1]}), "vertex_flip at 1: bad dir [1]"),
+        (MoveInstance("r2", 0), "r2 at 0: no 'cross p; cross p' here"),
+        (MoveInstance("no-such-schema", 0), "no-such-schema at 0: unknown schema 'no-such-schema'"),
+    ]
+    for m, text in cases:
+        with pytest.raises(SchemaMismatch) as exc:
+            apply_move(d, m)
+        assert str(exc.value) == text
+        assert validate_trace(d, [m]).reason == text
+
+
 def test_enumerated_moves_apply_on_mirrored_diagrams(w):
     d = mirror(u_diagram(w("1"), w("1*r2")))
     base = nu(d)
@@ -445,7 +463,7 @@ def test_exchange_assembles_the_middle_slice(monkeypatch):
             if side == "overlap":
                 with pytest.raises(SchemaMismatch) as exc:
                     apply_move(d, MoveInstance("exchange", 1))
-                assert str(exc.value) == "events overlap; exchange does not apply"
+                assert str(exc.value) == "exchange at 1: events overlap; exchange does not apply"
                 continue
             got = apply_move(d, MoveInstance("exchange", 1))
             assert calls == [], (e, f)

@@ -30,7 +30,6 @@ from foamcalc import (
     classify_bracket,
     event_to_json,
     foam_make_positive,
-    mirror_planar,
     planar_classify,
     print_document,
     psi_pair,
@@ -313,17 +312,6 @@ def test_integer_fields_refuse_fractions_and_floats(w, basis):
     assert bracket(basis, 2, a, b) == bracket(basis, 1, a, b).scale(2)
 
 
-# ------------------------------------------------------------- mirror
-
-
-def test_planar_mirror_swaps_brackets(w):
-    a, b = w("1"), w("1*r2")
-    f = standard_tripod(a, b)
-    m = mirror_planar(f)
-    assert tripod_decompose(m) == tripod_decompose(f).swap()
-    assert theta(tripod_decompose(m)) == -theta(tripod_decompose(f))
-
-
 def _every_kind(w, basis):
     """An open planar foam holding one event of each of the four kinds."""
     return PlanarFoam(
@@ -354,18 +342,6 @@ def test_every_event_kind_json_and_text(w, basis):
         "  end;\n"
         "}\n"
     )
-
-
-def test_mirror_of_every_event_kind(w, basis):
-    f = _every_kind(w, basis)
-    m = mirror_planar(f)
-    assert [event_to_json(e) for e in m.events] == [
-        {"event": "cup", "pos": 1, "weight": {"r2": "1/1"}},
-        {"event": "split", "pos": 0, "left": {"1": "3/2"}},
-        {"event": "merge", "pos": 0},
-        {"event": "cap", "pos": 1},
-    ]
-    assert mirror_planar(m) == f
 
 
 # ------------------------------------------------------------- positivity

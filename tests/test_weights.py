@@ -105,12 +105,6 @@ def test_coeffs_are_sorted_and_sparse(w):
     assert x.coeffs == ((0, Fraction(1, 2)),)
 
 
-def test_as_rational(w):
-    assert w("3/4").as_rational() == Fraction(3, 4)
-    assert w("1*r2").as_rational() is None
-    assert Weight(w("1").basis, {}).as_rational() == 0
-
-
 def test_sign_of_irrational_combination(w):
     # r2 = 1.414... so r2 - 7/5 is positive but close to zero
     assert w("1*r2 - 7/5").sign() == POSITIVE
