@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from foamcalc import WedgeValue, foamdiag, planar
+from foamcalc import WedgeValue, acceptance, cli, foamdiag, planar
 from foamcalc.cli import main
 
 DOC = """
@@ -249,8 +249,6 @@ def test_verify_z4_pinned_line(capsys):
 def test_a_failed_cocycle_count_fails_verify_z4_and_criterion_6(capsys, monkeypatch):
     """63 of 64 cocycle instances is a failure, in the CLI and in the
     battery, although the count is not zero."""
-    from foamcalc import acceptance, cli
-
     report = dict(planar.verify_z4(), cocycle_ok=63)
     monkeypatch.setattr(cli, "verify_z4", lambda: report)
     monkeypatch.setattr(acceptance, "verify_z4", lambda: report)
