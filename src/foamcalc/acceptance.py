@@ -403,6 +403,7 @@ def _crit_06_z4(rng: random.Random) -> tuple[bool, str]:
     return z4_ok(res), (
         f"{res['cocycle_ok']}/{res['cocycle_total']} cocycle instances, pairs "
         f"{'ok' if res['pairs_ok'] else 'bad'}, psi([1,3])={res['psi_1_3']}"
+        f"{'' if res['bilin_ok'] else ', bilinearity bad'}"
     )
 
 

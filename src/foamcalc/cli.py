@@ -371,6 +371,10 @@ def _run(cmd: _Command, args) -> tuple[int, str]:
                 return 2, _error(
                     DslSemanticError("FOAMCALC_PRECISION must be a positive integer")
                 )
+    if cmd.name == "validate-trace" and args.file == args.trace == "-":
+        return 2, _error(DslSemanticError(
+            "FILE and TRACE are both - (stdin): stdin holds only one of them"
+        ))
     try:
         doc = _load_document(args) if cmd.args else None
         values = []

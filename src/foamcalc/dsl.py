@@ -38,9 +38,14 @@ The whole text is checked against the token grammar in one regular
 expression match, and its tokens come out of one `findall`, blanks and
 comments skipped.  A token is a plain string, `""` at the end of input.
 Token offsets, and so line and column, are computed by a second scan only
-when a message needs them.
+when a message needs them, and that scan stops at the token the message
+names.
 Each weight expression adds its terms into one coefficient map and builds
-one `Weight`.
+one `Weight`.  A plain term, `n`, `n/d`, `n*name`, `n/d*name` or `name`
+after at most one unary minus and before no `*` or `/`, is read in one step
+by the loop over the sum; the canonical printer writes only plain terms.
+Any other term (parentheses, decimals, chains of signs, longer products),
+and every error, takes the recursive product, factor and literal readers.
 
 Syntax errors carry line and column, both counted from 1, the column in
 characters; semantic errors (unknown generator, event invalid against the
@@ -51,6 +56,7 @@ form: parsing its output reproduces the document exactly.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -81,6 +87,12 @@ RESERVED = frozenset(
 )
 
 _MAX_EXPR_DEPTH = 64
+# int() converts a digit string this short under any limit that
+# sys.set_int_max_str_digits accepts; a longer one is left to the readers
+# that report a literal too large.
+_INT_SAFE = sys.int_info.str_digits_check_threshold
+# A plain term is followed by neither of these.
+_PRODUCT_OPS = ("*", "/")
 
 
 @dataclass(frozen=True)
@@ -135,14 +147,15 @@ def _tokenize(text: str) -> list[str]:
     return toks
 
 
-def _offsets(text: str) -> list[int]:
+def _offsets(text: str, stop: int | None = None) -> list[int]:
     """The offset of each token of ``text``, as ``_tokenize`` splits it,
-    ending with the end of input's; raises the first token error instead."""
+    ending with the end of input's, or with token ``stop``'s when that comes
+    first; raises the first token error met instead."""
     offsets: list[int] = []
-    for m in re.finditer(_SCAN, text):
+    for k, m in enumerate(re.finditer(_SCAN, text)):
         group = m.lastindex
         offsets.append(m.start(group))
-        if group != 1:
+        if group != 1 or k == stop:
             break
     if group == 3:
         raise FoamSyntaxError("malformed number", *_position(text, offsets[-1]))
@@ -169,7 +182,7 @@ class _Parser:
         return self.toks[min(self.k + ahead, len(self.toks) - 1)]
 
     def where(self, k: int) -> tuple[int, int]:
-        return _position(self.text, _offsets(self.text)[k])
+        return _position(self.text, _offsets(self.text, k)[k])
 
     def semantic(self, message: str, k: int | None = None, detail: str = "") -> NoReturn:
         """A semantic error at token k, by default the token just read:
@@ -232,7 +245,9 @@ class _Parser:
     # n/d times v with d positive: v is a generator index, 0 (the unit)
     # when the value is the rational n/d, or ``(den, map)``, the numerators
     # over den of a parenthesised sum that is not rational.  So ``not v``
-    # says that the value is rational; a zero n always comes with v = 0.
+    # says that the value is rational; a zero n from ``_product`` always
+    # comes with v = 0.  A plain term that ``_sum`` reads itself may add a
+    # zero numerator under a generator; every reader of ``acc`` drops zeros.
     # No Fraction is built, except for a decimal literal.
 
     def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
@@ -242,15 +257,49 @@ class _Parser:
 
     def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> int:
         """Add the terms of a sum into ``acc``, negated when ``neg``, as
-        numerators over the denominator it returns."""
+        numerators over the denominator it returns.
+
+        A plain term, ``n``, ``n/d``, ``n*name``, ``n/d*name`` or ``name``
+        after at most one unary minus and before no ``*`` or ``/``, is read
+        here in one step.  Every other term, and every error, goes through
+        ``_product``, which starts again at the term's first token.  At the
+        depth limit every term goes through ``_product``, so that a unary
+        minus there meets the depth check."""
         toks = self.toks
+        index = basis._index  # generator name -> index; the unit "1" -> 0
+        inline = depth < _MAX_EXPR_DEPTH
         term_neg = neg
         den = 1
         while True:
-            n, d, v = self._product(basis, term_neg, depth)
-            if v.__class__ is not int:
-                vd, v = v
-                d *= vd
+            k = self.k
+            t = toks[k]
+            n, d, v = (-1 if term_neg else 1), 1, None
+            if inline:
+                if t == "-":
+                    n = -n
+                    k += 1
+                    t = toks[k]
+                if t.isdigit() and len(t) <= _INT_SAFE:
+                    n *= int(t)
+                    v = 0
+                    k += 1
+                    if toks[k] == "/":
+                        t = toks[k + 1]
+                        d = int(t) if t.isdigit() and len(t) <= _INT_SAFE else 0
+                        k += 2
+                    if d and toks[k] == "*":
+                        v = index.get(toks[k + 1]) or None
+                        k += 2
+                else:
+                    v = index.get(t) or None
+                    k += 1
+            if v is not None and d and toks[k] not in _PRODUCT_OPS:
+                self.k = k
+            else:
+                n, d, v = self._product(basis, term_neg, depth)
+                if v.__class__ is not int:
+                    vd, v = v
+                    d *= vd
             if den % d:  # widen acc to the lcm of den and d
                 m = d // gcd(den, d)
                 for i in acc:
@@ -448,7 +497,14 @@ class _Parser:
             cls = calc.keywords.get(kw)
             if cls is None:
                 self.fail(calc.unknown, mark)
-            e = cls(*[read(self, basis) for _, read, _ in _FIELD_CODECS[cls]])
+            # every event kind's first field is its position
+            t = self.toks[self.k]
+            if t.isdigit() and len(t) <= _INT_SAFE:
+                pos = int(t)
+                self.k += 1
+            else:
+                pos = self.nonneg_int("a position")
+            e = cls(pos, *[read(self, basis) for _, read, _ in _FIELD_CODECS[cls][1:]])
             self.expect(";")
             try:
                 slices.append(calc.diagram.step(slices[-1], e))

@@ -175,14 +175,15 @@ def _from_rationals(items: list) -> tuple[int, tuple]:
 def _normalised(den: int, terms: dict) -> tuple[int, tuple]:
     """``(den, nums)`` of the map ``terms`` from key to numerator over
     ``den``: zeros dropped, keys sorted, the common factor divided out."""
-    out = sorted([kn for kn in terms.items() if kn[1]])
+    g = gcd(den, *terms.values())  # zeros do not change a gcd
+    if g == 1:
+        out = [kn for kn in terms.items() if kn[1]]
+    else:
+        out = [(k, n // g) for k, n in terms.items() if n]
     if not out:
         return 1, ()
-    g = gcd(den, *[n for _, n in out])
-    if g != 1:
-        den //= g
-        out = [(k, n // g) for k, n in out]
-    return den, tuple(out)
+    out.sort()
+    return den // g, tuple(out)
 
 
 def _combine(da: int, a: tuple, db: int, b: tuple, sign: int) -> tuple[int, tuple]:

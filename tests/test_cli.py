@@ -259,6 +259,17 @@ def test_a_failed_cocycle_count_fails_verify_z4_and_criterion_6(capsys, monkeypa
     assert result.detail.startswith("63/64 cocycle instances")
 
 
+def test_a_failed_bilinearity_check_is_named_by_criterion_6(monkeypatch):
+    report = dict(planar.verify_z4(), bilin_ok=False)
+    monkeypatch.setattr(acceptance, "verify_z4", lambda: report)
+    result = acceptance.run_criterion(6)
+    assert not result.ok
+    assert result.line() == (
+        "[FAIL] criterion 06 z4-cocycle: 64/64 cocycle instances, pairs ok, "
+        "psi([1,3])=1, bilinearity bad"
+    )
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0
@@ -274,6 +285,23 @@ def test_stdin_input(capsys, monkeypatch):
     code, got = run_json(capsys, "saf", "-", "s")
     assert code == 0
     assert got[0]["coeff"] == "2/1"
+
+
+def test_document_and_trace_cannot_both_be_stdin(capsys, monkeypatch):
+    """stdin is read once, so validate-trace refuses ``- ITEM -`` before it
+    reads either: the document would take all of stdin and leave the trace
+    empty."""
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(DOC.encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, got = run_json(capsys, "validate-trace", "-", "dotted", "-")
+    assert code == 2
+    assert got == {
+        "error": "semantic",
+        "message": "FILE and TRACE are both - (stdin): stdin holds only one of them",
+    }
+    assert stdin.buffer.tell() == 0
 
 
 BAD_UTF8 = b"iet s { lengths = [1]; perm = [1]; }\n# \xff\n"

@@ -398,6 +398,30 @@ def _regex_tokens(text):
     ]
 
 
+def test_bounded_offset_scan_agrees_with_the_full_one():
+    """Error positions scan only up to the token they name: on random
+    documents, with comments and blank lines put in, the offsets up to
+    token k are those of the full scan."""
+    rng = random.Random(11)
+    for i in range(20):
+        lines = print_document(rand_document(rng, i)).splitlines()
+        text = "".join(
+            line + rng.choice(["\n", "\n\n", "  # note\n", "\r\n\t"]) for line in lines
+        )
+        full = dsl._offsets(text)
+        for k in rng.sample(range(len(full)), min(10, len(full))) + [0, len(full) - 1]:
+            assert dsl._offsets(text, k) == full[: k + 1]
+            parser = dsl._Parser(text)
+            assert parser.where(k) == dsl._position(text, full[k])
+
+
+def test_every_event_starts_with_its_position():
+    """parse_diagram reads an event's leading position itself."""
+    for cls in foamdiag.EVENT_KINDS + planar.PEVENT_KINDS:
+        first = dsl._FIELD_CODECS[cls][0]
+        assert first[0] == "pos" and first[1] is dsl._TEXT_CODECS["int"][0]
+
+
 _PIECES = st.sampled_from(
     ["iet", "r2", "_x9", "cup", "0", "12", "1.5", "3.", ".", "..", "#", "# c\n",
      "\n", "\r\n", "\r", "\t", " ", "{", "}", "[", "]", "(", ")", ";", ",",
@@ -615,6 +639,50 @@ def test_deep_weight_expressions_match_public_operations(tree, n):
 ])
 def test_rational_factors_are_decided_by_their_support(text, want):
     assert weight_to_text(parse_weight(text, _BASIS)) == want
+
+
+_BIG = "1" + "0" * 4299  # 4300 digits: the most that int() reads by default
+_TOO_BIG = _BIG + "0"
+
+
+def _syntax(message, col):
+    return "FoamSyntaxError", f"{message} (line 1, column {col})"
+
+
+@pytest.mark.parametrize("text, want", [
+    # plain terms: n, n/d, n*name, n/d*name or name after at most one minus
+    ("0", "0"),
+    ("0*r2", "0"),
+    ("-r2", "-1*r2"),
+    ("14/3*r2 - 2/4 + r3", "-1/2+14/3*r2+1*r3"),
+    (_BIG, _BIG),
+    (f"2{_BIG[1:]}/{_BIG}*r2", "2*r2"),
+    (f"1/{_BIG}", f"1/{_BIG}"),
+    # not plain: a second factor, a chain of signs, a literal after *
+    ("2*r2*3", "6*r2"),
+    ("r2*2", "2*r2"),
+    ("2*1", "2"),
+    ("- -3", "3"),
+    ("2*-r2", "-2*r2"),
+    ("(" * 63 + "-1" + ")" * 63, "-1"),
+    ("(" * 64 + "1" + ")" * 64, "1"),
+    # errors keep their text and position
+    ("1/0", _syntax("zero denominator near '0'", 3)),
+    ("1/2/3", _syntax("unexpected input after the weight expression near '/'", 4)),
+    ("2*r9", ("DslSemanticError", "unknown generator 'r9'")),
+    ("r9", ("DslSemanticError", "unknown generator 'r9'")),
+    ("1*r2*r3", ("DslSemanticError", "product of two irrational weights (line 1)")),
+    (_TOO_BIG, _syntax(f"integer literal too large near '{_BIG[:24]}...'", 1)),
+    (f"1/{_TOO_BIG}", _syntax(f"integer literal too large near '{_BIG[:24]}...'", 3)),
+    (f"-{_TOO_BIG}*r2", _syntax(f"integer literal too large near '{_BIG[:24]}...'", 2)),
+    ("(" * 64 + "-1" + ")" * 64, _syntax("expression nested too deeply", 66)),
+    ("(" * 65 + "-1" + ")" * 65, _syntax("expression nested too deeply", 66)),
+], ids=lambda v: f"{v[:12]}...{len(v)}chars" if isinstance(v, str) and len(v) > 40 else None)
+def test_terms_on_both_sides_of_the_plain_term_boundary(text, want):
+    """The value, or the error text and position, of terms that the sum
+    reads in one step and of their neighbours that take the full grammar."""
+    got = _outcome(parse_weight, text, _BASIS)
+    assert (weight_to_text(got) if isinstance(got, Weight) else got) == want
 
 
 def test_each_weight_expression_builds_one_weight(monkeypatch):
