@@ -18,6 +18,7 @@ from typing import Iterable
 from .errors import (
     DslSemanticError,
     OpenDiagram,
+    PrecisionExhausted,
     SchemaMismatch,
     UnsupportedDecoration,
 )
@@ -32,9 +33,9 @@ from .foamdiag import (
     Split,
     nu_events,
 )
-from .moves import (MoveInstance, _candidates, _matching, apply_move, move_from_json,
-                    split_off_and_kill)
-from .weights import Weight
+from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _disjoint_run, _first_applied,
+                    apply_move, exchange_run, move_from_json, split_off_and_kill)
+from .weights import POSITIVE, Weight
 
 
 @dataclass(frozen=True)
@@ -132,12 +133,23 @@ def _step(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDia
     return out
 
 
-def _split_off(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDiagram:
+def _split_off(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance,
+               env: dict | None = None) -> FoamDiagram:
     """Record the split-off move m and the death of its block; build only
-    the diagram after both."""
-    out, death = split_off_and_kill(d, m)
+    the diagram after both.  ``env`` is m's window bindings, if matched."""
+    out, death = split_off_and_kill(d, m, env)
     trace += (m, death)
     return out
+
+
+def _first(d: FoamDiagram, trace: list[MoveInstance], k: int, candidates: tuple):
+    """Apply and record the first candidate that matches at event k; None
+    where none does."""
+    hit = _first_applied(d, k, candidates)
+    if hit is None:
+        return None
+    trace.append(hit[0])
+    return hit[1]
 
 
 def _kill_dots(d: FoamDiagram, trace: list[MoveInstance], j: int = 0) -> FoamDiagram:
@@ -171,13 +183,14 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
         j = next((i for i in range(j, len(d.events)) if isinstance(d.events[i], Cross)), None)
         if j is None:
             return d
-        m = next(_matching(d, j, _UNCROSS), None)
-        if m is None:
+        hit = _first_applied(d, j, _UNCROSS, apply=False)
+        if hit is None:
             raise SchemaMismatch(
                 "antiparallel crossing with distinct weights: "
                 "outside the reducible braid-closure class"
             )
-        d = _split_off(d, trace, m) if m.schema == "crossing_splitoff" else _step(d, trace, m)
+        m, env = hit
+        d = _split_off(d, trace, m, env) if m.schema == "crossing_splitoff" else _step(d, trace, m)
 
 
 def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
@@ -208,17 +221,27 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     the word: it cancels on contact (singular saddle), re-associates past a
     touching merge, and exchanges past everything disjoint.  Its index
     strictly advances, so each split dies in finitely many steps, and the
-    next last split is at most one above the previous one."""
+    next last split is at most one above the previous one.
+
+    The other moves need a window that overlaps the split, so it exchanges
+    exactly where it is disjoint from the event above.  A run of such
+    exchanges is recorded step by step and built by one ``exchange_run``."""
     j = len(d.events)
     while True:
         j = next((i for i in range(min(j + 1, len(d.events) - 1), -1, -1)
                   if isinstance(d.events[i], Split)), None)
         if j is None:
             return d
-        m = next(_matching(d, j, _PUSH_SPLIT), None)
-        if m is None:
+        count = _disjoint_run(d, j)
+        if count:
+            d = exchange_run(d, j, count)
+            trace += (MoveInstance("exchange", i) for i in range(j, j + count))
+            j += count - 1
+            continue
+        out = _first(d, trace, j, _PUSH_SPLIT)
+        if out is None:
             raise SchemaMismatch("split with nothing above it; diagram not closed")
-        d = _step(d, trace, m)
+        d = out
 
 
 def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
@@ -226,12 +249,13 @@ def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     make a new circle of events i-1 and i, so the scan resumes there."""
     i = 0
     while d.events:
-        m = next((m for k in range(max(i - 1, 0), len(d.events))
-                  for m in _matching(d, k, _CIRCLE)), None)
-        if m is None:
+        for i in range(max(i - 1, 0), len(d.events)):
+            out = _first(d, trace, i, _CIRCLE)
+            if out is not None:
+                break
+        else:
             raise SchemaMismatch("residual diagram is not a union of circles")
-        d = _step(d, trace, m)
-        i = m.index
+        d = out
     return d
 
 
@@ -249,7 +273,8 @@ def flip_reduce(d: FoamDiagram) -> list[MoveInstance]:
 
     It records each split-off block's birth and death as two trace steps,
     which :func:`validate_trace` replays, but builds only the diagram that
-    survives both."""
+    survives both; and it records a run of exchanges step by step but
+    builds one diagram for the run."""
     if not d.is_closed():
         raise OpenDiagram("flip_reduce needs a closed diagram")
     if d.has_labels():
@@ -286,20 +311,70 @@ def empty_diagram(basis) -> FoamDiagram:
     return FoamDiagram(basis, [], [])
 
 
+def _positive_strands(d: FoamDiagram) -> bool:
+    """Whether every strand weight of d's start slice is decided positive.
+    Then so is every strand weight of every diagram a trace reaches from d:
+    cups and splits check theirs, and a merge adds two positive weights."""
+    try:
+        return all(s.weight.sign() == POSITIVE for s in d.start)
+    except PrecisionExhausted:
+        return False
+
+
+def _fused(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> tuple:
+    """``(n, diagram)``: the block of n trace steps from step i that one
+    call replays, and the diagram after it; diagram None where step i is a
+    plain step or where the one call raises.  A block is a maximal run of
+    parameterless exchanges at indices k, k+1, ... (one ``exchange_run``),
+    or, with ``pairs``, a split-off followed by exactly the death move that
+    ``split_off_and_kill`` returns (one call, and the block is never
+    built).  ``pairs`` says that the strand weights are positive, so that
+    the block that the death deletes would validate."""
+    m, n = trace[i], 1
+    try:
+        if m.schema == "exchange" and not m.params:
+            while i + n < len(trace):
+                s = trace[i + n]
+                if s.schema != "exchange" or s.index != m.index + n or s.params:
+                    break
+                n += 1
+            return n, exchange_run(d, m.index, n)
+        if pairs and m.schema in _SPLIT_OFFS and i + 1 < len(trace):
+            out, death = split_off_and_kill(d, m)
+            if trace[i + 1] == death:
+                return 2, out
+    except Exception:  # the caller replays the block step by step, which raises as it may
+        pass
+    return n, None
+
+
 def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
                    target: FoamDiagram | None = None) -> TraceCheck:
     """Replay the trace from d; every step must be a registered schema that
     applies, and the final diagram must equal the target (empty by
-    default)."""
+    default).
+
+    Runs of exchanges and split-off pairs are replayed a block at a time
+    (``_fused``), and a block that fails is replayed again one step at a
+    time with ``apply_move``.  So the report, and ``failed_at`` and
+    ``reason`` where it fails, equal those of one ``apply_move`` per step."""
     if target is None:
         target = empty_diagram(d.basis)
     cur = d
     trace = list(trace)
-    for i, m in enumerate(trace):
-        try:
-            cur = apply_move(cur, m)
-        except SchemaMismatch as exc:
-            return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
+    pairs = _positive_strands(d)
+    i = 0
+    while i < len(trace):
+        n, out = _fused(cur, trace, i, pairs)
+        if out is not None:
+            cur, i = out, i + n
+            continue
+        for m in trace[i : i + n]:
+            try:
+                cur = apply_move(cur, m)
+            except SchemaMismatch as exc:
+                return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
+            i += 1
     if cur != target:
         return TraceCheck(False, len(trace), failed_at=len(trace),
                           reason="final diagram differs from the target")

@@ -49,8 +49,9 @@ and every error, takes the recursive product, factor and literal readers.
 
 Syntax errors carry line and column, both counted from 1, the column in
 characters; semantic errors (unknown generator, event invalid against the
-current slice) carry the event index.  `print_document` emits a canonical
-form: parsing its output reproduces the document exactly.
+current slice) carry the line, and an invalid event also its index.
+`print_document` emits a canonical form: parsing its output reproduces the
+document exactly.
 """
 
 from __future__ import annotations
@@ -347,8 +348,10 @@ class _Parser:
             return (*self._literal(t, neg), 0)
         if t.isidentifier():
             self.k += 1
-            # unknown generator -> DslSemanticError from the basis
-            return (-1 if neg else 1), 1, basis.index(t)
+            try:
+                return (-1 if neg else 1), 1, basis.index(t)
+            except DslSemanticError as exc:  # unknown generator: name its line
+                self.semantic(str(exc))
         if t == "-":
             self.k += 1
             return self._factor(basis, not neg, depth + 1)

@@ -232,8 +232,9 @@ class SlicedDiagram:
     past the change that equals its old counterpart, and joins the old
     slices below, the recomputed ones and the old tail once.  Both give the
     same slices and the same errors.  A rewrite that knows its new slices,
-    such as an exchange of disjoint events (``moves._exchanged``), builds
-    the diagram through :meth:`_from_slices` and applies no event.
+    such as a run of exchanges of disjoint events (``moves.exchange_run``),
+    builds the diagram once through :meth:`_from_slices` and applies no
+    event.
     Diagrams are equal when they have the same type, basis, start and
     events."""
 

@@ -187,25 +187,66 @@ def _shifted(e, dp: int):
     return dataclasses.replace(e, pos=e.pos + dp) if dp else e
 
 
-def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
-    """Events k and k+1, which must be disjoint, in the other order.
+_OVERLAP = "events overlap; exchange does not apply"
 
-    Only the middle slice changes, and it is assembled from its neighbours
-    without applying an event: the strands below, with the strands that the
-    upper event f consumes replaced by the strands f produces, read from
-    the slice above.  That is what f gives below the other event, because
-    f reads only the strands it consumes, so the slices stay validated."""
-    e, f = d.events[k : k + 2]
+
+def _passed(e, f) -> tuple | None:
+    """Events e and f above it, exchanged: f and then e, positions shifted;
+    None where they overlap."""
     if f.pos >= e.pos + e.produces:
-        new = (_shifted(f, e.consumes - e.produces), e)
-    elif f.pos + f.consumes <= e.pos:
-        new = (f, _shifted(e, f.produces - f.consumes))
-    else:
-        raise SchemaMismatch("events overlap; exchange does not apply")
-    below, above, q = d.slices[k], d.slices[k + 2], new[0].pos
-    mid = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
-    return d._from_slices(d.basis, d.start, d.events[:k] + new + d.events[k + 2 :],
-                          d.slices[: k + 1] + (mid,) + d.slices[k + 2 :])
+        return _shifted(f, e.consumes - e.produces), e
+    if f.pos + f.consumes <= e.pos:
+        return f, _shifted(e, f.produces - f.consumes)
+    return None
+
+
+def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
+    """The exchanges at k, k+1, ..., k+count-1 in turn, which move event k
+    up past the ``count`` events above it; each pair must be disjoint.
+
+    They are made on lists of the window's events and slices, and the
+    diagram is built once.  Only the middle slice of each exchange changes,
+    and it is assembled from its neighbours without applying an event: the
+    strands below, with the strands that the upper event f consumes
+    replaced by the strands f produces, read from the slice above.  That is
+    what f gives below the other event, because f reads only the strands it
+    consumes, so the slices stay validated.  A pair that overlaps raises
+    the ``SchemaMismatch`` that :func:`apply_move` raises for its step."""
+    if not 0 <= k <= k + count < len(d.events):
+        raise IndexError(f"exchange run of {count} at {k} out of range")
+    events = list(d.events[k : k + count + 1])
+    slices = list(d.slices[k : k + count + 2])
+    for i in range(count):
+        f = events[i + 1]
+        new = _passed(events[i], f)
+        if new is None:
+            raise SchemaMismatch(f"exchange at {k + i}: {_OVERLAP}")
+        below, above, q = slices[i], slices[i + 2], new[0].pos
+        slices[i + 1] = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
+        events[i : i + 2] = new
+    end = k + count + 1
+    return d._from_slices(d.basis, d.start, d.events[:k] + tuple(events) + d.events[end:],
+                          d.slices[: k + 1] + tuple(slices[1:-1]) + d.slices[end:])
+
+
+def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+    """The exchange rule: :func:`exchange_run`'s one-step case."""
+    try:
+        return exchange_run(d, k, 1)
+    except SchemaMismatch:
+        raise SchemaMismatch(_OVERLAP) from None
+
+
+def _disjoint_run(d: FoamDiagram, k: int) -> int:
+    """How many events above event k it passes by exchanges, one after
+    another, before it meets one that it overlaps or the top."""
+    events, e = d.events, d.events[k]
+    for i in range(k + 1, len(events)):
+        passed = _passed(e, events[i])
+        if passed is None:
+            return i - k - 1
+        e = passed[1]
+    return len(events) - k - 1
 
 
 def _uncrossed(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
@@ -326,8 +367,27 @@ def _alternatives(schema: str, params: dict) -> tuple:
 
 
 def _candidates(*pairs) -> tuple:
-    """Each ``(schema, params)`` pair with its alternatives, for :func:`_matching`."""
+    """Each ``(schema, params)`` pair with its alternatives, for
+    :func:`_matching` and :func:`_first_applied`."""
     return tuple((schema, params, _alternatives(schema, params)) for schema, params in pairs)
+
+
+def _rewritten(d: FoamDiagram, schema: str, k: int, params: dict, alternatives: tuple,
+               apply: bool):
+    """What the first of the alternatives that matches at event k gives:
+    the diagram rewritten (``apply``) or the window's bindings; None where
+    none matches.  Every ``SchemaMismatch`` it raises starts with
+    ``<schema> at <k>:``."""
+    try:
+        for rule, side in alternatives:
+            out = rule.sides[side][1](d, k, params, apply)
+            if out is not None:
+                return out
+    except (SchemaMismatch, DslSemanticError, NonPositiveWeight) as exc:
+        raise SchemaMismatch(f"{schema} at {k}: {exc}") from None
+    except IndexError:
+        raise SchemaMismatch(f"{schema} at {k}: position out of range") from None
+    return None
 
 
 def _matching(d: FoamDiagram, k: int, candidates: tuple):
@@ -339,20 +399,28 @@ def _matching(d: FoamDiagram, k: int, candidates: tuple):
                 break
 
 
+def _first_applied(d: FoamDiagram, k: int, candidates: tuple, apply: bool = True):
+    """The first candidate move whose rule matches at event k, matched
+    once: ``(move, d rewritten)``, or with ``apply`` false ``(move, the
+    window's bindings)``; None where no candidate matches.  Raises what
+    :func:`apply_move` of that move raises."""
+    for schema, params, alternatives in candidates:
+        out = _rewritten(d, schema, k, params, alternatives, apply)
+        if out is not None:
+            return MoveInstance(schema, k, dict(params)), out
+    return None
+
+
 def _first_match(d: FoamDiagram, m: MoveInstance, apply: bool):
     """What the first alternative of m's schema that matches at m.index
-    gives: the diagram rewritten (``apply``) or the window's bindings.
-    Every ``SchemaMismatch`` it raises starts with ``<schema> at <index>:``."""
+    gives: the diagram rewritten (``apply``) or the window's bindings."""
     try:
         alternatives = _alternatives(m.schema, m.params)
-        for rule, side in alternatives:
-            out = rule.sides[side][1](d, m.index, m.params, apply)
-            if out is not None:
-                return out
-    except (SchemaMismatch, DslSemanticError, NonPositiveWeight) as exc:
+    except SchemaMismatch as exc:
         raise SchemaMismatch(f"{m.schema} at {m.index}: {exc}") from None
-    except IndexError:
-        raise SchemaMismatch(f"{m.schema} at {m.index}: position out of range") from None
+    out = _rewritten(d, m.schema, m.index, m.params, alternatives, apply)
+    if out is not None:
+        return out
     windows = " or ".join(repr(rule.texts[side]) if rule.texts[side] else "insertion point"
                           for rule, side in alternatives)
     raise SchemaMismatch(f"{m.schema} at {m.index}: no {windows} here")
@@ -362,14 +430,17 @@ def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
     return _first_match(d, m, True)
 
 
-def split_off_and_kill(d: FoamDiagram, m: MoveInstance) -> tuple[FoamDiagram, MoveInstance]:
+def split_off_and_kill(d: FoamDiagram, m: MoveInstance,
+                       env: dict | None = None) -> tuple[FoamDiagram, MoveInstance]:
     """The split-off move m (``crossing_splitoff`` or ``dot_splitoff``)
     followed by the death of the block it puts on: the diagram after both
     steps and the death move.  Only the in-place rewrite is built, never the
     block nor the diagram that carries it; ``apply_move`` of m and then of
-    the death move gives the same diagram."""
+    the death move gives the same diagram, wherever the block's strand
+    weights are positive.  ``env`` is m's window bindings, where the caller
+    has matched m already."""
     rewrite, _, death = _SPLIT_OFFS[m.schema]
-    out = rewrite(d, m.index, _first_match(d, m, False))
+    out = rewrite(d, m.index, _first_match(d, m, False) if env is None else env)
     return out, MoveInstance(death, len(out.events))
 
 

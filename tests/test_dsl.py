@@ -588,7 +588,10 @@ class _Oracle:
         if f[0] == "()":
             return self.eval_sum(f[1], depth + 1)
         if f[0] == "gen":
-            return Weight.generator(_BASIS, f[1])
+            try:
+                return Weight.generator(_BASIS, f[1])
+            except DslSemanticError as exc:  # the parser names the line
+                raise DslSemanticError(f"{exc} (line 1)") from None
         if f[0] == "dec":
             if len(f[1]) > 4300:
                 self.fail("number literal too large", f[1], self.at[id(f)])
@@ -669,8 +672,8 @@ def _syntax(message, col):
     # errors keep their text and position
     ("1/0", _syntax("zero denominator near '0'", 3)),
     ("1/2/3", _syntax("unexpected input after the weight expression near '/'", 4)),
-    ("2*r9", ("DslSemanticError", "unknown generator 'r9'")),
-    ("r9", ("DslSemanticError", "unknown generator 'r9'")),
+    ("2*r9", ("DslSemanticError", "unknown generator 'r9' (line 1)")),
+    ("r9", ("DslSemanticError", "unknown generator 'r9' (line 1)")),
     ("1*r2*r3", ("DslSemanticError", "product of two irrational weights (line 1)")),
     (_TOO_BIG, _syntax(f"integer literal too large near '{_BIG[:24]}...'", 1)),
     (f"1/{_TOO_BIG}", _syntax(f"integer literal too large near '{_BIG[:24]}...'", 3)),

@@ -37,9 +37,11 @@ from foamcalc import (
     PCup,
     PMerge,
     PSplit,
+    PrecisionExhausted,
     SchemaMismatch,
     Split,
     Strand,
+    TraceCheck,
     Weight,
     apply_move,
     enumerate_moves,
@@ -56,6 +58,7 @@ from foamcalc.acceptance import (
     _insert_dots,
     demo_basis,
     rand_closed_diagram,
+    rand_dotted_diagram,
     rand_positive_weight,
     rand_signed_planar,
 )
@@ -496,8 +499,213 @@ def test_flip_reduce_applies_few_events(monkeypatch):
     """Cost guard: exchanges apply no event and split-off blocks are never
     built, so flip_reduce on this closure (927 steps) applies 742 events;
     it applied 1,891 when every exchange was a splice and every block was
-    built and deleted."""
+    built and deleted.  validate_trace replays exchange runs and split-off
+    pairs a block at a time, so it applies the same 742 events and builds
+    no block."""
     d = _dotted_closure(random.Random(16), demo_basis("r2"), 16, dots=3, mirrored=False)
     calls = _count_apply_event(monkeypatch)
-    assert len(flip_reduce(d)) == 927
+    trace = flip_reduce(d)
+    assert len(trace) == 927
     assert len(calls) == 742
+    reduced = list(calls)
+    calls.clear()
+    assert validate_trace(d, trace)
+    assert calls == reduced
+
+
+def _exchange_runs(trace) -> int:
+    """The number of maximal runs of exchange steps at indices k, k+1, ..."""
+    return sum(m.schema == "exchange" and not (
+        i and trace[i - 1].schema == "exchange" and trace[i - 1].index == m.index - 1)
+        for i, m in enumerate(trace))
+
+
+def _count_builds(monkeypatch) -> list:
+    """The classes of the diagrams built through _from_slices from now on:
+    every splice, and every diagram that knows its slices."""
+    builds = []
+    from_slices = foamdiag.SlicedDiagram._from_slices.__func__
+
+    def counted(cls, *args):
+        builds.append(cls)
+        return from_slices(cls, *args)
+
+    monkeypatch.setattr(foamdiag.SlicedDiagram, "_from_slices", classmethod(counted))
+    return builds
+
+
+def test_each_exchange_run_builds_one_diagram(monkeypatch):
+    """Cost guard: flip_reduce and validate_trace each build one diagram
+    per exchange run, one per split-off pair and one per other step: 556
+    for this closure's 927 steps (390 exchanges in 94 runs, 75 split-off
+    pairs), where one per exchange would make 852."""
+    d = _dotted_closure(random.Random(16), demo_basis("r2"), 16, dots=3, mirrored=False)
+    builds = _count_builds(monkeypatch)
+    trace = flip_reduce(d)
+    schemas = collections.Counter(m.schema for m in trace)
+    exchanges, pairs = schemas["exchange"], schemas["crossing_splitoff"] + schemas["dot_splitoff"]
+    assert (len(trace), exchanges, _exchange_runs(trace), pairs) == (927, 390, 94, 75)
+    assert len(builds) == len(trace) - exchanges + _exchange_runs(trace) - pairs == 556
+    builds.clear()
+    assert validate_trace(d, trace)
+    assert len(builds) == 556
+
+
+# ----------------------------------------- block replay against step-by-step
+
+
+def _stepwise(d, trace, target):
+    """validate_trace's report computed with one apply_move per step."""
+    for i, m in enumerate(trace):
+        try:
+            d = apply_move(d, m)
+        except SchemaMismatch as exc:
+            return TraceCheck(False, len(trace), i, str(exc))
+    if d != target:
+        return TraceCheck(False, len(trace), len(trace), "final diagram differs from the target")
+    return TraceCheck(True, len(trace))
+
+
+def _report(check, *args):
+    try:
+        return check(*args)
+    except FoamError as exc:
+        return type(exc), str(exc)
+
+
+def _corrupted(rng, trace) -> list:
+    """Copies of the trace with a step dropped, duplicated, swapped with
+    the next, re-indexed by -1 or +1, or given params, and the trace cut
+    right after a split-off.  Steps are drawn at random, among exchanges
+    and among deaths."""
+    out = []
+    pools = [range(len(trace))] + [
+        [i for i, m in enumerate(trace) if m.schema in schemas]
+        for schemas in (("exchange",), ("u_ab_death", "dotted_circle_death"),
+                        ("crossing_splitoff", "dot_splitoff"))]
+    for pool in pools[:3]:
+        if not pool:
+            continue
+        i = rng.choice(pool)
+        m = trace[i]
+        out += [trace[:i] + trace[i + 1 :], trace[:i + 1] + trace[i:],
+                trace[:i] + trace[i + 1 : i + 2] + [m] + trace[i + 2 :],
+                trace[:i] + [MoveInstance(m.schema, m.index, {"pos": 0})] + trace[i + 1 :]]
+        out += [trace[:i] + [MoveInstance(m.schema, m.index + shift, m.params)] + trace[i + 1 :]
+                for shift in (-1, 1)]
+    if pools[3]:
+        out.append(trace[: rng.choice(pools[3]) + 1])
+    return out
+
+
+def test_validate_trace_equals_a_step_by_step_replay():
+    """validate_trace replays exchange runs and split-off pairs a block at
+    a time; its report (ok, steps, failed_at, reason) equals that of one
+    apply_move per step, on whole traces and on corrupted copies."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(61)
+    corpus = [_dotted_closure(rng, basis, r, dots=r % 4, mirrored=r % 3 == 0)
+              for r in range(3, 11)]
+    corpus += [rand_dotted_diagram(rng, basis) for _ in range(40)]
+    empty = FoamDiagram(basis, [], [])
+    failures = collections.Counter()
+    for d in corpus:
+        trace = flip_reduce(d)
+        for bad in [trace] + _corrupted(rng, trace):
+            got = _report(validate_trace, d, bad)
+            assert got == _report(_stepwise, d, bad, empty), (d, bad)
+            if isinstance(got, TraceCheck) and not got:
+                failures[got.reason.split(":")[0].split(" at ")[0]] += 1
+    kinds = {"exchange", "u_ab_death", "dotted_circle_death", "final diagram differs from the target"}
+    assert kinds <= set(failures), failures
+
+
+def test_split_off_pairs_on_unchecked_start_strands_replay_step_by_step(w, basis):
+    """A start slice's weights are not checked, so a split-off there may
+    put on a block that does not validate.  Such a pair is replayed step
+    by step and fails, or raises, as it does there."""
+    reports = []
+    for text in ("-1", "0", "r2 - 1.4142135623730951", "1"):
+        start = [Strand(w(text), Dir.UP)]
+        d, target = FoamDiagram(basis, start, [Dot(0)]), FoamDiagram(basis, start, [])
+        trace = [MoveInstance("dot_splitoff", 0), MoveInstance("dotted_circle_death", 0)]
+        got = _report(validate_trace, d, trace, target)
+        assert got == _report(_stepwise, d, trace, target), (text, got)
+        reports.append(got)
+    assert reports[:2] == [
+        TraceCheck(False, 2, 0, "dot_splitoff at 0: cup weight must be positive, got Weight(-1)"),
+        TraceCheck(False, 2, 0, "dot_splitoff at 0: cup weight must be positive, got Weight(0)")]
+    assert reports[2][0] is PrecisionExhausted
+    assert reports[3] == TraceCheck(True, 2)
+
+
+def test_split_off_and_kill_is_the_split_off_and_its_death():
+    """At every crossing and dot of random dotted diagrams, split_off_and_kill
+    gives the diagram, slices included, that apply_move gives for the
+    split-off and then for the death move it returns, or the same error."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(67)
+    sites = collections.Counter()
+    for _ in range(120):
+        d = rand_dotted_diagram(rng, basis)
+        if rng.random() < 0.5:
+            d = _dotted_closure(rng, basis, rng.randint(2, 4), dots=rng.randint(0, 2),
+                                mirrored=rng.random() < 0.5)
+        for k, e in enumerate(d.events):
+            schema = {Cross: "crossing_splitoff", Dot: "dot_splitoff"}.get(type(e))
+            if schema is None:
+                continue
+            m = MoveInstance(schema, k)
+            try:
+                got, death = moves.split_off_and_kill(d, m)
+            except SchemaMismatch as exc:
+                with pytest.raises(SchemaMismatch) as want:
+                    apply_move(d, m)
+                assert str(exc) == str(want.value)
+                sites["mismatch"] += 1
+                continue
+            want = apply_move(apply_move(d, m), death)
+            assert got == want and got.slices == want.slices, (d, m)
+            assert death.index == len(got.events)
+            sites[schema] += 1
+    assert sites["crossing_splitoff"] > 20 and sites["dot_splitoff"] > 20, sites
+
+
+def test_exchange_run_is_a_run_of_exchange_steps(monkeypatch):
+    """exchange_run(d, k, count) builds one diagram, equal, slices
+    included, to count exchange steps at k, k+1, ...; where a step's events
+    overlap it raises that step's error.  A run as long as _disjoint_run
+    says goes through, and one step more overlaps."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(71)
+    corpus = [rand_closed_diagram(rng, basis) for _ in range(30)]
+    corpus += [_dotted_closure(rng, basis, r, dots=2, mirrored=False) for r in (4, 6, 8, 10)]
+    builds = _count_builds(monkeypatch)
+    outcomes = collections.Counter()
+    for d in corpus:
+        for k in range(len(d.events) - 1):
+            run = moves._disjoint_run(d, k)
+            for count in sorted({rng.randint(1, len(d.events) - 1 - k), run, run + 1} - {0}):
+                if k + count >= len(d.events):
+                    continue
+                want = d
+                for i in range(k, k + count):
+                    try:
+                        want = apply_move(want, MoveInstance("exchange", i))
+                    except SchemaMismatch as exc:
+                        want = str(exc)
+                        break
+                builds.clear()
+                try:
+                    got = moves.exchange_run(d, k, count)
+                except SchemaMismatch as exc:
+                    assert str(exc) == want and count > run
+                    outcomes["overlap"] += 1
+                    continue
+                assert got == want and got.slices == want.slices, (d, k, count)
+                assert len(builds) == 1 and count <= run
+                outcomes["ok"] += 1
+    assert outcomes["ok"] > 50 and outcomes["overlap"] > 50, outcomes
+    for k, count in ((-1, 1), (0, len(d.events)), (len(d.events) - 1, 1)):
+        with pytest.raises(IndexError):
+            moves.exchange_run(d, k, count)
