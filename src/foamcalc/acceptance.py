@@ -41,7 +41,7 @@ from .foamdiag import (
     zerofoam_class,
 )
 from .iet import Iet, iet_compose, iet_inverse, saf
-from .moves import MoveInstance, apply_move, enumerate_moves
+from .moves import MoveInstance, _enumerated, apply_move
 from .planar import (
     BracketSum,
     PCap,
@@ -59,7 +59,7 @@ from .planar import (
     verify_z4,
     z4_ok,
 )
-from .weights import Generator, GeneratorBasis, Weight, weight_cmp
+from .weights import Generator, GeneratorBasis, Weight, _normalised, weight_cmp
 
 DEFAULT_SEED = 20260814
 
@@ -77,15 +77,15 @@ def demo_basis(*names: str) -> GeneratorBasis:
 
 
 def _rand_weight(rng: random.Random, basis: GeneratorBasis, low: int) -> Weight:
-    """Coefficients with numerators in [low, 3], not all zero."""
+    """Coefficients n/m with n in [low, 3] and m in [1, 4], not all zero;
+    each is drawn as its numerator over 12, the lcm of the m."""
     n = len(basis.entries)
     while True:
-        coeffs = {
-            i: Fraction(rng.randint(low, 3), rng.randint(1, 4)) for i in range(n)
-        }
-        w = Weight(basis, coeffs)
-        if not w.is_zero():
-            return w
+        den, nums = _normalised(
+            12, {i: rng.randint(low, 3) * (12 // rng.randint(1, 4)) for i in range(n)}
+        )
+        if nums:
+            return Weight._of(basis, den, nums)
 
 
 def rand_positive_weight(rng: random.Random, basis: GeneratorBasis) -> Weight:
@@ -99,10 +99,9 @@ def rand_nonzero_weight(rng: random.Random, basis: GeneratorBasis) -> Weight:
 
 def rand_total(rng: random.Random, basis: GeneratorBasis) -> Weight:
     """A small positive weight with integer coefficients, unit part >= 1."""
-    coeffs = {0: Fraction(rng.randint(1, 2))}
-    for i in range(1, len(basis.entries)):
-        coeffs[i] = Fraction(rng.randint(0, 1))
-    return Weight(basis, coeffs)
+    nums = [(0, rng.randint(1, 2))]
+    nums += [(i, 1) for i in range(1, len(basis.entries)) if rng.randint(0, 1)]
+    return Weight._of(basis, 1, tuple(nums))
 
 
 def rand_iet_on_total(
@@ -112,27 +111,24 @@ def rand_iet_on_total(
     max_r: int = 5,
     allow_flips: bool = False,
 ) -> Iet:
-    """Random IET of the given total: rational cuts along each coordinate."""
+    """Random IET of the given total: rational cuts along each coordinate.
+    A cut takes j/16 of each coordinate of the total, j in [0, 15], as the
+    numerator j*n over 16 times the total's denominator."""
     r = rng.randint(1, max_r)
     cuts: set[Weight] = set()
-    support = [i for i, c in total.coeffs]
-    tcoeff = dict(total.coeffs)
+    den = 16 * total.den
     guard = 0
     while len(cuts) < r - 1:
         guard += 1
         if guard > 200:
             break
-        coeffs = {}
-        for i in support:
-            q = Fraction(rng.randint(0, 15), 16)
-            if q:
-                coeffs[i] = q * tcoeff[i]
-        w = Weight(basis, coeffs)
+        nums = {i: rng.randint(0, 15) * n for i, n in total.nums}
+        w = Weight._of(basis, *_normalised(den, nums))
         if not w.is_zero():
             cuts.add(w)
     starts = sorted(cuts, key=cmp_to_key(weight_cmp))
     lengths = []
-    prev = Weight(basis, {})
+    prev = Weight._of(basis, 1, ())
     for c in starts:
         lengths.append(c - prev)
         prev = c
@@ -355,8 +351,8 @@ def _crit_03_nu_move_invariance(rng: random.Random) -> tuple[bool, str]:
     for _ in range(100):
         d = rand_closed_diagram(rng, basis)
         base = nu(d)
-        for m in enumerate_moves(d):
-            if nu(apply_move(d, m)) != base:
+        for m, out in _enumerated(d):
+            if nu(out) != base:
                 return False, f"nu changed under {m.schema} at index {m.index}"
             checked += 1
     return True, f"nu unchanged under {checked} move instances on 100 diagrams"

@@ -563,9 +563,14 @@ class _Parser:
         return (sign * c, a, b)
 
 
+# The basis of a document without a basis block; a basis is immutable, so
+# every such document shares this one.
+_EMPTY_BASIS = GeneratorBasis(())
+
+
 def parse_document(text: str, precision_cap: int | None = None) -> Document:
     p = _Parser(text)
-    basis = GeneratorBasis(())
+    basis = _EMPTY_BASIS
     items: list[tuple[str, str, Item]] = []
     names: set[str] = set()
     first = True

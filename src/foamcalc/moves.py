@@ -239,13 +239,18 @@ def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
 
 def _disjoint_run(d: FoamDiagram, k: int) -> int:
     """How many events above event k it passes by exchanges, one after
-    another, before it meets one that it overlaps or the top."""
+    another, before it meets one that it overlaps or the top.  It tracks
+    only the position of event k, in :func:`_passed`'s order of tests, and
+    builds no event."""
     events, e = d.events, d.events[k]
+    pos, width = e.pos, e.produces
     for i in range(k + 1, len(events)):
-        passed = _passed(e, events[i])
-        if passed is None:
+        f = events[i]
+        if f.pos >= pos + width:
+            continue
+        if f.pos + f.consumes > pos:
             return i - k - 1
-        e = passed[1]
+        pos += f.produces - f.consumes
     return len(events) - k - 1
 
 
@@ -350,12 +355,24 @@ FLIP_SCHEMAS: dict = {
 
 ALL_SCHEMAS: dict = {**NU_SCHEMAS, **FLIP_SCHEMAS}
 
+# Schema -> the params it reads: its selector keys and the params its
+# insertion sides take.
+_PARAM_KEYS = {
+    schema: frozenset(keys).union(_PARAMS[var][0] for alternatives in options.values()
+                                  for rule, side in alternatives for var in rule.sides[side][2])
+    for schema, (keys, _, options) in ALL_SCHEMAS.items()
+}
+
 
 def _alternatives(schema: str, params: dict) -> tuple:
-    """The (rule, side) alternatives of a schema under its selector params."""
+    """The (rule, side) alternatives of a schema under its selector params;
+    a param that the schema does not read is refused."""
     if schema not in ALL_SCHEMAS:
         raise SchemaMismatch(f"unknown schema {schema!r}")
     keys, defaults, options = ALL_SCHEMAS[schema]
+    for key in params:
+        if key not in _PARAM_KEYS[schema]:
+            raise SchemaMismatch(f"unknown param {key!r}")
     if not keys:
         return options[()]
     chosen = tuple(map(params.get, keys, defaults))
@@ -368,7 +385,7 @@ def _alternatives(schema: str, params: dict) -> tuple:
 
 def _candidates(*pairs) -> tuple:
     """Each ``(schema, params)`` pair with its alternatives, for
-    :func:`_matching` and :func:`_first_applied`."""
+    :func:`_enumerated` and :func:`_first_applied`."""
     return tuple((schema, params, _alternatives(schema, params)) for schema, params in pairs)
 
 
@@ -388,15 +405,6 @@ def _rewritten(d: FoamDiagram, schema: str, k: int, params: dict, alternatives: 
     except IndexError:
         raise SchemaMismatch(f"{schema} at {k}: position out of range") from None
     return None
-
-
-def _matching(d: FoamDiagram, k: int, candidates: tuple):
-    """Each candidate move whose rule matches at event k, in order, unapplied."""
-    for schema, params, alternatives in candidates:
-        for rule, side in alternatives:
-            if rule.sides[side][1](d, k, params, False) is not None:
-                yield MoveInstance(schema, k, dict(params))
-                break
 
 
 def _first_applied(d: FoamDiagram, k: int, candidates: tuple, apply: bool = True):
@@ -455,12 +463,21 @@ _AT_EVENT = _candidates(
       for pattern in ("mm", "ss", "sm", "ms") for which in ("lr", "rl")))
 
 
-def enumerate_moves(d: FoamDiagram) -> list[MoveInstance]:
-    """Every nu-preserving instance that applies to d, insertion families
-    sampled one representative per location.  A window candidate is applied
-    only where its rule matches, and kept only where its splice validates."""
+def _enumerated(d: FoamDiagram):
+    """``(move, d rewritten by it)`` for each move of :func:`enumerate_moves`,
+    in its order.  Each candidate is matched and applied in one call: the
+    window candidates at each event first, then one insertion of each
+    family per location."""
+    for k in range(len(d.events)):
+        for schema, params, alternatives in _AT_EVENT:
+            try:
+                out = _rewritten(d, schema, k, params, alternatives, True)
+            except SchemaMismatch:
+                continue
+            if out is not None:
+                yield MoveInstance(schema, k, dict(params)), out
     unit = Weight.rational(d.basis, 1)
-    cands = [m for k in range(len(d.events)) for m in _matching(d, k, _AT_EVENT)]
+    cands = []
     for k, cur in enumerate(d.slices):
         cands.append(MoveInstance("circle_birth", k, {"pos": 0, "weight": unit, "dir": "u"}))
         for p in range(len(cur)):
@@ -471,11 +488,17 @@ def enumerate_moves(d: FoamDiagram) -> list[MoveInstance]:
                 cands.append(MoveInstance("singular_cup", k, {"pos": p, "order": "L"}))
             elif cur[p].weight == cur[p + 1].weight:
                 cands.append(MoveInstance("saddle", k, {"kind": "insert", "pos": p}))
-    out = []
     for m in cands:
         try:
-            apply_move(d, m)
+            out = apply_move(d, m)
         except SchemaMismatch:
             continue
-        out.append(m)
-    return out
+        yield m, out
+
+
+def enumerate_moves(d: FoamDiagram) -> list[MoveInstance]:
+    """Every nu-preserving instance that applies to d, insertion families
+    sampled one representative per location.  Each candidate is matched
+    and applied once (:func:`_enumerated`), and kept only where its rule
+    matches and its splice validates."""
+    return [m for m, _ in _enumerated(d)]

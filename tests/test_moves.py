@@ -709,3 +709,136 @@ def test_exchange_run_is_a_run_of_exchange_steps(monkeypatch):
     for k, count in ((-1, 1), (0, len(d.events)), (len(d.events) - 1, 1)):
         with pytest.raises(IndexError):
             moves.exchange_run(d, k, count)
+
+
+# ------------------------------------------------ one match-and-apply per move
+
+
+def _two_pass_moves(d):
+    """enumerate_moves in two passes: match each window candidate with its
+    side functions, then build every candidate with apply_move and keep
+    those that apply."""
+    cands = []
+    for k in range(len(d.events)):
+        for schema, params, alternatives in moves._AT_EVENT:
+            if any(rule.sides[side][1](d, k, params, False) is not None
+                   for rule, side in alternatives):
+                cands.append(MoveInstance(schema, k, dict(params)))
+    unit = Weight.rational(d.basis, 1)
+    for k, cur in enumerate(d.slices):
+        cands.append(MoveInstance("circle_birth", k, {"pos": 0, "weight": unit, "dir": "u"}))
+        for p in range(len(cur)):
+            cands.append(MoveInstance("singular_cap", k, {"pos": p, "order": "L",
+                                                          "left": cur[p].weight.scale("1/2")}))
+        for p in range(len(cur) - 1):
+            if cur[p].dir == cur[p + 1].dir:
+                cands.append(MoveInstance("singular_cup", k, {"pos": p, "order": "L"}))
+            elif cur[p].weight == cur[p + 1].weight:
+                cands.append(MoveInstance("saddle", k, {"kind": "insert", "pos": p}))
+    out = []
+    for m in cands:
+        try:
+            apply_move(d, m)
+        except SchemaMismatch:
+            continue
+        out.append(m)
+    return out
+
+
+def test_enumerated_moves_equal_a_two_pass_enumeration():
+    """_enumerated matches and applies each candidate once; it yields the
+    moves that matching and then applying give, in their order, each with
+    the diagram that apply_move gives."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(83)
+    corpus = _enumerate_corpus() + [rand_closed_diagram(rng, basis) for _ in range(100)]
+    schemas = collections.Counter()
+    for d in corpus:
+        pairs = list(moves._enumerated(d))
+        assert [m for m, _ in pairs] == _two_pass_moves(d) == enumerate_moves(d)
+        for m, out in pairs:
+            assert out == apply_move(d, m), (m.schema, m.index)
+            schemas[m.schema] += 1
+    assert set(schemas) == set(NU_SCHEMAS), schemas
+
+
+def _run_through_passed(d, k):
+    """_disjoint_run walked with _passed, building each shifted event."""
+    e = d.events[k]
+    for i in range(k + 1, len(d.events)):
+        passed = moves._passed(e, d.events[i])
+        if passed is None:
+            return i - k - 1
+        e = passed[1]
+    return len(d.events) - k - 1
+
+
+def test_disjoint_run_counts_from_positions_alone(monkeypatch):
+    """_disjoint_run gives the count that a walk with _passed gives, at
+    every event of the flip corpus and of every diagram its traces pass
+    through, and builds no event.  flip_reduce shifts each event that a run
+    passes once, in exchange_run: one _passed call per exchange step.
+
+    In the hand diagram the cap at 1 has no width, so the cup above it at
+    its own position passes it by either of _passed's tests.  Its first
+    test leaves the cap at position 1, where the crossing above overlaps
+    it; the second would shift it to 3, past the crossing."""
+    basis = demo_basis("r2", "r3")
+    a, b = Weight.rational(basis, 1), Weight.generator(basis, "r2")
+    hand = FoamDiagram(basis, [Strand(b, Dir.UP)],
+                       [Cup(1, a, Dir.UP), Cap(1), Cup(1, a, Dir.UP), Cross(0)])
+    assert _run_through_passed(hand, 1) == 1
+    sites = [(d, k) for d in [hand] + _flip_corpus() + [d for d, _ in _trace_steps()]
+             for k in range(len(d.events))]
+    want = [_run_through_passed(d, k) for d, k in sites]
+    assert sum(map(bool, want)) > 100
+
+    def refused(*args):
+        raise AssertionError("_disjoint_run built an event")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(moves, "_passed", refused)
+        patch.setattr(moves, "_shifted", refused)
+        assert [moves._disjoint_run(d, k) for d, k in sites] == want
+    calls = collections.Counter()
+    passed = moves._passed
+
+    def counted(e, f):
+        calls["passed"] += 1
+        return passed(e, f)
+
+    monkeypatch.setattr(moves, "_passed", counted)
+    exchanges = sum(m.schema == "exchange" for d in _flip_corpus() for m in flip_reduce(d))
+    assert calls["passed"] == exchanges > 100
+
+
+def test_a_param_that_the_schema_does_not_read_is_refused(w):
+    """A step may carry only its schema's selector keys and the params its
+    insertion sides take; any other key is refused, in apply_move and in the
+    reason of validate_trace, as ``<schema> at <index>: unknown param``."""
+    d = FoamDiagram(w("1").basis, [], [Cup(0, w("1"), Dir.UP), Dot(0), Cap(0)])
+    trace = flip_reduce(d)
+    assert validate_trace(d, trace)
+    junk = [MoveInstance(m.schema, m.index, {"pos": 7, "weight": "junk"}) for m in trace]
+    assert validate_trace(d, junk) == TraceCheck(False, 3, 0,
+                                                 "dot_splitoff at 1: unknown param 'pos'")
+    for m in junk:
+        with pytest.raises(SchemaMismatch) as exc:
+            apply_move(d, m)
+        assert str(exc.value) == f"{m.schema} at {m.index}: unknown param 'pos'"
+    cases = [
+        (MoveInstance("vertex_flip", 0, {"dir": "expand", "pos": 0}),
+         "vertex_flip at 0: unknown param 'pos'"),
+        (MoveInstance("saddle", 0, {"kind": "insert", "pos": 0, "weight": w("1")}),
+         "saddle at 0: unknown param 'weight'"),
+        (MoveInstance("circle_birth", 0, {"pos": 0, "weight": w("1"), "dir": "u", "at": 1}),
+         "circle_birth at 0: unknown param 'at'"),
+    ]
+    for m, text in cases:
+        assert validate_trace(d, [m]).reason == text
+    assert {schema: sorted(keys) for schema, keys in moves._PARAM_KEYS.items() if keys} == {
+        "vertex_flip": ["dir"], "vertex_slide": ["dir"], "vertex_cobordism": ["dir", "pattern"],
+        "singular_cup": ["order", "pos"], "singular_cap": ["left", "order", "pos"],
+        "saddle": ["kind", "pos"], "circle_birth": ["dir", "pos", "weight"],
+        "dot_pair_birth": ["pos"], "dot_through_vertex": ["dir"],
+    }
