@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cmp_to_key, reduce
+from functools import cache, cmp_to_key, reduce
 from typing import Callable
 
 from .decorated import (
@@ -67,8 +67,10 @@ R2 = Generator("r2", "1.4142135623730951", 16)
 R3 = Generator("r3", "1.7320508075688772", 16)
 
 
+@cache
 def demo_basis(*names: str) -> GeneratorBasis:
-    """Basis with any of the stock generators r2, r3."""
+    """Basis with any of the stock generators r2, r3, built once for each
+    list of names: a basis is immutable and compares by its entries."""
     stock = {"r2": R2, "r3": R3}
     return GeneratorBasis([stock[n] for n in names])
 

@@ -231,10 +231,11 @@ class SlicedDiagram:
     below the change into a short list, stops at the first recomputed slice
     past the change that equals its old counterpart, and joins the old
     slices below, the recomputed ones and the old tail once.  Both give the
-    same slices and the same errors.  A rewrite that knows its new slices,
-    such as a run of exchanges of disjoint events (``moves.exchange_run``),
-    builds the diagram once through :meth:`_from_slices` and applies no
-    event.
+    same slices and the same errors.  A rewrite that knows its new slices
+    builds the diagram once through :meth:`_from_slices`: a run of
+    exchanges of disjoint events (``moves.exchange_run``) applies no event,
+    and a two-event rewrite that keeps the slice above its window, such as
+    a vertex cobordism (``moves._rewrite_pair``), applies one.
     Diagrams are equal when they have the same type, basis, start and
     events."""
 
@@ -333,7 +334,7 @@ def nu(d: FoamDiagram) -> WedgeValue:
     the diagram is null-cobordant iff the result is zero."""
     if not d.is_closed():
         raise OpenDiagram("nu needs a closed diagram")
-    if d.has_dots() or d.has_labels():
+    if any(isinstance(e, (Dot, Label)) for e in d.events):
         raise UnsupportedDecoration("nu is defined for undecorated diagrams")
     return nu_events(d)
 

@@ -9,6 +9,14 @@ change nu and are only ever applied through explicit trace steps.
 A move names a schema, the index of the first event it touches, and
 params.  A schema applies :class:`Rule` sides: each local rewrite is
 written once, and its reverse is the same rule with its sides swapped.
+
+A rewrite leaves the slice above its window as it was, so a move builds
+only the slices inside its window.  Most splice their new events in
+(``SlicedDiagram.spliced``).  An exchange assembles its middle slice from
+the slices around it (:func:`exchange_run`), and a two-event rewrite
+whose upper event is a merge or a split, such as a vertex cobordism,
+applies only its lower event and keeps the slice above
+(:func:`_rewrite_pair`).
 """
 
 from __future__ import annotations
@@ -16,10 +24,10 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from .errors import DslSemanticError, NonPositiveWeight, SchemaMismatch
-from .foamdiag import (EVENT_KINDS, Cap, Cup, Dir, Dot, FoamDiagram, Merge, Order, Split,
+from .errors import DslSemanticError, FoamError, NonPositiveWeight, SchemaMismatch
+from .foamdiag import (EVENT_KINDS, Cap, Cup, Dir, Dot, FoamDiagram, Merge, Order, Split, Strand,
                        u_block_events)
-from .weights import Weight, weight_from_json
+from .weights import POSITIVE, Weight, weight_from_json
 
 
 @dataclass
@@ -106,8 +114,9 @@ def _compile(side: list, checks: list, rewritten) -> None:
     """Put in ``side[1]`` the function ``(foam, k, params, apply)`` of a side
     ``[kinds, _, free]``: None where its window does not match at event k,
     else the diagram rewritten (``apply``) or the window's bindings.
-    ``rewritten`` is the other side's event sources or a one-way rule's
-    function.  Each check solves for its one unbound variable, or tests.  The
+    ``rewritten`` is the other side's event kinds and sources, or a one-way
+    rule's function.  Two events that replace two, the upper one a merge or
+    a split, go through :func:`_rewrite_pair`; other sides splice.  Each check solves for its one unbound variable, or tests.  The
     source compiles on first use, so that an import pays only for rules applied."""
     def first_call(*args):
         kinds, _, free = side
@@ -130,12 +139,18 @@ def _compile(side: list, checks: list, rewritten) -> None:
             else:
                 body.append(f"if {field} != {value}: return None")
         env = "{" + ", ".join(f"{v!r}: {v}" for v in bound) + "}"
-        new = f"rhs(foam, k, {env})" if callable(rewritten) else \
-            f"foam.spliced(k, {n}, [{', '.join(rewritten)}])"
+        if callable(rewritten):
+            new = f"rhs(foam, k, {env})"
+        else:
+            dst_kinds, events = rewritten
+            new = f"foam.spliced(k, {n}, [{', '.join(events)}])"
+            if n == 2 and len(dst_kinds) == 2 and dst_kinds[1] in (Merge, Split):
+                new = f"_rewrite_pair(foam, k, {', '.join(events)})"
         body.append(f"return {new} if apply else {env}")
         source = "def side(foam, k, params, apply):\n    " + "\n    ".join(body)
         scope = {cls.__name__: cls for cls in (*EVENT_KINDS, Order, Dir)}
-        exec(source, scope | {"_param": _param, "rhs": rewritten}, scope)  # from the rule table
+        exec(source, scope | {"_param": _param, "rhs": rewritten, "_rewrite_pair": _rewrite_pair},
+             scope)  # from the rule table
         side[1] = scope["side"]
         return side[1](*args)
 
@@ -177,7 +192,7 @@ class Rule:
             free = [] if kinds else [v for v in names if v not in read_vars]
             self.sides.append([kinds, None, free])
             _compile(self.sides[-1], fields + read_checks + weights,
-                     rhs if callable(rhs) else dst[3])
+                     rhs if callable(rhs) else (dst[0], dst[3]))
 
 
 # --- moves that are not a fixed window ------------------------------------------
@@ -210,7 +225,8 @@ def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
     strands below, with the strands that the upper event f consumes
     replaced by the strands f produces, read from the slice above.  That is
     what f gives below the other event, because f reads only the strands it
-    consumes, so the slices stay validated.  A pair that overlaps raises
+    consumes, so the slices stay validated.  :func:`_rewrite_pair` keeps
+    the slice above a vertex rewrite the same way.  A pair that overlaps raises
     the ``SchemaMismatch`` that :func:`apply_move` raises for its step."""
     if not 0 <= k <= k + count < len(d.events):
         raise IndexError(f"exchange run of {count} at {k} out of range")
@@ -237,6 +253,45 @@ def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
         raise SchemaMismatch(_OVERLAP) from None
 
 
+def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
+                  mid: tuple | None = None) -> FoamDiagram:
+    """d with its ``removed`` events from k replaced by e and then f, the
+    merge or split f on top, where a rule's algebra makes the slice above
+    them equal to the old slice above the window.  Only the middle slice is
+    new: e applied to slice k (``step``), or ``mid`` where the caller built
+    it.  The slice above comes from d, so f is checked only against what it
+    reads: a merge, its range and equal directions; a split, its range and
+    its left part and then its right part, read from the slice above,
+    decided positive.  The identities that keep that slice, for the
+    ``vertex_cobordism`` patterns and for the crossing split-off
+    (:func:`_uncrossed`):
+
+    - ``mm``: (a + b) + c = a + (b + c);
+    - ``ss``: (s - m) - (l - m) = s - l, the right part of the upper split;
+    - ``sm``: (w - l) + w' = (w + w') - l;
+    - ``ms``: (b + s) - (b + l) = s - l;
+    - the crossing: (a + b) - b = a.
+
+    Where e or f does not validate, or a sign is undecided, it returns
+    ``d.spliced``, which raises that splice's error."""
+    end = k + removed
+    try:
+        if mid is None:
+            mid = d.step(d.slices[k], e)
+        n, top = len(mid), d.slices[end]
+        if isinstance(f, Merge):
+            ok = 0 <= f.pos <= n - 2 and mid[f.pos].dir == mid[f.pos + 1].dir
+        else:
+            ok = (0 <= f.pos < n and f.left.sign() == POSITIVE
+                  and top[f.pos + 1].weight.sign() == POSITIVE)
+        if ok:
+            return d._from_slices(d.basis, d.start, d.events[:k] + (e, f) + d.events[end:],
+                                  d.slices[: k + 1] + (mid,) + d.slices[end:])
+    except FoamError:
+        pass
+    return d.spliced(k, removed, (e, f))
+
+
 def _disjoint_run(d: FoamDiagram, k: int) -> int:
     """How many events above event k it passes by exchanges, one after
     another, before it meets one that it overlaps or the top.  It tracks
@@ -255,9 +310,14 @@ def _disjoint_run(d: FoamDiagram, k: int) -> int:
 
 
 def _uncrossed(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
-    """The parallel crossing at k as a merge and a split."""
+    """The parallel crossing at k of strands a and b as a merge and a split.
+    The merge gives the middle strand a + b, built here, and the split gives
+    b and (a + b) - b = a, the slice above the crossing, so no event is
+    applied.  Its parts b and then a must be decided positive."""
     p, o = env["p"], Order.L if env["d"] is Dir.UP else Order.R
-    return d.spliced(k, 1, [Merge(p, o), Split(p, o, env["b"])])
+    cur = d.slices[k]
+    mid = cur[:p] + (Strand(env["a"] + env["b"], env["d"]),) + cur[p + 2 :]
+    return _rewrite_pair(d, k, Merge(p, o), Split(p, o, env["b"]), 1, mid)
 
 
 # The split-off schemas, each ``schema: (rewrite, block, death)``.  A

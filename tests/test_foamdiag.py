@@ -154,6 +154,18 @@ def test_nu_preconditions(w, basis):
         nu(dotted)
 
 
+def test_nu_refuses_a_dot_and_a_label_together(w, basis):
+    """One scan of the events finds either decoration; an open diagram is
+    refused as open before its decorations are looked at."""
+    g = GroupLabel((1,), ())
+    both = [Cup(0, w("1"), Dir.UP), Label(0, g), Dot(1), Cap(0)]
+    with pytest.raises(UnsupportedDecoration) as exc:
+        nu(FoamDiagram(basis, [], both))
+    assert str(exc.value) == "nu is defined for undecorated diagrams"
+    with pytest.raises(OpenDiagram):
+        nu(FoamDiagram(basis, [Strand(w("1"), Dir.UP)], [Dot(0), Label(0, g)]))
+
+
 def test_crossing_direction_rule(w, basis):
     # parallel strands contribute left^right; antiparallel right^left
     a, b = w("1"), w("1*r2")

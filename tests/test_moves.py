@@ -496,17 +496,20 @@ def test_validate_trace_replays_the_death_of_each_block(split_off, death):
 
 
 def test_flip_reduce_applies_few_events(monkeypatch):
-    """Cost guard: exchanges apply no event and split-off blocks are never
-    built, so flip_reduce on this closure (927 steps) applies 742 events;
-    it applied 1,891 when every exchange was a splice and every block was
-    built and deleted.  validate_trace replays exchange runs and split-off
-    pairs a block at a time, so it applies the same 742 events and builds
-    no block."""
+    """Cost guard: exchanges apply no event, split-off blocks are never
+    built, a crossing split-off builds its middle slice and a vertex
+    cobordism applies only its lower new event.  So flip_reduce on this
+    closure (927 steps, 299 of them vertex cobordisms) applies 299 events;
+    it applied 742 when each vertex rewrite applied both new events, and
+    1,891 when every exchange was a splice and every block was built and
+    deleted.  validate_trace replays exchange runs and split-off pairs a
+    block at a time, so it applies the same 299 events and builds no
+    block."""
     d = _dotted_closure(random.Random(16), demo_basis("r2"), 16, dots=3, mirrored=False)
     calls = _count_apply_event(monkeypatch)
     trace = flip_reduce(d)
     assert len(trace) == 927
-    assert len(calls) == 742
+    assert len(calls) == 299
     reduced = list(calls)
     calls.clear()
     assert validate_trace(d, trace)
@@ -842,3 +845,118 @@ def test_a_param_that_the_schema_does_not_read_is_refused(w):
         "saddle": ["kind", "pos"], "circle_birth": ["dir", "pos", "weight"],
         "dot_pair_birth": ["pos"], "dot_through_vertex": ["dir"],
     }
+
+
+# ------------------------------------------- vertex rewrites build one slice
+
+
+def _vertex_sites():
+    """Random closed diagrams, dotted closures and their mirrors, and the
+    diagrams that the flip corpus's traces pass through."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(89)
+    corpus = [rand_closed_diagram(rng, basis) for _ in range(80)]
+    corpus += [_dotted_closure(rng, basis, r, dots=r % 3, mirrored=mirrored)
+               for r in range(3, 9) for mirrored in (False, True)]
+    return corpus + [d for d, _ in _trace_steps()]
+
+
+def test_vertex_cobordisms_equal_their_splice(monkeypatch):
+    """Every vertex_cobordism pattern, in both directions, at every index
+    where it matches: the move gives the diagram, slices included, that
+    splicing the rule's new events in gives, or the same error, and it
+    applies one event."""
+    scope = {cls.__name__: cls for cls in (*foamdiag.EVENT_KINDS, Order, Dir)}
+    calls = _count_apply_event(monkeypatch)
+    seen = collections.Counter()
+    for d in _vertex_sites():
+        for (pattern, which), (((rule, side),)) in ALL_SCHEMAS["vertex_cobordism"][2].items():
+            sources = moves._window(rule.texts[1 - side])[3]
+            for k in range(len(d.events) - 1):
+                env = rule.sides[side][1](d, k, {}, False)
+                if env is None:
+                    continue
+                added = [eval(src, scope, dict(env)) for src in sources]
+                want = _outcome(lambda: d.spliced(k, 2, added))
+                m = MoveInstance("vertex_cobordism", k, {"pattern": pattern, "dir": which})
+                calls.clear()
+                try:
+                    got = apply_move(d, m)
+                except SchemaMismatch as exc:
+                    assert str(exc) == f"vertex_cobordism at {k}: {want[1]}", (m, d)
+                    seen["mismatch"] += 1
+                    continue
+                assert len(calls) == 1, (m, calls)
+                assert got.events[k : k + 2] == tuple(added)
+                assert got.slices == want and got == _rebuilt(got), (m, d)
+                seen[pattern, which] += 1
+    assert all(seen[pattern, which] >= 5 for pattern in moves._ASSOC for which in ("lr", "rl")), seen
+    assert seen["mismatch"] >= 5, seen
+
+
+def test_a_crossing_split_off_builds_its_middle_slice(monkeypatch):
+    """At every crossing: the in-place rewrite of a crossing split-off is
+    the splice of its merge and split, slices included, or the same error,
+    and it applies no event."""
+    rule, side = ALL_SCHEMAS["crossing_splitoff"][2][()][0]
+    calls = _count_apply_event(monkeypatch)
+    seen = collections.Counter()
+    for d in _vertex_sites():
+        for k, e in enumerate(d.events):
+            if not isinstance(e, Cross):
+                continue
+            env = rule.sides[side][1](d, k, {}, False)
+            if env is None:
+                seen["antiparallel"] += 1
+                continue
+            o = Order.L if env["d"] is Dir.UP else Order.R
+            added = (Merge(env["p"], o), Split(env["p"], o, env["b"]))
+            want = _outcome(lambda: d.spliced(k, 1, added))
+            calls.clear()
+            got = _outcome(lambda: moves._uncrossed(d, k, env))
+            assert calls == [] and got == want, (d, k)
+            seen["crossing"] += 1
+    assert seen["crossing"] > 50 and seen["antiparallel"], seen
+
+
+def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
+    """Where a vertex rewrite does not validate it raises what splicing its
+    events in raises: a merge on a start strand that is not positive, an
+    ss rewrite whose part l - m is not positive, a crossing of a strand
+    that is not positive, and a sign that a precision-capped basis cannot
+    decide."""
+    up = Dir.UP
+    # sm, left to right: split 0 L 1/2, then merge 1 L with the start strand -2.
+    sm = FoamDiagram(basis, [Strand(w("2"), up), Strand(w("-2"), up)],
+                     [Split(0, Order.L, w("1/2")), Merge(1, Order.L)])
+    # ss: the rewrite of split 0 L 2; split 0 L 1 with m = 5/2 in place of 1.
+    ss = FoamDiagram(basis, [Strand(w("3"), up)],
+                     [Split(0, Order.L, w("2")), Split(0, Order.L, w("1"))])
+    capped = basis.with_precision_cap(2)
+    rational = [Weight.rational(capped, q) for q in (1, "1/2", "-191/100")]
+    exhausted = FoamDiagram(capped, [Strand(rational[0], up),
+                                     Strand(rational[2] + Weight.generator(capped, "r2"), up)],
+                            [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
+    cases = [
+        (sm, (Merge(0, Order.L), Split(0, Order.L, w("1/2"))), NonPositiveWeight,
+         "right part of a split must be positive, got Weight(-1/2)"),
+        (ss, (Split(0, Order.L, w("5/2")), Split(1, Order.L, w("-1/2"))), NonPositiveWeight,
+         "left part of a split must be positive, got Weight(-1/2)"),
+        (exhausted, (Merge(0, Order.L), Split(0, Order.L, rational[1])), PrecisionExhausted,
+         None),
+    ]
+    for d, added, kind, text in cases:
+        want = _outcome(lambda: d.spliced(0, 2, added))
+        assert want[0] is kind and text in (None, want[1]), want
+        assert _outcome(lambda: moves._rewrite_pair(d, 0, *added)) == want
+    m = MoveInstance("vertex_cobordism", 0, {"pattern": "sm", "dir": "lr"})
+    with pytest.raises(SchemaMismatch) as exc:
+        apply_move(sm, m)
+    assert str(exc.value) == f"vertex_cobordism at 0: {cases[0][3]}"
+    with pytest.raises(PrecisionExhausted):
+        apply_move(exhausted, m)
+    crossed = FoamDiagram(basis, [Strand(w("-1"), up), Strand(w("1"), up)], [Cross(0)])
+    with pytest.raises(SchemaMismatch) as exc:
+        apply_move(crossed, MoveInstance("crossing_splitoff", 0))
+    assert str(exc.value) == ("crossing_splitoff at 0: right part of a split "
+                              "must be positive, got Weight(-1)")
