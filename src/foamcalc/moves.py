@@ -116,8 +116,9 @@ def _compile(side: list, checks: list, rewritten) -> None:
     else the diagram rewritten (``apply``) or the window's bindings.
     ``rewritten`` is the other side's event kinds and sources, or a one-way
     rule's function.  Two events that replace two, the upper one a merge or
-    a split, go through :func:`_rewrite_pair`; other sides splice.  Each check solves for its one unbound variable, or tests.  The
-    source compiles on first use, so that an import pays only for rules applied."""
+    a split, go through :func:`_rewrite_pair`; other sides splice.  Each
+    check solves for its one unbound variable, or tests.  The source
+    compiles on first use, so that an import pays only for rules applied."""
     def first_call(*args):
         kinds, _, free = side
         n = len(kinds)
@@ -226,8 +227,9 @@ def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
     replaced by the strands f produces, read from the slice above.  That is
     what f gives below the other event, because f reads only the strands it
     consumes, so the slices stay validated.  :func:`_rewrite_pair` keeps
-    the slice above a vertex rewrite the same way.  A pair that overlaps raises
-    the ``SchemaMismatch`` that :func:`apply_move` raises for its step."""
+    the slice above a vertex rewrite the same way.  A pair that overlaps
+    raises the ``SchemaMismatch`` that :func:`apply_move` raises for its
+    step."""
     if not 0 <= k <= k + count < len(d.events):
         raise IndexError(f"exchange run of {count} at {k} out of range")
     events = list(d.events[k : k + count + 1])

@@ -870,7 +870,7 @@ def test_vertex_cobordisms_equal_their_splice(monkeypatch):
     calls = _count_apply_event(monkeypatch)
     seen = collections.Counter()
     for d in _vertex_sites():
-        for (pattern, which), (((rule, side),)) in ALL_SCHEMAS["vertex_cobordism"][2].items():
+        for (pattern, which), ((rule, side),) in ALL_SCHEMAS["vertex_cobordism"][2].items():
             sources = moves._window(rule.texts[1 - side])[3]
             for k in range(len(d.events) - 1):
                 env = rule.sides[side][1](d, k, {}, False)
@@ -890,7 +890,8 @@ def test_vertex_cobordisms_equal_their_splice(monkeypatch):
                 assert got.events[k : k + 2] == tuple(added)
                 assert got.slices == want and got == _rebuilt(got), (m, d)
                 seen[pattern, which] += 1
-    assert all(seen[pattern, which] >= 5 for pattern in moves._ASSOC for which in ("lr", "rl")), seen
+    patterns = itertools.product(moves._ASSOC, ("lr", "rl"))
+    assert all(seen[pattern] >= 5 for pattern in patterns), seen
     assert seen["mismatch"] >= 5, seen
 
 
