@@ -34,9 +34,10 @@ rational.  `split` takes the flag and the weight of the left output strand;
 the planar `split` takes just that weight.  `label` takes a group element as
 `(<free ints>;<torsion ints>)`.
 
-The whole text is checked against the token grammar in one regular
-expression match, and its tokens come out of one `findall`, blanks and
-comments skipped.  A token is a plain string, `""` at the end of input.
+The tokens come out of one `findall`, blanks and comments skipped, and the
+same scan checks the text against the token grammar: where no token fits,
+it takes the rest of the text as one string, which makes the text invalid.
+A token is a plain string, `""` at the end of input.
 Token offsets, and so line and column, are computed by a second scan only
 when a message needs them, and that scan stops at the token the message
 names.
@@ -119,8 +120,19 @@ _SKIP = r"(?:[ \t\r\n]++|#[^\n]*+\n)*+"
 _TOKEN = r"[{}\[\]();,=:*+\-/]|[A-Za-z_][A-Za-z0-9_]*+|[0-9]++(?:\.[0-9]++|(?!\.))"
 _END = r"(?:#[^\n]*+)?\Z"
 
-_DOCUMENT = re.compile(rf"(?:{_SKIP}(?:{_TOKEN}))*+{_SKIP}{_END}")
-_TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN})|{_END})")
+# One findall over _TEXTS both takes the tokens and decides whether the text
+# is valid, because every search matches where it starts.  After the blanks
+# and comments, which take every newline and every comment that a newline
+# ends, comes the end of input, a comment that runs to it, a token, or else
+# a character that starts none of them; there the match takes the rest of
+# the text as one string.  So the matches tile the text: findall skips no
+# character, and never starts a match inside a comment, as a scan that went
+# on one character after a failed match would.  The text is valid exactly
+# when no rest is taken.  A rest can only be the last string before the end
+# of input, and the token pattern does not match it in full, or it would
+# have matched at its start.
+_TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN}|(?!#)(?s:.+))|{_END})")
+_TOKEN_TEXT = re.compile(_TOKEN)
 # Only error messages scan, so this one is compiled on first use, through the
 # cache of the re module.  Groups: 1 a token, 2 the end of input, 3 a
 # malformed number, 4 any other character but a newline, which the blanks
@@ -139,12 +151,12 @@ def _tokenize(text: str) -> list[str]:
     """The token texts of ``text``, ending with ``""`` for the end of input.
     A token is ``""`` (eof), a symbol, a number when it starts with a digit,
     or else a name."""
-    if _DOCUMENT.fullmatch(text) is None:
-        _offsets(text)  # raises the token error
     toks = _TEXTS.findall(text)
     # after trailing blanks, findall also matches the empty end once more
     if len(toks) > 1 and not toks[-2]:
         toks.pop()
+    if len(toks) > 1 and _TOKEN_TEXT.fullmatch(toks[-2]) is None:
+        _offsets(text)  # raises the token error
     return toks
 
 
@@ -489,32 +501,39 @@ class _Parser:
         start = self.comma_list(lambda: calc.read_strand(self, basis), "]")
         self.expect("]")
         self.expect(";")
+        toks, keywords, step = self.toks, calc.keywords, calc.diagram.step
         events: list = []
-        slices = [tuple(start)]
+        cur = tuple(start)
+        slices = [cur]
         while True:
             mark = self.k
-            kw = self.expect_ident("an event keyword")
-            if kw == "end":
-                self.expect(";")
-                break
-            cls = calc.keywords.get(kw)
-            if cls is None:
+            kind_readers = keywords.get(toks[mark])
+            if kind_readers is None:  # end, or an error
+                kw = self.expect_ident("an event keyword")
+                if kw == "end":
+                    self.expect(";")
+                    break
                 self.fail(calc.unknown, mark)
+            cls, readers = kind_readers
             # every event kind's first field is its position
-            t = self.toks[self.k]
+            t = toks[mark + 1]
             if t.isdigit() and len(t) <= _INT_SAFE:
                 pos = int(t)
-                self.k += 1
+                self.k = mark + 2
             else:
+                self.k = mark + 1
                 pos = self.nonneg_int("a position")
-            e = cls(pos, *[read(self, basis) for _, read, _ in _FIELD_CODECS[cls][1:]])
-            self.expect(";")
+            e = cls(pos, *[read(self, basis) for read in readers])
+            if toks[self.k] != ";":
+                self.fail("expected ';'")
+            self.k += 1
             try:
-                slices.append(calc.diagram.step(slices[-1], e))
+                cur = step(cur, e)
             except PrecisionExhausted:
                 raise
             except FoamError as exc:
                 self.semantic(f"in {kind} {name!r}: event {len(events)}", mark, f": {exc}")
+            slices.append(cur)
             events.append(e)
         self.expect("}")
         return calc.diagram._from_slices(basis, slices[0], tuple(events), tuple(slices))
@@ -676,6 +695,11 @@ _FIELD_CODECS = {
     cls: tuple((f.name, *_TEXT_CODECS[f.type]) for f in fields(cls))
     for cls in EVENT_KINDS + PEVENT_KINDS
 }
+# The readers of each event kind's fields after its position, which the
+# parser reads itself.
+_FIELD_READERS = {
+    cls: tuple(read for _, read, _ in codecs[1:]) for cls, codecs in _FIELD_CODECS.items()
+}
 
 
 def _event_line(e) -> str:
@@ -693,7 +717,8 @@ class _Calculus:
     strand_text: Callable
 
     def __post_init__(self):
-        self.keywords = {cls.keyword: cls for cls in self.diagram.kinds}
+        # event keyword -> (event kind, its readers after the position)
+        self.keywords = {cls.keyword: (cls, _FIELD_READERS[cls]) for cls in self.diagram.kinds}
 
 
 _CALCULI = {

@@ -202,20 +202,21 @@ def _extend_slices(step, cur: tuple, events: tuple, k: int = 0, old: tuple = (),
     ``old``, the slices below it.
 
     Applies events k, k+1, ... one by one through ``step`` into a short list
-    and names the failing event's index in the error.  With ``old`` slices,
-    from index ``reuse_from`` on, it stops as soon as a computed slice i
-    equals ``old[i + shift]`` and takes the rest from ``old``: the events
-    from there on are the old ones, which were validated against equal
-    slices.  The result is joined once: ``old[:k]``, the computed slices,
-    the reused tail."""
+    and names the failing event's index in a DslSemanticError or a
+    NonPositiveWeight, keeping its class.  With ``old`` slices, from index
+    ``reuse_from`` on, it stops as soon as a computed slice i equals
+    ``old[i + shift]`` and takes the rest from ``old``: the events from
+    there on are the old ones, which were validated against equal slices.
+    The result is joined once: ``old[:k]``, the computed slices, the reused
+    tail."""
     new = [cur]
     for i in range(k, len(events)):
         if old and i >= reuse_from and new[-1] == old[i + shift]:
             return old[:k] + tuple(new[:-1]) + old[i + shift :]
         try:
             new.append(step(new[-1], events[i]))
-        except DslSemanticError as exc:
-            raise DslSemanticError(f"event {i}: {exc}") from None
+        except (DslSemanticError, NonPositiveWeight) as exc:
+            raise type(exc)(f"event {i}: {exc}") from None
     return old[:k] + tuple(new)
 
 
@@ -225,7 +226,8 @@ class SlicedDiagram:
 
     A subclass names its event ``kinds`` and its ``step``, the rule that
     takes a slice and an event to the next slice and raises
-    DslSemanticError when the event does not validate against it.  The
+    DslSemanticError when the event does not validate against it, or
+    NonPositiveWeight when a weight it needs positive is not.  The
     constructor applies every event in turn.  :meth:`spliced` recomputes
     only the slices a local change alters: it applies events from the slice
     below the change into a short list, stops at the first recomputed slice
@@ -260,8 +262,10 @@ class SlicedDiagram:
         Applies the new events from slice k, and then the old ones until a
         slice past the change equals its old counterpart; slices below k
         and from there on are the old ones.  An event that does not
-        validate raises ``DslSemanticError`` naming its index
-        (``event i: ...``), as the constructor does."""
+        validate raises ``DslSemanticError``, or ``NonPositiveWeight`` for
+        a weight that is not positive, naming its index (``event i:
+        ...``), as the constructor does; ``PrecisionExhausted`` passes
+        through as it is."""
         if not 0 <= k <= k + removed <= len(self.events):
             raise IndexError(f"splice of {removed} events at {k} out of range")
         added = tuple(added)

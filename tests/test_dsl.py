@@ -416,10 +416,15 @@ def test_bounded_offset_scan_agrees_with_the_full_one():
 
 
 def test_every_event_starts_with_its_position():
-    """parse_diagram reads an event's leading position itself."""
-    for cls in foamdiag.EVENT_KINDS + planar.PEVENT_KINDS:
-        first = dsl._FIELD_CODECS[cls][0]
+    """parse_diagram reads an event's leading position itself, and every
+    other field through the kind's readers, which are the field codecs'
+    readers after the position, in field order."""
+    kinds = foamdiag.EVENT_KINDS + planar.PEVENT_KINDS
+    assert set(dsl._FIELD_READERS) == set(kinds)
+    for cls in kinds:
+        first, *rest = dsl._FIELD_CODECS[cls]
         assert first[0] == "pos" and first[1] is dsl._TEXT_CODECS["int"][0]
+        assert dsl._FIELD_READERS[cls] == tuple(read for _, read, _ in rest)
 
 
 _PIECES = st.sampled_from(
@@ -441,6 +446,14 @@ _PIECES = st.sampled_from(
 @example("iet __#")
 @example("iet s   ")
 @example("iet s\n# c\n  # d")
+# a scan that restarted after a failed match would read tokens from inside
+# a comment here, or read past a character that no token takes
+@example("# a\n@")
+@example("1#1\n.5")
+@example("r2#2.5\n.5")
+@example("1.5#.3\n.3")
+@example("1 .5")
+@example("x\x0by")
 def test_tokenizer_agrees_with_the_character_loop(text):
     assert _outcome(_regex_tokens, text) == _outcome(_reference_tokenize, text)
 

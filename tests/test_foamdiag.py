@@ -69,7 +69,8 @@ def test_merge_needs_same_direction(w, basis):
 
 
 def test_split_parts_must_be_positive(w, basis):
-    with pytest.raises(NonPositiveWeight):
+    """The error keeps its class and names the failing event."""
+    with pytest.raises(NonPositiveWeight, match=r"^event 1: right part of a split"):
         FoamDiagram(
             basis,
             [],

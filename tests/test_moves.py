@@ -636,8 +636,8 @@ def test_split_off_pairs_on_unchecked_start_strands_replay_step_by_step(w, basis
         assert got == _report(_stepwise, d, trace, target), (text, got)
         reports.append(got)
     assert reports[:2] == [
-        TraceCheck(False, 2, 0, "dot_splitoff at 0: cup weight must be positive, got Weight(-1)"),
-        TraceCheck(False, 2, 0, "dot_splitoff at 0: cup weight must be positive, got Weight(0)")]
+        TraceCheck(False, 2, 0, "dot_splitoff at 0: event 0: cup weight must be positive, got Weight(-1)"),
+        TraceCheck(False, 2, 0, "dot_splitoff at 0: event 0: cup weight must be positive, got Weight(0)")]
     assert reports[2][0] is PrecisionExhausted
     assert reports[3] == TraceCheck(True, 2)
 
@@ -940,9 +940,9 @@ def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
                             [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
     cases = [
         (sm, (Merge(0, Order.L), Split(0, Order.L, w("1/2"))), NonPositiveWeight,
-         "right part of a split must be positive, got Weight(-1/2)"),
+         "event 1: right part of a split must be positive, got Weight(-1/2)"),
         (ss, (Split(0, Order.L, w("5/2")), Split(1, Order.L, w("-1/2"))), NonPositiveWeight,
-         "left part of a split must be positive, got Weight(-1/2)"),
+         "event 1: left part of a split must be positive, got Weight(-1/2)"),
         (exhausted, (Merge(0, Order.L), Split(0, Order.L, rational[1])), PrecisionExhausted,
          None),
     ]
@@ -959,5 +959,5 @@ def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
     crossed = FoamDiagram(basis, [Strand(w("-1"), up), Strand(w("1"), up)], [Cross(0)])
     with pytest.raises(SchemaMismatch) as exc:
         apply_move(crossed, MoveInstance("crossing_splitoff", 0))
-    assert str(exc.value) == ("crossing_splitoff at 0: right part of a split "
+    assert str(exc.value) == ("crossing_splitoff at 0: event 1: right part of a split "
                               "must be positive, got Weight(-1)")
