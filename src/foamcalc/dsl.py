@@ -36,17 +36,14 @@ the planar `split` takes just that weight.  `label` takes a group element as
 
 The tokens come out of one `findall`, blanks and comments skipped, and the
 same scan checks the text against the token grammar: where no token fits,
-it takes the rest of the text as one string, which makes the text invalid.
-A token is a plain string, `""` at the end of input.
-Token offsets, and so line and column, are computed by a second scan only
-when a message needs them, and that scan stops at the token the message
-names.
-Each weight expression adds its terms into one coefficient map and builds
-one `Weight`.  A plain term, `n`, `n/d`, `n*name`, `n/d*name` or `name`
-after at most one unary minus and before no `*` or `/`, is read in one step
-by the loop over the sum; the canonical printer writes only plain terms.
-Any other term (parentheses, decimals, chains of signs, longer products),
-and every error, takes the recursive product, factor and literal readers.
+it takes the rest of the text as one string, and the token error is read
+off that rest.  A token is a plain string, `""` at the end of input.
+Token offsets, and so line and column, are computed by a second walk over
+the same pattern only when a message needs them, and that walk stops at
+the token the message names.
+One loop reads each weight expression: it multiplies out the factors of
+each term and adds the terms into one coefficient map, which builds one
+`Weight`.  Only a parenthesised sum recurses.
 
 Syntax errors carry line and column, both counted from 1, the column in
 characters; semantic errors (unknown generator, event invalid against the
@@ -58,7 +55,6 @@ document exactly.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import gcd
@@ -73,7 +69,7 @@ from .errors import (
 )
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
-from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
+from .planar import PEVENT_KINDS, BracketSum, PlanarFoam, start_slice
 from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _parse_decimal, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
@@ -89,12 +85,6 @@ RESERVED = frozenset(
 )
 
 _MAX_EXPR_DEPTH = 64
-# int() converts a digit string this short under any limit that
-# sys.set_int_max_str_digits accepts; a longer one is left to the readers
-# that report a literal too large.
-_INT_SAFE = sys.int_info.str_digits_check_threshold
-# A plain term is followed by neither of these.
-_PRODUCT_OPS = ("*", "/")
 
 
 @dataclass(frozen=True)
@@ -133,11 +123,6 @@ _END = r"(?:#[^\n]*+)?\Z"
 # have matched at its start.
 _TEXTS = re.compile(rf"{_SKIP}(?:({_TOKEN}|(?!#)(?s:.+))|{_END})")
 _TOKEN_TEXT = re.compile(_TOKEN)
-# Only error messages scan, so this one is compiled on first use, through the
-# cache of the re module.  Groups: 1 a token, 2 the end of input, 3 a
-# malformed number, 4 any other character but a newline, which the blanks
-# always take.
-_SCAN = rf"{_SKIP}(?:({_TOKEN})|(){_END}|([0-9]++\.)|(.))"
 
 
 def _position(text: str, offset: int) -> tuple[int, int]:
@@ -156,24 +141,27 @@ def _tokenize(text: str) -> list[str]:
     if len(toks) > 1 and not toks[-2]:
         toks.pop()
     if len(toks) > 1 and _TOKEN_TEXT.fullmatch(toks[-2]) is None:
-        _offsets(text)  # raises the token error
+        # the rest of the text from a character that starts no token; a
+        # digit there starts digits and a dot with no digit after it
+        rest = toks[-2]
+        message = "malformed number" if "0" <= rest[0] <= "9" else f"unexpected character {rest[0]!r}"
+        raise FoamSyntaxError(message, *_position(text, len(text) - len(rest)))
     return toks
 
 
 def _offsets(text: str, stop: int | None = None) -> list[int]:
-    """The offset of each token of ``text``, as ``_tokenize`` splits it,
-    ending with the end of input's, or with token ``stop``'s when that comes
-    first; raises the first token error met instead."""
+    """The offset of each token of ``text``, a text that ``_tokenize``
+    accepts, ending with the end of input's, or with token ``stop``'s when
+    that comes first.  The end of input sits after the blanks and comments
+    before it, so where a comment that runs to it starts."""
     offsets: list[int] = []
-    for k, m in enumerate(re.finditer(_SCAN, text)):
-        group = m.lastindex
-        offsets.append(m.start(group))
-        if group != 1 or k == stop:
+    for k, m in enumerate(_TEXTS.finditer(text)):
+        if m[1] is None:
+            offsets.append(re.compile(_SKIP).match(text, m.start()).end())
             break
-    if group == 3:
-        raise FoamSyntaxError("malformed number", *_position(text, offsets[-1]))
-    if group == 4:
-        raise FoamSyntaxError(f"unexpected character {m[4]!r}", *_position(text, offsets[-1]))
+        offsets.append(m.start(1))
+        if k == stop:
+            break
     return offsets
 
 
@@ -252,159 +240,132 @@ class _Parser:
 
     # weight expressions -------------------------------------------------
     #
-    # A weight expression adds its terms into one map from generator index
-    # to integer numerator over one denominator, and builds one Weight at
-    # the end.  A term or factor is read as ``(n, d, v)``, its value being
-    # n/d times v with d positive: v is a generator index, 0 (the unit)
-    # when the value is the rational n/d, or ``(den, map)``, the numerators
-    # over den of a parenthesised sum that is not rational.  So ``not v``
-    # says that the value is rational; a zero n from ``_product`` always
-    # comes with v = 0.  A plain term that ``_sum`` reads itself may add a
-    # zero numerator under a generator; every reader of ``acc`` drops zeros.
-    # No Fraction is built, except for a decimal literal.
+    # One loop reads a weight expression.  It adds each term into one map
+    # from generator index to integer numerator over one denominator, and
+    # builds one Weight at the end.  A term is the product of its factors,
+    # n/d times v with d positive: v is 0 while the product is rational,
+    # else a generator index or the numerator map of a parenthesised sum
+    # that is not rational, whose denominator d takes in.  A unary sign
+    # negates n.  A second irrational factor is refused unless n is 0; a
+    # zero term may add a zero numerator, and every reader of the map drops
+    # zeros.  No Fraction is built, except for a decimal literal.
 
-    def weight_expr(self, basis: GeneratorBasis, depth: int = 0) -> Weight:
+    def weight_expr(self, basis: GeneratorBasis) -> Weight:
         acc: dict = {}
-        den = self._sum(basis, acc, False, depth)
+        den = self._sum(basis, acc, 0)
         return Weight._of(basis, *_normalised(den, acc))
 
-    def _sum(self, basis: GeneratorBasis, acc: dict, neg: bool, depth: int) -> int:
-        """Add the terms of a sum into ``acc``, negated when ``neg``, as
-        numerators over the denominator it returns.
-
-        A plain term, ``n``, ``n/d``, ``n*name``, ``n/d*name`` or ``name``
-        after at most one unary minus and before no ``*`` or ``/``, is read
-        here in one step.  Every other term, and every error, goes through
-        ``_product``, which starts again at the term's first token.  At the
-        depth limit every term goes through ``_product``, so that a unary
-        minus there meets the depth check."""
+    def _sum(self, basis: GeneratorBasis, acc: dict, depth: int) -> int:
+        """Add the terms of the sum at the cursor into ``acc``, as numerators
+        over the denominator it returns, and move past them.  ``depth``
+        counts the parentheses and unary signs around the sum; a factor
+        under more than 64 of them is an error."""
         toks = self.toks
-        index = basis._index  # generator name -> index; the unit "1" -> 0
-        inline = depth < _MAX_EXPR_DEPTH
-        term_neg = neg
+        index = basis._index  # generator name -> index
+        k = self.k
         den = 1
+        n = 1  # the sign of the first term
         while True:
-            k = self.k
-            t = toks[k]
-            n, d, v = (-1 if term_neg else 1), 1, None
-            if inline:
-                if t == "-":
-                    n = -n
+            d, v, star = 1, 0, 0  # star: the term's last '*', 0 before the first
+            while True:  # the factors of the term
+                t = toks[k]
+                f = 0  # an irrational factor's v; 0 for the rational q/r
+                if t.isdigit():  # an integer and its denominator
+                    try:
+                        q = int(t)
+                    except ValueError:
+                        self.fail("integer literal too large", k)
                     k += 1
-                    t = toks[k]
-                if t.isdigit() and len(t) <= _INT_SAFE:
-                    n *= int(t)
-                    v = 0
-                    k += 1
+                    r = 1
                     if toks[k] == "/":
-                        t = toks[k + 1]
-                        d = int(t) if t.isdigit() and len(t) <= _INT_SAFE else 0
-                        k += 2
-                    if d and toks[k] == "*":
-                        v = index.get(toks[k + 1]) or None
-                        k += 2
-                else:
-                    v = index.get(t) or None
+                        k += 1
+                        t = toks[k]
+                        if not t.isdigit():
+                            self.fail("expected a denominator", k)
+                        try:
+                            r = int(t)
+                        except ValueError:
+                            self.fail("integer literal too large", k)
+                        if not r:
+                            self.fail("zero denominator", k)
+                        k += 1
+                elif t.isidentifier():  # a generator
+                    f = index.get(t)
+                    if f is None:
+                        try:
+                            basis.index(t)
+                        except DslSemanticError as exc:  # unknown: name its line
+                            self.semantic(str(exc), k)
                     k += 1
-            if v is not None and d and toks[k] not in _PRODUCT_OPS:
-                self.k = k
-            else:
-                n, d, v = self._product(basis, term_neg, depth)
-                if v.__class__ is not int:
-                    vd, v = v
-                    d *= vd
+                elif t == "-" or t == "+" or t == "(":
+                    level = depth
+                    while t == "-" or t == "+" or t == "(":  # each nests what follows
+                        k += 1
+                        if level >= _MAX_EXPR_DEPTH:
+                            raise FoamSyntaxError("expression nested too deeply", *self.where(k))
+                        level += 1
+                        if t == "(":
+                            break
+                        if t == "-":
+                            n = -n
+                        t = toks[k]
+                    if t != "(":
+                        continue  # the factor under the signs
+                    self.k = k
+                    inner: dict = {}
+                    r = self._sum(basis, inner, level)
+                    self.expect(")")
+                    k = self.k
+                    m = {i: c for i, c in inner.items() if c}
+                    if m.keys() <= {0}:
+                        q = m.get(0, 0)
+                    else:
+                        f = m
+                        d *= r
+                elif t[:1].isdigit():  # a decimal
+                    try:
+                        x = Fraction(t)
+                    except ValueError:
+                        self.fail("number literal too large", k)
+                    q, r = x.numerator, x.denominator
+                    k += 1
+                else:
+                    self.fail("expected a weight", k)
+                if f:
+                    if v and n:
+                        self.semantic("product of two irrational weights", star)
+                    v = f
+                else:
+                    n *= q
+                    d *= r
+                    if star and not v:  # two rational factors: keep them small
+                        g = gcd(n, d)
+                        n //= g
+                        d //= g
+                if toks[k] != "*":
+                    break
+                star = k
+                k += 1
             if den % d:  # widen acc to the lcm of den and d
-                m = d // gcd(den, d)
+                g = d // gcd(den, d)
                 for i in acc:
-                    acc[i] *= m
-                den *= m
+                    acc[i] *= g
+                den *= g
             n *= den // d
             if v.__class__ is int:
                 acc[v] = acc.get(v, 0) + n
             else:
                 for i, c in v.items():
                     acc[i] = acc.get(i, 0) + n * c
-            op = toks[self.k]
-            if op == "+":
-                term_neg = neg
-            elif op == "-":
-                term_neg = not neg
+            t = toks[k]
+            if t == "+":
+                n = 1
+            elif t == "-":
+                n = -1
             else:
+                self.k = k
                 return den
-            self.k += 1
-
-    def _product(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
-        """A product of factors, negated when ``neg``.  All factors but one
-        must be rational."""
-        n, d, v = self._factor(basis, neg, depth)
-        toks = self.toks
-        while toks[self.k] == "*":
-            star = self.k
-            self.k += 1
-            nb, db, vb = self._factor(basis, False, depth)
-            if vb and v:
-                self.semantic("product of two irrational weights", star)
-            n, d, v = n * nb, d * db, v or vb
-            g = gcd(n, d)  # in lowest terms, so long products stay small
-            n, d = n // g, d // g
-            if not n:
-                v = 0
-        return n, d, v
-
-    def _factor(self, basis: GeneratorBasis, neg: bool, depth: int) -> tuple:
-        """One factor, negated when ``neg``."""
-        t = self.toks[self.k]
-        if depth > _MAX_EXPR_DEPTH:
-            raise FoamSyntaxError("expression nested too deeply", *self.where(self.k))
-        if t[:1].isdigit():
-            return (*self._literal(t, neg), 0)
-        if t.isidentifier():
-            self.k += 1
-            try:
-                return (-1 if neg else 1), 1, basis.index(t)
-            except DslSemanticError as exc:  # unknown generator: name its line
-                self.semantic(str(exc))
-        if t == "-":
-            self.k += 1
-            return self._factor(basis, not neg, depth + 1)
-        if t == "+":
-            self.k += 1
-            return self._factor(basis, neg, depth + 1)
-        if t == "(":
-            self.k += 1
-            acc: dict = {}
-            den = self._sum(basis, acc, neg, depth + 1)
-            self.expect(")")
-            v = {i: c for i, c in acc.items() if c}
-            if v.keys() <= {0}:
-                return v.get(0, 0), den, 0
-            return 1, 1, (den, v)
-        self.fail("expected a weight")
-
-    def _literal(self, t: str, neg: bool) -> tuple[int, int]:
-        """``(n, d)``: the value of the number ``t`` at the cursor and of
-        the ``/ denominator`` after it, negated when ``neg``."""
-        if "." in t:
-            try:
-                q = Fraction(t)
-            except ValueError:
-                self.fail("number literal too large")
-            self.k += 1
-            return (-q.numerator if neg else q.numerator), q.denominator
-        try:
-            num = int(t)
-        except ValueError:
-            self.fail("integer literal too large")
-        self.k += 1
-        if neg:
-            num = -num
-        if self.toks[self.k] != "/":
-            return num, 1
-        self.k += 1
-        den = self.nonneg_int("a denominator")
-        if den == 0:
-            self.fail("zero denominator", self.k - 1)
-        return num, den
+            k += 1
 
     # shared list helper -------------------------------------------------
 
@@ -501,9 +462,12 @@ class _Parser:
         start = self.comma_list(lambda: calc.read_strand(self, basis), "]")
         self.expect("]")
         self.expect(";")
+        try:
+            cur = calc.start(start)
+        except DslSemanticError as exc:  # name the line of the start list
+            self.semantic(f"in {kind} {name!r}", self.k - 1, f": {exc}")
         toks, keywords, step = self.toks, calc.keywords, calc.diagram.step
         events: list = []
-        cur = tuple(start)
         slices = [cur]
         while True:
             mark = self.k
@@ -516,14 +480,9 @@ class _Parser:
                 self.fail(calc.unknown, mark)
             cls, readers = kind_readers
             # every event kind's first field is its position
-            t = toks[mark + 1]
-            if t.isdigit() and len(t) <= _INT_SAFE:
-                pos = int(t)
-                self.k = mark + 2
-            else:
-                self.k = mark + 1
-                pos = self.nonneg_int("a position")
-            e = cls(pos, *[read(self, basis) for read in readers])
+            self.k = mark + 1
+            pos = self.nonneg_int("a position")
+            e = cls(pos, *[read(self, basis) for read in readers]) if readers else cls(pos)
             if toks[self.k] != ";":
                 self.fail("expected ';'")
             self.k += 1
@@ -715,6 +674,7 @@ class _Calculus:
     unknown: str  # syntax error for an event keyword the kind lacks
     read_strand: Callable
     strand_text: Callable
+    start: Callable  # the start slice of a list of strands; raises on a bad one
 
     def __post_init__(self):
         # event keyword -> (event kind, its readers after the position)
@@ -724,10 +684,10 @@ class _Calculus:
 _CALCULI = {
     "foam": _Calculus(
         FoamDiagram, "unknown event", _Parser._strand,
-        lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
+        lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}", tuple,
     ),
     "planarfoam": _Calculus(
-        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text,
+        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text, start_slice,
     ),
 }
 

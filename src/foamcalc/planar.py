@@ -61,6 +61,15 @@ def _nonzero(w: Weight, what: str) -> None:
         raise DslSemanticError(f"{what} must be nonzero")
 
 
+def start_slice(start: Iterable[Weight]) -> tuple[Weight, ...]:
+    """``start`` as the start slice of a planar foam; raises
+    ``DslSemanticError`` at a zero weight."""
+    start = tuple(start)
+    for i, w in enumerate(start):
+        _nonzero(w, f"start strand {i}")
+    return start
+
+
 def apply_pevent(weights: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:
     n = len(weights)
     if isinstance(e, PMerge):
@@ -96,6 +105,9 @@ class PlanarFoam(SlicedDiagram):
     __slots__ = ()
 
     kinds = PEVENT_KINDS
+
+    def __init__(self, basis: GeneratorBasis, start: Iterable[Weight], events: Iterable):
+        super().__init__(basis, start_slice(start), events)
 
     @staticmethod
     def step(cur: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -190,6 +191,8 @@ def test_syntax_errors_carry_position():
         ("iet s { lengths = [1]; # no newline", "expected a field name at end of input", 1, 24),
         ("iet __#", "expected '{' at end of input", 1, 7),
         ("iet s { lengths = [1]; perm = [1]", "expected ';' at end of input", 1, 34),
+        # the token error comes before the semantic error the tokens would give
+        ("iet s { lengths = [1]; perm = [1]; }\niet s @", "unexpected character '@'", 2, 7),
     ],
 )
 def test_syntax_error_positions_are_pinned(text, message, line, col):
@@ -198,6 +201,19 @@ def test_syntax_error_positions_are_pinned(text, message, line, col):
     err = exc_info.value
     assert str(err) == f"{message} (line {line}, column {col})"
     assert (err.line, err.col) == (line, col)
+
+
+def test_planar_start_strands_must_be_nonzero():
+    with pytest.raises(DslSemanticError) as exc_info:
+        parse_document("planarfoam p {\n  start [1, 0];\n  end;\n}")
+    assert str(exc_info.value) == "in planarfoam 'p' (line 2): start strand 1 must be nonzero"
+
+
+def test_the_format_doc_lists_the_reserved_words():
+    """docs/format.md names every reserved word of the parser, and no other."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    listed = doc[doc.index("The keywords of the format"):].split(") are reserved")[0]
+    assert set(re.findall(r"`(\w+)`", listed)) == RESERVED
 
 
 def test_semantic_errors_name_the_event():
@@ -666,7 +682,7 @@ def _syntax(message, col):
 
 
 @pytest.mark.parametrize("text, want", [
-    # plain terms: n, n/d, n*name, n/d*name or name after at most one minus
+    # the forms the canonical printer writes
     ("0", "0"),
     ("0*r2", "0"),
     ("-r2", "-1*r2"),
@@ -674,7 +690,7 @@ def _syntax(message, col):
     (_BIG, _BIG),
     (f"2{_BIG[1:]}/{_BIG}*r2", "2*r2"),
     (f"1/{_BIG}", f"1/{_BIG}"),
-    # not plain: a second factor, a chain of signs, a literal after *
+    # longer products, chains of signs, a literal after *
     ("2*r2*3", "6*r2"),
     ("r2*2", "2*r2"),
     ("2*1", "2"),
@@ -693,10 +709,21 @@ def _syntax(message, col):
     (f"-{_TOO_BIG}*r2", _syntax(f"integer literal too large near '{_BIG[:24]}...'", 2)),
     ("(" * 64 + "-1" + ")" * 64, _syntax("expression nested too deeply", 66)),
     ("(" * 65 + "-1" + ")" * 65, _syntax("expression nested too deeply", 66)),
+    # where one factor ends and the next begins
+    ("1.5/2", _syntax("unexpected input after the weight expression near '/'", 4)),
+    ("1/r2", _syntax("expected a denominator near 'r2'", 3)),
+    ("1/-2", _syntax("expected a denominator near '-'", 3)),
+    ("2*+r2", "2*r2"),
+    ("2/3*3/2*r2", "1*r2"),
+    ("(1+r2)*r2", ("DslSemanticError", "product of two irrational weights (line 1)")),
+    ("(1+r2)\n*\nr2", ("DslSemanticError", "product of two irrational weights (line 2)")),
+    ("(" * 63 + "2*-1" + ")" * 63, "-2"),
+    ("(" * 64 + "2*-1" + ")" * 64, _syntax("expression nested too deeply", 68)),
 ], ids=lambda v: f"{v[:12]}...{len(v)}chars" if isinstance(v, str) and len(v) > 40 else None)
 def test_terms_on_both_sides_of_the_plain_term_boundary(text, want):
-    """The value, or the error text and position, of terms that the sum
-    reads in one step and of their neighbours that take the full grammar."""
+    """The value, or the error text and position, of single terms: the
+    printer's forms, and the seams between the factors that the one term
+    reader reads inline."""
     got = _outcome(parse_weight, text, _BASIS)
     assert (weight_to_text(got) if isinstance(got, Weight) else got) == want
 

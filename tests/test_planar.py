@@ -62,6 +62,12 @@ def test_planar_slices_and_validity(w, basis):
     assert "event 1" in str(exc_info.value)
 
 
+def test_planar_start_strands_must_be_nonzero(w, basis):
+    assert PlanarFoam(basis, [w("-1"), w("1*r2")], []).start == (w("-1"), w("1*r2"))
+    with pytest.raises(DslSemanticError, match=r"^start strand 1 must be nonzero$"):
+        PlanarFoam(basis, [w("1"), w("0")], [])
+
+
 def test_planar_and_oriented_diagrams_stay_apart(w, basis):
     """Both kinds share one sliced-diagram class, yet never compare equal."""
     assert FoamDiagram(basis, [], []) != PlanarFoam(basis, [], [])
