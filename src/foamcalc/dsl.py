@@ -69,7 +69,7 @@ from .errors import (
 )
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
-from .planar import PEVENT_KINDS, BracketSum, PlanarFoam, start_slice
+from .planar import PEVENT_KINDS, BracketSum, PlanarFoam, _start_slice
 from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _parse_decimal, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
@@ -687,7 +687,7 @@ _CALCULI = {
         lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}", tuple,
     ),
     "planarfoam": _Calculus(
-        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text, start_slice,
+        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text, _start_slice,
     ),
 }
 

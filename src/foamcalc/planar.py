@@ -61,7 +61,7 @@ def _nonzero(w: Weight, what: str) -> None:
         raise DslSemanticError(f"{what} must be nonzero")
 
 
-def start_slice(start: Iterable[Weight]) -> tuple[Weight, ...]:
+def _start_slice(start: Iterable[Weight]) -> tuple[Weight, ...]:
     """``start`` as the start slice of a planar foam; raises
     ``DslSemanticError`` at a zero weight."""
     start = tuple(start)
@@ -107,7 +107,7 @@ class PlanarFoam(SlicedDiagram):
     kinds = PEVENT_KINDS
 
     def __init__(self, basis: GeneratorBasis, start: Iterable[Weight], events: Iterable):
-        super().__init__(basis, start_slice(start), events)
+        super().__init__(basis, _start_slice(start), events)
 
     @staticmethod
     def step(cur: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:

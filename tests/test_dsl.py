@@ -203,7 +203,7 @@ def test_syntax_error_positions_are_pinned(text, message, line, col):
     assert (err.line, err.col) == (line, col)
 
 
-def test_planar_start_strands_must_be_nonzero():
+def test_a_zero_planar_start_strand_names_its_line():
     with pytest.raises(DslSemanticError) as exc_info:
         parse_document("planarfoam p {\n  start [1, 0];\n  end;\n}")
     assert str(exc_info.value) == "in planarfoam 'p' (line 2): start strand 1 must be nonzero"
@@ -682,7 +682,7 @@ def _syntax(message, col):
 
 
 @pytest.mark.parametrize("text, want", [
-    # the forms the canonical printer writes
+    # n, n/d, n*name, n/d*name and name, after at most one sign
     ("0", "0"),
     ("0*r2", "0"),
     ("-r2", "-1*r2"),
