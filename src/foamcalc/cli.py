@@ -168,7 +168,7 @@ def _validate_trace(args, doc, d, trace_path) -> tuple:
     raw = _read_source(trace_path)
     try:
         data = json.loads(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _CliError(2, DslSemanticError(f"trace is not JSON: {exc}")) from None
     chk = validate_trace(d, trace_from_json(doc.basis, data))
     if chk.ok:

@@ -321,31 +321,31 @@ def _positive_strands(d: FoamDiagram) -> bool:
         return False
 
 
-def _fused(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> tuple:
-    """``(n, diagram)``: the block of n trace steps from step i that one
-    call replays, and the diagram after it; diagram None where step i is a
-    plain step or where the one call raises.  A block is a maximal run of
-    parameterless exchanges at indices k, k+1, ... (one ``exchange_run``),
-    or, with ``pairs``, a split-off followed by exactly the death move that
-    ``split_off_and_kill`` returns (one call, and the block is never
-    built).  ``pairs`` says that the strand weights are positive, so that
-    the block that the death deletes would validate."""
-    m, n = trace[i], 1
-    try:
-        if m.schema == "exchange" and not m.params:
-            while i + n < len(trace):
-                s = trace[i + n]
-                if s.schema != "exchange" or s.index != m.index + n or s.params:
-                    break
-                n += 1
-            return n, exchange_run(d, m.index, n)
-        if pairs and m.schema in _SPLIT_OFFS and i + 1 < len(trace):
-            out, death = split_off_and_kill(d, m)
-            if trace[i + 1] == death:
-                return 2, out
-    except Exception:  # the caller replays the block step by step, which raises as it may
-        pass
-    return n, None
+def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> tuple:
+    """``(diagram, n)``: the diagram after the block of n trace steps from
+    step i, replayed in one call.  A block is a run of parameterless
+    exchanges at k, k+1, ..., cut where ``_disjoint_run`` says that event
+    k meets an event it overlaps, so ``exchange_run`` cannot fail; or, with
+    ``pairs``, a split-off followed by exactly the death move that
+    ``split_off_and_kill`` returns.  ``pairs`` says that every strand
+    weight is decided positive: then the block that the death deletes
+    validates, and ``split_off_and_kill`` raises only what ``apply_move``
+    of the split-off raises.  Any other step, and the step where a block
+    stops, is one ``apply_move``."""
+    m = trace[i]
+    if m.schema == "exchange" and 0 <= m.index < len(d.events):
+        k, n = m.index, 0
+        most = min(_disjoint_run(d, k), len(trace) - i)
+        while (n < most and (s := trace[i + n]).schema == "exchange"
+               and s.index == k + n and not s.params):
+            n += 1
+        if n:
+            return exchange_run(d, k, n), n
+    elif pairs and m.schema in _SPLIT_OFFS and i + 1 < len(trace):
+        out, death = split_off_and_kill(d, m)
+        if trace[i + 1] == death:
+            return out, 2
+    return apply_move(d, m), 1
 
 
 def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
@@ -354,28 +354,22 @@ def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
     applies, and the final diagram must equal the target (empty by
     default).
 
-    Runs of exchanges and split-off pairs are replayed a block at a time
-    (``_fused``), and a block that fails is replayed again one step at a
-    time with ``apply_move``.  So the report, and ``failed_at`` and
-    ``reason`` where it fails, equal those of one ``apply_move`` per step."""
+    It replays a block of steps at a time (``_block``), and a block is
+    taken only where it equals its steps applied one by one.  So the
+    report, and ``failed_at`` and ``reason`` where it fails, equal those of
+    one ``apply_move`` per step."""
     if target is None:
         target = empty_diagram(d.basis)
-    cur = d
     trace = list(trace)
     pairs = _positive_strands(d)
     i = 0
-    while i < len(trace):
-        n, out = _fused(cur, trace, i, pairs)
-        if out is not None:
-            cur, i = out, i + n
-            continue
-        for m in trace[i : i + n]:
-            try:
-                cur = apply_move(cur, m)
-            except SchemaMismatch as exc:
-                return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
-            i += 1
-    if cur != target:
+    try:
+        while i < len(trace):
+            d, n = _block(d, trace, i, pairs)
+            i += n
+    except SchemaMismatch as exc:
+        return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
+    if d != target:
         return TraceCheck(False, len(trace), failed_at=len(trace),
                           reason="final diagram differs from the target")
     return TraceCheck(True, len(trace))

@@ -386,7 +386,10 @@ def weight_from_json(basis: GeneratorBasis, obj: Mapping[str, str]) -> Weight:
     coeffs = {}
     for name, text in items:
         try:
-            coeffs[basis.index(str(name))] = Fraction(str(text))
+            i, digits = basis.index(str(name)), str(text)
+            if "e" in digits or "E" in digits:  # an exponent's cost grows with its size
+                raise ValueError
+            coeffs[i] = Fraction(digits)
         except (ValueError, ZeroDivisionError):
             raise DslSemanticError(f"bad rational {text!r} for generator {name!r}") from None
     return Weight._of(basis, *_from_rationals(sorted([(i, q) for i, q in coeffs.items() if q])))

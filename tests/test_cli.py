@@ -367,6 +367,30 @@ def test_invalid_utf8_trace_is_not_json(capsys, doc, tmp_path):
     assert got["message"].startswith("trace is not JSON")
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 1000 + "]" * 1000],
+                         ids=["unclosed-100000", "closed-1000"])
+def test_deeply_nested_trace_is_not_json(capsys, doc, tmp_path, text):
+    """JSON nested past the interpreter's recursion limit is reported like
+    any other text that is not JSON, not with a traceback."""
+    trace_file = tmp_path / "trace.json"
+    trace_file.write_text(text)
+    code, got = run_json(capsys, "validate-trace", doc, "dotted", str(trace_file))
+    assert code == 2
+    assert got["error"] == "semantic"
+    assert got["message"] == ("trace is not JSON: maximum recursion depth exceeded "
+                              "while decoding a JSON array from a unicode string")
+
+
+def test_trace_weight_with_an_exponent_is_a_bad_rational(capsys, doc, tmp_path):
+    trace_file = tmp_path / "trace.json"
+    move = {"schema": "saddle", "location": {"index": 0, "weight": {"1": "1e-3000000"}}}
+    trace_file.write_text(json.dumps([move]))
+    code, got = run_json(capsys, "validate-trace", doc, "dotted", str(trace_file))
+    assert code == 1
+    assert got == {"error": "semantic",
+                   "message": "bad rational '1e-3000000' for generator '1'"}
+
+
 # ------------------------------------------------------------- golden output
 
 # Exact exit code and stdout of every subcommand but selftest, in both output
@@ -581,31 +605,41 @@ def test_broken_make_positive_postcondition_is_internal(capsys, tmp_path, monkey
 # ------------------------------------------------------------- entry point
 
 
-def test_closed_stdout_exits_quietly(doc):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+def _python_m(module, *argv, stdout=subprocess.PIPE):
+    """``python -m module argv`` on the checkout's ``src``, without the
+    installed script."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", module, *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+
+
+def _with_closed_stdout(module, *argv):
+    """_python_m with the reader of its stdout gone before it writes."""
     read_end, write_end = os.pipe()
-    os.close(read_end)  # the reader is gone before the command writes
+    os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "foamcalc.cli", "closure", doc, "s"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
-        )
+        return _python_m(module, *argv, stdout=write_end)
     finally:
         os.close(write_end)
+
+
+def test_closed_stdout_exits_quietly(doc):
+    proc = _with_closed_stdout("foamcalc.cli", "closure", doc, "s")
     assert proc.returncode == 1
     assert proc.stderr == ""
 
 
 def test_python_dash_m_runs_the_command_line():
     """``python -m foamcalc`` works from a checkout, without the installed script."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "foamcalc", "verify-z4"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _python_m("foamcalc", "verify-z4")
     assert proc.returncode == 0
-    assert proc.stdout.strip() == "64/64 cocycle instances OK, psi([1,3])=1"
+    assert proc.stdout == cli.Z4_SUMMARY + "\n"
+    assert proc.stderr == ""
+
+
+def test_python_dash_m_exits_quietly_on_a_closed_stdout():
+    proc = _with_closed_stdout("foamcalc", "verify-z4")
+    assert proc.returncode == 1
     assert proc.stderr == ""
 
 

@@ -1,5 +1,6 @@
 """Decorated diagrams: flip elimination certificates and label invariants."""
 
+import json
 import random
 
 import pytest
@@ -29,12 +30,14 @@ from foamcalc import (
     label_merge,
     label_split,
     nu,
+    parse_document,
     trace_from_json,
     trace_to_json,
     u_diagram,
     validate_trace,
     wedge,
 )
+from foamcalc import cli
 from foamcalc.acceptance import demo_basis, rand_dotted_diagram, rand_labeled_diagram
 
 # ------------------------------------------------------------- flip traces
@@ -100,6 +103,28 @@ def test_flip_reduce_preconditions(w, basis):
     )
     with pytest.raises(UnsupportedDecoration):
         flip_reduce(labeled)
+
+
+@pytest.mark.parametrize("events, reason", [
+    ("cup 0 1 u; cup 2 r2 u; cross 1; cross 1; cap 2; cap 0",
+     "antiparallel crossing with distinct weights: outside the reducible braid-closure class"),
+    ("cup 0 r2 d; cup 1 r2 u; cap 0; cap 0", "residual diagram is not a union of circles"),
+    ("cup 0 1+r2 d; split 0 L 1/2+1/2*r2; split 2 L 1/2+1/2*r2; cap 1; cap 0",
+     "exchange at 2: events overlap; exchange does not apply"),
+], ids=["antiparallel", "residual", "overlap"])
+def test_flip_reduce_fails_outside_its_domain(capsys, tmp_path, events, reason):
+    """Closed diagrams outside the reducible braid-closure class fail with
+    SchemaMismatch, in the library and through the CLI."""
+    text = (f"basis {{ r2 = 1.4142135623730951 digits 16; }}\n"
+            f"foam x {{ start []; {events}; end; }}\n")
+    d = parse_document(text).get("x")[1]
+    with pytest.raises(SchemaMismatch) as exc:
+        flip_reduce(d)
+    assert str(exc.value) == reason
+    path = tmp_path / "doc.dsl"
+    path.write_text(text)
+    assert cli.main(["flip-reduce", str(path), "x"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "schema-mismatch", "message": reason}
 
 
 def test_flip_reduce_random_corpus():

@@ -153,6 +153,16 @@ def test_reserved_words_rejected():
         parse_document("basis { cross = 1.5 digits 2; }")
 
 
+def test_reserved_words_may_name_items():
+    """Only generator names are refused: an item name stands where no
+    keyword can, so a reserved word names an item and round-trips."""
+    text = "iet start {\n  lengths = [1, 2];\n  perm = [2, 1];\n}\nbracket end = 0;\n"
+    doc = parse_document(text)
+    assert [(kind, name) for kind, name, _ in doc.items] == [("iet", "start"), ("bracket", "end")]
+    assert print_document(doc) == text
+    assert parse_document(print_document(doc)) == doc
+
+
 def test_duplicate_names_rejected():
     text = "iet a { lengths = [1]; perm = [1]; }\n" * 2
     with pytest.raises(DslSemanticError):

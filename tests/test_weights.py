@@ -176,6 +176,21 @@ def test_from_json_rejects_garbage(basis):
         weight_from_json(basis, "1/2")
 
 
+@pytest.mark.parametrize("text", ["1e-3000000", "1E5", "2.5e1", "1/1e2", "-3e0"])
+def test_from_json_refuses_exponents(basis, text):
+    """An exponent's cost grows faster than its size, so a coefficient
+    written with one is a bad rational, however small the exponent."""
+    with pytest.raises(DslSemanticError) as exc:
+        weight_from_json(basis, {"r2": text})
+    assert str(exc.value) == f"bad rational {text!r} for generator 'r2'"
+
+
+def test_from_json_reads_integers_fractions_and_decimals(basis):
+    got = weight_from_json(basis, {"1": "-3", "r2": "0.25"})
+    assert got == weight_from_json(basis, {"1": "-6/2", "r2": "1/4"})
+    assert got.to_json() == {"1": "-3/1", "r2": "1/4"}
+
+
 # ------------------------------------------------------- properties
 
 _fracs = st.fractions(
