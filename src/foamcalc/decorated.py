@@ -31,10 +31,12 @@ from .foamdiag import (
     Merge,
     Order,
     Split,
+    _WorkingDiagram,
     nu_events,
 )
-from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _disjoint_run, _first_applied,
-                    apply_move, exchange_run, move_from_json, split_off_and_kill)
+from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _death, _disjoint_run,
+                    _first_applied, apply_move, exchange_run, move_from_json,
+                    split_off_and_kill)
 from .weights import POSITIVE, Weight
 
 
@@ -125,41 +127,42 @@ def label_split(d: FoamDiagram, k: int) -> FoamDiagram:
 
 
 # --- flip elimination ---------------------------------------------------------
+#
+# flip_reduce works on one _WorkingDiagram: every move edits its window into
+# it in place, so the phases below change d and return nothing.
 
 
-def _step(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> FoamDiagram:
-    out = apply_move(d, m)
+def _step(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance) -> None:
+    apply_move(d, m)
     trace.append(m)
-    return out
 
 
 def _split_off(d: FoamDiagram, trace: list[MoveInstance], m: MoveInstance,
-               env: dict | None = None) -> FoamDiagram:
-    """Record the split-off move m and the death of its block; build only
-    the diagram after both.  ``env`` is m's window bindings, if matched."""
-    out, death = split_off_and_kill(d, m, env)
+               env: dict | None = None) -> None:
+    """Record the split-off move m and the death of its block; make only
+    the rewrite that survives both.  ``env`` is m's window bindings, if
+    matched."""
+    _, death = split_off_and_kill(d, m, env)
     trace += (m, death)
-    return out
 
 
-def _first(d: FoamDiagram, trace: list[MoveInstance], k: int, candidates: tuple):
-    """Apply and record the first candidate that matches at event k; None
+def _first(d: FoamDiagram, trace: list[MoveInstance], k: int, candidates: tuple) -> bool:
+    """Apply and record the first candidate that matches at event k; False
     where none does."""
     hit = _first_applied(d, k, candidates)
-    if hit is None:
-        return None
-    trace.append(hit[0])
-    return hit[1]
+    if hit is not None:
+        trace.append(hit[0])
+    return hit is not None
 
 
-def _kill_dots(d: FoamDiagram, trace: list[MoveInstance], j: int = 0) -> FoamDiagram:
+def _kill_dots(d: FoamDiagram, trace: list[MoveInstance], j: int = 0) -> None:
     """Split every dot off onto its own circle and kill the circle.  There
     is no dot below event j."""
     while True:
         j = next((i for i in range(j, len(d.events)) if isinstance(d.events[i], Dot)), None)
         if j is None:
-            return d
-        d = _split_off(d, trace, MoveInstance("dot_splitoff", j))
+            return
+        _split_off(d, trace, MoveInstance("dot_splitoff", j))
 
 
 # Candidate moves in order of choice: at the first crossing, at the last
@@ -174,7 +177,7 @@ _PUSH_SPLIT = _candidates(
 _CIRCLE = _candidates(("circle_death", {}))
 
 
-def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
+def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     """Split each parallel crossing off as a standard block and kill it;
     smooth antiparallel crossings of equal weight.  Neither move leaves a
     crossing at or below its index, so the scan resumes there."""
@@ -182,7 +185,7 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
     while True:
         j = next((i for i in range(j, len(d.events)) if isinstance(d.events[i], Cross)), None)
         if j is None:
-            return d
+            return
         hit = _first_applied(d, j, _UNCROSS, apply=False)
         if hit is None:
             raise SchemaMismatch(
@@ -190,10 +193,13 @@ def _kill_crossings(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
                 "outside the reducible braid-closure class"
             )
         m, env = hit
-        d = _split_off(d, trace, m, env) if m.schema == "crossing_splitoff" else _step(d, trace, m)
+        if m.schema == "crossing_splitoff":
+            _split_off(d, trace, m, env)
+        else:
+            _step(d, trace, m)
 
 
-def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
+def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     """Turn every R-flag vertex into an L-flag one by passing a dot pair
     through it, then kill the stray dots.  The dots and the flipped vertex
     lie at or above the vertex's index, so both scans resume there."""
@@ -205,18 +211,18 @@ def _normalize_flags(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
             None,
         )
         if j is None:
-            return d
+            return
         e = d.events[j]
         if isinstance(e, Merge):
-            d = _step(d, trace, MoveInstance("dot_pair_birth", j + 1, {"pos": e.pos}))
-            d = _step(d, trace, MoveInstance("dot_through_vertex", j, {"dir": "expand"}))
+            _step(d, trace, MoveInstance("dot_pair_birth", j + 1, {"pos": e.pos}))
+            _step(d, trace, MoveInstance("dot_through_vertex", j, {"dir": "expand"}))
         else:
-            d = _step(d, trace, MoveInstance("dot_pair_birth", j, {"pos": e.pos}))
-            d = _step(d, trace, MoveInstance("dot_through_vertex", j + 1, {"dir": "expand"}))
-        d = _kill_dots(d, trace, j)
+            _step(d, trace, MoveInstance("dot_pair_birth", j, {"pos": e.pos}))
+            _step(d, trace, MoveInstance("dot_through_vertex", j + 1, {"dir": "expand"}))
+        _kill_dots(d, trace, j)
 
 
-def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
+def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     """Cancel every split against a merge.  The last split is pushed along
     the word: it cancels on contact (singular saddle), re-associates past a
     touching merge, and exchanges past everything disjoint.  Its index
@@ -225,38 +231,33 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
 
     The other moves need a window that overlaps the split, so it exchanges
     exactly where it is disjoint from the event above.  A run of such
-    exchanges is recorded step by step and built by one ``exchange_run``."""
+    exchanges is recorded step by step and made by one ``exchange_run``,
+    which edits the run's window in place."""
     j = len(d.events)
     while True:
         j = next((i for i in range(min(j + 1, len(d.events) - 1), -1, -1)
                   if isinstance(d.events[i], Split)), None)
         if j is None:
-            return d
+            return
         count = _disjoint_run(d, j)
         if count:
-            d = exchange_run(d, j, count)
+            exchange_run(d, j, count)
             trace += (MoveInstance("exchange", i) for i in range(j, j + count))
             j += count - 1
-            continue
-        out = _first(d, trace, j, _PUSH_SPLIT)
-        if out is None:
+        elif not _first(d, trace, j, _PUSH_SPLIT):
             raise SchemaMismatch("split with nothing above it; diagram not closed")
-        d = out
 
 
-def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> FoamDiagram:
+def _kill_circles(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     """Kill innermost circles, first match first.  A death at i can only
     make a new circle of events i-1 and i, so the scan resumes there."""
     i = 0
     while d.events:
         for i in range(max(i - 1, 0), len(d.events)):
-            out = _first(d, trace, i, _CIRCLE)
-            if out is not None:
+            if _first(d, trace, i, _CIRCLE):
                 break
         else:
             raise SchemaMismatch("residual diagram is not a union of circles")
-        d = out
-    return d
 
 
 def flip_reduce(d: FoamDiagram) -> list[MoveInstance]:
@@ -271,20 +272,19 @@ def flip_reduce(d: FoamDiagram) -> list[MoveInstance]:
     - cancel each split against a merge (``_collapse``);
     - kill the circles left.
 
-    It records each split-off block's birth and death as two trace steps,
-    which :func:`validate_trace` replays, but builds only the diagram that
-    survives both; and it records a run of exchanges step by step but
-    builds one diagram for the run."""
+    The phases reduce one working diagram, whose every move edits its
+    window in place.  A split-off block's birth and death are recorded as
+    two trace steps, which :func:`validate_trace` replays, but the block
+    is never built; a run of exchanges is recorded step by step and made
+    at once."""
     if not d.is_closed():
         raise OpenDiagram("flip_reduce needs a closed diagram")
     if d.has_labels():
         raise UnsupportedDecoration("flip_reduce handles dots, not labels")
     trace: list[MoveInstance] = []
-    d = _kill_dots(d, trace)
-    d = _kill_crossings(d, trace)
-    d = _normalize_flags(d, trace)
-    d = _collapse(d, trace)
-    d = _kill_circles(d, trace)
+    d = _WorkingDiagram(d)
+    for phase in (_kill_dots, _kill_crossings, _normalize_flags, _collapse, _kill_circles):
+        phase(d, trace)
     return trace
 
 
@@ -321,17 +321,17 @@ def _positive_strands(d: FoamDiagram) -> bool:
         return False
 
 
-def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> tuple:
-    """``(diagram, n)``: the diagram after the block of n trace steps from
-    step i, replayed in one call.  A block is a run of parameterless
-    exchanges at k, k+1, ..., cut where ``_disjoint_run`` says that event
-    k meets an event it overlaps, so ``exchange_run`` cannot fail; or, with
-    ``pairs``, a split-off followed by exactly the death move that
-    ``split_off_and_kill`` returns.  ``pairs`` says that every strand
-    weight is decided positive: then the block that the death deletes
-    validates, and ``split_off_and_kill`` raises only what ``apply_move``
-    of the split-off raises.  Any other step, and the step where a block
-    stops, is one ``apply_move``."""
+def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> int:
+    """Replay the block of trace steps from step i on d in one call and
+    return its length.  A block is a run of parameterless exchanges at k,
+    k+1, ..., cut where ``_disjoint_run`` says that event k meets an event
+    it overlaps, so ``exchange_run`` cannot fail; or, with ``pairs``, a
+    split-off followed by exactly the death move that ``split_off_and_kill``
+    returns, compared before the rewrite is made.  ``pairs`` says that every
+    strand weight is decided positive: then the block that the death
+    deletes validates, and ``split_off_and_kill`` raises only what
+    ``apply_move`` of the split-off raises.  Any other step, and the step
+    where a block stops, is one ``apply_move``."""
     m = trace[i]
     if m.schema == "exchange" and 0 <= m.index < len(d.events):
         k, n = m.index, 0
@@ -340,12 +340,13 @@ def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> tu
                and s.index == k + n and not s.params):
             n += 1
         if n:
-            return exchange_run(d, k, n), n
-    elif pairs and m.schema in _SPLIT_OFFS and i + 1 < len(trace):
-        out, death = split_off_and_kill(d, m)
-        if trace[i + 1] == death:
-            return out, 2
-    return apply_move(d, m), 1
+            exchange_run(d, k, n)
+            return n
+    elif pairs and m.schema in _SPLIT_OFFS and trace[i + 1 : i + 2] == [_death(d, m)]:
+        split_off_and_kill(d, m)
+        return 2
+    apply_move(d, m)
+    return 1
 
 
 def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
@@ -354,22 +355,24 @@ def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
     applies, and the final diagram must equal the target (empty by
     default).
 
-    It replays a block of steps at a time (``_block``), and a block is
-    taken only where it equals its steps applied one by one.  So the
-    report, and ``failed_at`` and ``reason`` where it fails, equal those of
-    one ``apply_move`` per step."""
+    It replays on one working diagram, whose every step edits its window in
+    place, a block of steps at a time (``_block``); a block is taken only
+    where it equals its steps applied one by one.  So the report, and
+    ``failed_at`` and ``reason`` where it fails, equal those of one
+    ``apply_move`` per step.  A step that raises leaves the working diagram
+    where it is, and the check ends there."""
     if target is None:
         target = empty_diagram(d.basis)
     trace = list(trace)
     pairs = _positive_strands(d)
+    work = _WorkingDiagram(d)
     i = 0
     try:
         while i < len(trace):
-            d, n = _block(d, trace, i, pairs)
-            i += n
+            i += _block(work, trace, i, pairs)
     except SchemaMismatch as exc:
         return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
-    if d != target:
+    if work.frozen() != target:
         return TraceCheck(False, len(trace), failed_at=len(trace),
                           reason="final diagram differs from the target")
     return TraceCheck(True, len(trace))

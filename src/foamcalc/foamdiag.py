@@ -24,7 +24,7 @@ the closure of an interval exchange satisfies nu = SAF/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
@@ -86,12 +86,15 @@ def event_kind(keyword: str, consumes: int, produces: int):
     strands it consumes at ``pos`` and produces in their place, and the JSON
     codec of each field.  Oriented and planar events share it.  Codecs are
     found by the field annotation's text, so the defining module must use
-    postponed annotations."""
+    postponed annotations.  ``e._moved(pos)`` is e at strand ``pos``, built
+    positionally."""
 
     def make(cls):
         cls = dataclass(frozen=True)(cls)
         cls.keyword, cls.consumes, cls.produces = keyword, consumes, produces
         cls.json_fields = tuple((f.name, _JSON_CODECS[f.type]) for f in fields(cls))
+        rest = "".join(f", e.{name}" for name, _ in cls.json_fields[1:])
+        cls._moved = eval(f"lambda e, pos: cls(pos{rest})", {"cls": cls})  # from the fields
         return cls
 
     return make
@@ -196,28 +199,34 @@ def apply_event(strands: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
     raise DslSemanticError(f"unknown event {e!r}")
 
 
-def _extend_slices(step, cur: tuple, events: tuple, k: int = 0, old: tuple = (),
-                   reuse_from: int = 0, shift: int = 0) -> tuple:
-    """All slices of ``events``, given their slice k ``cur`` and, from
-    ``old``, the slices below it.
+def _extend_slices(step, cur: tuple, added: Iterable, k: int = 0, events=(), end: int = 0,
+                   old=()) -> tuple[list, int]:
+    """The slices above slice k ``cur`` of the events ``added`` followed by
+    ``events[end:]``, and where they stop.
 
-    Applies events k, k+1, ... one by one through ``step`` into a short list
-    and names the failing event's index in a DslSemanticError or a
-    NonPositiveWeight, keeping its class.  With ``old`` slices, from index
-    ``reuse_from`` on, it stops as soon as a computed slice i equals
-    ``old[i + shift]`` and takes the rest from ``old``: the events from
-    there on are the old ones, which were validated against equal slices.
-    The result is joined once: ``old[:k]``, the computed slices, the reused
-    tail."""
+    Applies the events one by one through ``step`` into a short list and
+    names the failing event's index, counting ``added`` from k, in a
+    DslSemanticError or a NonPositiveWeight, keeping its class.  Past
+    ``added``, it stops as soon as a computed slice equals ``old[j]``, the
+    old slice below event j of ``events``: the events from there on are the
+    old ones, which were validated against equal slices.  Returns the
+    computed slices above ``cur`` and where the old ones resume, j + 1 or
+    ``len(old)`` at the top: they replace ``old[k + 1 : stop]``."""
     new = [cur]
-    for i in range(k, len(events)):
-        if old and i >= reuse_from and new[-1] == old[i + shift]:
-            return old[:k] + tuple(new[:-1]) + old[i + shift :]
+    for i, e in enumerate(added, k):
         try:
-            new.append(step(new[-1], events[i]))
+            new.append(step(new[-1], e))
         except (DslSemanticError, NonPositiveWeight) as exc:
             raise type(exc)(f"event {i}: {exc}") from None
-    return old[:k] + tuple(new)
+    shift = len(new) - 1 + k - end
+    for j in range(end, len(events)):
+        if new[-1] == old[j]:
+            return new[1:], j + 1
+        try:
+            new.append(step(new[-1], events[j]))
+        except (DslSemanticError, NonPositiveWeight) as exc:
+            raise type(exc)(f"event {j + shift}: {exc}") from None
+    return new[1:], len(old)
 
 
 class SlicedDiagram:
@@ -230,14 +239,18 @@ class SlicedDiagram:
     NonPositiveWeight when a weight it needs positive is not.  The
     constructor applies every event in turn.  :meth:`spliced` recomputes
     only the slices a local change alters: it applies events from the slice
-    below the change into a short list, stops at the first recomputed slice
-    past the change that equals its old counterpart, and joins the old
-    slices below, the recomputed ones and the old tail once.  Both give the
+    below the change into a short list and stops at the first recomputed
+    slice past the change that equals its old counterpart.  Both give the
     same slices and the same errors.  A rewrite that knows its new slices
-    builds the diagram once through :meth:`_from_slices`: a run of
-    exchanges of disjoint events (``moves.exchange_run``) applies no event,
-    and a two-event rewrite that keeps the slice above its window, such as
-    a vertex cobordism (``moves._rewrite_pair``), applies one.
+    computes only its window: a run of exchanges of disjoint events
+    (``moves.exchange_run``) applies no event, and a two-event rewrite that
+    keeps the slice above its window, such as a vertex cobordism
+    (``moves._rewrite_pair``), applies one.
+
+    Every rewrite computes and checks its whole window first and then
+    hands it to :meth:`_with_window`, the one place its result goes: here
+    a new diagram joined from the old one and the window, and in a
+    ``_WorkingDiagram`` the same window edited into its lists in place.
     Diagrams are equal when they have the same type, basis, start and
     events."""
 
@@ -247,7 +260,7 @@ class SlicedDiagram:
         self.basis = basis
         self.start = tuple(start)
         self.events = tuple(events)
-        self.slices = _extend_slices(self.step, self.start, self.events)
+        self.slices = (self.start, *_extend_slices(self.step, self.start, self.events)[0])
 
     @classmethod
     def _from_slices(cls, basis: GeneratorBasis, start: tuple, events: tuple, slices: tuple):
@@ -255,6 +268,14 @@ class SlicedDiagram:
         d = object.__new__(cls)
         d.basis, d.start, d.events, d.slices = basis, start, events, slices
         return d
+
+    def _with_window(self, k: int, removed: int, events, stop: int, slices):
+        """The diagram with ``events[k : k + removed]`` replaced by
+        ``events`` and ``slices[k + 1 : stop]`` by ``slices``, which are
+        already computed and validated."""
+        return self._from_slices(
+            self.basis, self.start, self.events[:k] + tuple(events) + self.events[k + removed :],
+            self.slices[: k + 1] + tuple(slices) + self.slices[stop:])
 
     def spliced(self, k: int, removed: int, added: Iterable):
         """The diagram with ``events[k:k+removed]`` replaced by ``added``.
@@ -269,10 +290,9 @@ class SlicedDiagram:
         if not 0 <= k <= k + removed <= len(self.events):
             raise IndexError(f"splice of {removed} events at {k} out of range")
         added = tuple(added)
-        events = self.events[:k] + added + self.events[k + removed :]
-        slices = _extend_slices(self.step, self.slices[k], events, k, self.slices,
-                                k + len(added), removed - len(added))
-        return self._from_slices(self.basis, self.start, events, slices)
+        slices, stop = _extend_slices(self.step, self.slices[k], added, k, self.events,
+                                      k + removed, self.slices)
+        return self._with_window(k, removed, added, stop, slices)
 
     def replace_events(self, events: Iterable):
         return type(self)(self.basis, self.start, events)
@@ -323,6 +343,30 @@ class FoamDiagram(SlicedDiagram):
 
     def has_labels(self) -> bool:
         return any(isinstance(e, Label) for e in self.events)
+
+
+class _WorkingDiagram(FoamDiagram):
+    """A private, mutable copy of a FoamDiagram whose events and slices are
+    lists.  Each rewrite edits its window into them in place, as list slice
+    assignment, and returns this same diagram; so a rewrite costs its
+    window, not the length of the diagram.  ``flip_reduce`` and
+    ``validate_trace`` each reduce or replay on one."""
+
+    __slots__ = ()
+
+    def __init__(self, d: FoamDiagram):
+        self.basis, self.start = d.basis, d.start
+        self.events, self.slices = list(d.events), list(d.slices)
+
+    def _with_window(self, k: int, removed: int, events, stop: int, slices):
+        self.events[k : k + removed] = events
+        self.slices[k + 1 : stop] = slices
+        return self
+
+    def frozen(self) -> FoamDiagram:
+        """The immutable diagram it holds now."""
+        return FoamDiagram._from_slices(self.basis, self.start, tuple(self.events),
+                                        tuple(self.slices))
 
 
 def event_to_json(e) -> dict:
@@ -409,12 +453,13 @@ def mirror(d: FoamDiagram) -> FoamDiagram:
     so every vertex term negates (as does every crossing term)."""
     new_events: list[Event] = []
     for cur, e in zip(d.slices, d.events):
-        fix = {}
+        pos = len(cur) - e.consumes - e.pos
         if isinstance(e, Split):
-            fix = {"left": cur[e.pos].weight - e.left}
+            new_events.append(Split(pos, e.order, cur[e.pos].weight - e.left))
         elif isinstance(e, Cup):
-            fix = {"dir": e.dir.flip()}
-        new_events.append(replace(e, pos=len(cur) - e.consumes - e.pos, **fix))
+            new_events.append(Cup(pos, e.weight, e.dir.flip()))
+        else:
+            new_events.append(e._moved(pos))
     return FoamDiagram(d.basis, tuple(reversed(d.start)), new_events)
 
 

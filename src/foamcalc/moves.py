@@ -16,7 +16,12 @@ only the slices inside its window.  Most splice their new events in
 the slices around it (:func:`exchange_run`), and a two-event rewrite
 whose upper event is a merge or a split, such as a vertex cobordism,
 applies only its lower event and keeps the slice above
-(:func:`_rewrite_pair`).
+(:func:`_rewrite_pair`).  Each rewrite checks its whole window before it
+hands it to the diagram's ``_with_window``: an immutable diagram gives a
+new one, which is what :func:`apply_move` returns, and the one working
+diagram that ``flip_reduce`` or ``validate_trace`` holds is edited in
+place.  A rewrite that raises leaves the diagram as it was; only a
+split-off's block is checked after its rewrite is made (:func:`apply_move`).
 """
 
 from __future__ import annotations
@@ -200,7 +205,7 @@ class Rule:
 
 
 def _shifted(e, dp: int):
-    return dataclasses.replace(e, pos=e.pos + dp) if dp else e
+    return e._moved(e.pos + dp) if dp else e
 
 
 _OVERLAP = "events overlap; exchange does not apply"
@@ -220,20 +225,20 @@ def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
     """The exchanges at k, k+1, ..., k+count-1 in turn, which move event k
     up past the ``count`` events above it; each pair must be disjoint.
 
-    They are made on lists of the window's events and slices, and the
-    diagram is built once.  Only the middle slice of each exchange changes,
-    and it is assembled from its neighbours without applying an event: the
-    strands below, with the strands that the upper event f consumes
-    replaced by the strands f produces, read from the slice above.  That is
-    what f gives below the other event, because f reads only the strands it
-    consumes, so the slices stay validated.  :func:`_rewrite_pair` keeps
-    the slice above a vertex rewrite the same way.  A pair that overlaps
-    raises the ``SchemaMismatch`` that :func:`apply_move` raises for its
-    step."""
+    They are made on lists of the window's events and slices, which go to
+    the diagram once (``_with_window``).  Only the middle slice of each
+    exchange changes, and it is assembled from its neighbours without
+    applying an event: the strands below, with the strands that the upper
+    event f consumes replaced by the strands f produces, read from the
+    slice above.  That is what f gives below the other event, because f
+    reads only the strands it consumes, so the slices stay validated.
+    :func:`_rewrite_pair` keeps the slice above a vertex rewrite the same
+    way.  A pair that overlaps raises the ``SchemaMismatch`` that
+    :func:`apply_move` raises for its step, before the diagram changes."""
     if not 0 <= k <= k + count < len(d.events):
         raise IndexError(f"exchange run of {count} at {k} out of range")
-    events = list(d.events[k : k + count + 1])
-    slices = list(d.slices[k : k + count + 2])
+    end = k + count + 1
+    events, slices = list(d.events[k:end]), list(d.slices[k : end + 1])
     for i in range(count):
         f = events[i + 1]
         new = _passed(events[i], f)
@@ -242,9 +247,7 @@ def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
         below, above, q = slices[i], slices[i + 2], new[0].pos
         slices[i + 1] = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
         events[i : i + 2] = new
-    end = k + count + 1
-    return d._from_slices(d.basis, d.start, d.events[:k] + tuple(events) + d.events[end:],
-                          d.slices[: k + 1] + tuple(slices[1:-1]) + d.slices[end:])
+    return d._with_window(k, count + 1, events, end, slices[1:-1])
 
 
 def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
@@ -261,10 +264,11 @@ def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
     merge or split f on top, where a rule's algebra makes the slice above
     them equal to the old slice above the window.  Only the middle slice is
     new: e applied to slice k (``step``), or ``mid`` where the caller built
-    it.  The slice above comes from d, so f is checked only against what it
-    reads: a merge, its range and equal directions; a split, its range and
-    its left part and then its right part, read from the slice above,
-    decided positive.  The identities that keep that slice, for the
+    it; it goes to the diagram with the two events (``_with_window``).  The
+    slice above comes from d, so f is checked only against what it reads:
+    a merge, its range and equal directions; a split, its range and its
+    left part and then its right part, read from the slice above, decided
+    positive.  The identities that keep that slice, for the
     ``vertex_cobordism`` patterns and for the crossing split-off
     (:func:`_uncrossed`):
 
@@ -275,7 +279,8 @@ def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
     - the crossing: (a + b) - b = a.
 
     Where e or f does not validate, or a sign is undecided, it returns
-    ``d.spliced``, which raises that splice's error."""
+    ``d.spliced``, which raises that splice's error.  Either way every
+    check comes before the diagram changes."""
     end = k + removed
     try:
         if mid is None:
@@ -287,8 +292,7 @@ def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
             ok = (0 <= f.pos < n and f.left.sign() == POSITIVE
                   and top[f.pos + 1].weight.sign() == POSITIVE)
         if ok:
-            return d._from_slices(d.basis, d.start, d.events[:k] + (e, f) + d.events[end:],
-                                  d.slices[: k + 1] + (mid,) + d.slices[end:])
+            return d._with_window(k, removed, (e, f), end, (mid,))
     except FoamError:
         pass
     return d.spliced(k, removed, (e, f))
@@ -322,27 +326,30 @@ def _uncrossed(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
     return _rewrite_pair(d, k, Merge(p, o), Split(p, o, env["b"]), 1, mid)
 
 
-# The split-off schemas, each ``schema: (rewrite, block, death)``.  A
-# split-off rewrites its window in place, ``rewrite(d, k, env)``, and puts a
-# separate component on at the right end: ``block(base, env)``, its events at
-# strand ``base``, which the schema ``death`` deletes as its next step.
+# The split-off schemas, each ``schema: (rewrite, added, block, death)``.  A
+# split-off rewrites its one-event window in place into ``added`` events,
+# ``rewrite(d, k, env)``, and puts a separate component on at the right end:
+# ``block(base, env)``, its events at strand ``base``, which the schema
+# ``death`` deletes as its next step.
 _SPLIT_OFFS = {
     "crossing_splitoff": (
-        _uncrossed, lambda base, env: u_block_events(base, env["a"], env["b"]), "u_ab_death"),
+        _uncrossed, 2, lambda base, env: u_block_events(base, env["a"], env["b"]), "u_ab_death"),
     "dot_splitoff": (
-        lambda d, k, env: d.spliced(k, 1, []),
+        lambda d, k, env: d.spliced(k, 1, []), 0,
         lambda base, env: [Cup(base, env["w"], Dir.UP), Dot(base), Cap(base)],
         "dotted_circle_death"),
 }
 
 
 def _split_off(schema: str):
-    """The right-hand side of a split-off rule: the rewrite, then the block."""
-    rewrite, block, _ = _SPLIT_OFFS[schema]
+    """The right-hand side of a split-off rule: the rewrite, then the block
+    (see :func:`apply_move`)."""
+    rewrite, _, block, _ = _SPLIT_OFFS[schema]
 
     def rhs(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
+        base = len(d.slices[-1])
         out = rewrite(d, k, env)
-        return out.spliced(len(out.events), 0, block(len(d.slices[-1]), env))
+        return out.spliced(len(out.events), 0, block(base, env))
 
     return rhs
 
@@ -497,21 +504,32 @@ def _first_match(d: FoamDiagram, m: MoveInstance, apply: bool):
 
 
 def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
+    """d rewritten by the move m: a new diagram, or a working diagram
+    edited in place.  A split-off splices its block on after its rewrite
+    is made.  The block fails only on start strands whose weights are not
+    checked; on a working diagram that raise comes with the rewrite made,
+    and it ends the replay of ``validate_trace``."""
     return _first_match(d, m, True)
+
+
+def _death(d: FoamDiagram, m: MoveInstance) -> MoveInstance:
+    """The move that deletes the block which the split-off m puts on d."""
+    _, added, _, death = _SPLIT_OFFS[m.schema]
+    return MoveInstance(death, len(d.events) + added - 1)
 
 
 def split_off_and_kill(d: FoamDiagram, m: MoveInstance,
                        env: dict | None = None) -> tuple[FoamDiagram, MoveInstance]:
     """The split-off move m (``crossing_splitoff`` or ``dot_splitoff``)
     followed by the death of the block it puts on: the diagram after both
-    steps and the death move.  Only the in-place rewrite is built, never the
+    steps and the death move.  Only the in-place rewrite is made, never the
     block nor the diagram that carries it; ``apply_move`` of m and then of
     the death move gives the same diagram, wherever the block's strand
     weights are positive.  ``env`` is m's window bindings, where the caller
     has matched m already."""
-    rewrite, _, death = _SPLIT_OFFS[m.schema]
-    out = rewrite(d, m.index, _first_match(d, m, False) if env is None else env)
-    return out, MoveInstance(death, len(out.events))
+    death = _death(d, m)
+    rewrite = _SPLIT_OFFS[m.schema][0]
+    return rewrite(d, m.index, _first_match(d, m, False) if env is None else env), death
 
 
 # The window candidates that enumerate_moves tries at each event, in order.

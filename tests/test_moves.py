@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from foamcalc import foamdiag, moves
+from foamcalc import decorated, foamdiag, moves
 from foamcalc import (
     ALL_SCHEMAS,
     Cap,
@@ -537,21 +537,23 @@ def _count_builds(monkeypatch) -> list:
     return builds
 
 
-def test_each_exchange_run_builds_one_diagram(monkeypatch):
-    """Cost guard: flip_reduce and validate_trace each build one diagram
-    per exchange run, one per split-off pair and one per other step: 556
-    for this closure's 927 steps (390 exchanges in 94 runs, 75 split-off
-    pairs), where one per exchange would make 852."""
+def test_reduce_and_replay_build_at_most_one_diagram(monkeypatch):
+    """Cost guard: flip_reduce and validate_trace each reduce or replay on
+    one working diagram, which every step edits in place, so neither
+    builds a diagram per step.  On this closure (927 steps: 390 exchanges
+    in 94 runs, 75 split-off pairs) flip_reduce builds none, and
+    validate_trace builds one, the final diagram that it compares with the
+    target.  With a new diagram per exchange run, split-off pair and other
+    step, each built 556."""
     d = _dotted_closure(random.Random(16), demo_basis("r2"), 16, dots=3, mirrored=False)
     builds = _count_builds(monkeypatch)
     trace = flip_reduce(d)
     schemas = collections.Counter(m.schema for m in trace)
     exchanges, pairs = schemas["exchange"], schemas["crossing_splitoff"] + schemas["dot_splitoff"]
     assert (len(trace), exchanges, _exchange_runs(trace), pairs) == (927, 390, 94, 75)
-    assert len(builds) == len(trace) - exchanges + _exchange_runs(trace) - pairs == 556
-    builds.clear()
+    assert builds == []
     assert validate_trace(d, trace)
-    assert len(builds) == 556
+    assert builds == [FoamDiagram]
 
 
 # ----------------------------------------- block replay against step-by-step
@@ -961,3 +963,128 @@ def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
         apply_move(crossed, MoveInstance("crossing_splitoff", 0))
     assert str(exc.value) == ("crossing_splitoff at 0: event 1: right part of a split "
                               "must be positive, got Weight(-1)")
+
+
+# ------------------------------------ the working diagram of reduce and replay
+
+
+def _replay_corpus():
+    """The diagrams of test_validate_trace_equals_a_step_by_step_replay."""
+    basis = demo_basis("r2", "r3")
+    rng = random.Random(61)
+    corpus = [_dotted_closure(rng, basis, r, dots=r % 4, mirrored=r % 3 == 0)
+              for r in range(3, 11)]
+    return corpus + [rand_dotted_diagram(rng, basis) for _ in range(40)]
+
+
+_SCOPE = {cls.__name__: cls for cls in (*foamdiag.EVENT_KINDS, Order, Dir)}
+
+
+def _spliced_step(d, m):
+    """d after step m, made by splicing the right-hand side of m's rule in
+    with the immutable ``d.spliced(k, removed, rhs)``: a slow reference
+    that shares no slice code with the rewrite kernels.  An exchange
+    splices the two events moved past each other; a split-off splices its
+    rewrite, and then its block on at the right end."""
+    k = m.index
+    for rule, side in moves._alternatives(m.schema, m.params):
+        env = rule.sides[side][1](d, k, m.params, False)
+        if env is not None:
+            break
+    if m.schema == "exchange":
+        return d.spliced(k, 2, moves._passed(*d.events[k : k + 2]))
+    if m.schema in moves._SPLIT_OFFS:
+        rewrite = ()
+        if m.schema == "crossing_splitoff":
+            o = Order.L if env["d"] is Dir.UP else Order.R
+            rewrite = (Merge(env["p"], o), Split(env["p"], o, env["b"]))
+        block = moves._SPLIT_OFFS[m.schema][2](len(d.slices[-1]), env)
+        out = d.spliced(k, 1, rewrite)
+        return out.spliced(len(out.events), 0, block)
+    added = [eval(src, _SCOPE, dict(env)) for src in moves._window(rule.texts[1 - side])[3]]
+    return d.spliced(k, len(rule.sides[side][0]), added)
+
+
+def test_working_replays_equal_the_rules_own_splices():
+    """Each trace of the corpus of
+    test_validate_trace_equals_a_step_by_step_replay and of the flip
+    corpus (whose R-flag block brings dot pairs), replayed three ways at
+    once: by the rules' own splices on immutable diagrams
+    (``_spliced_step``), by one apply_move per step on a working diagram,
+    and a block at a time on another, as validate_trace replays it.  After
+    every step, and after every block, the working diagrams hold the
+    events and slices of the reference."""
+    schemas, blocks = collections.Counter(), collections.Counter()
+    for d in _replay_corpus() + _flip_corpus():
+        trace = flip_reduce(d)
+        pairs = decorated._positive_strands(d)
+        ref, stepped, by_blocks = d, foamdiag._WorkingDiagram(d), foamdiag._WorkingDiagram(d)
+        done = 0  # the steps that by_blocks has replayed
+        for n, m in enumerate(trace, 1):
+            ref = _spliced_step(ref, m)
+            assert apply_move(stepped, m) is stepped
+            want = (list(ref.events), list(ref.slices))
+            assert (stepped.events, stepped.slices) == want, (d, n, m)
+            if done < n:
+                size = decorated._block(by_blocks, trace, done, pairs)
+                blocks[min(size, 3)] += 1
+                done += size
+            if done == n:
+                assert (by_blocks.events, by_blocks.slices) == want, (d, n, m)
+            schemas[m.schema] += 1
+        assert not ref.events and stepped.frozen() == ref
+    assert set(schemas) >= {"exchange", "vertex_cobordism", "singular_saddle", "crossing_splitoff",
+                            "dot_splitoff", "dot_pair_birth", "dot_through_vertex", "circle_death"}, schemas
+    assert min(blocks[1], blocks[2], blocks[3]) > 20, blocks
+
+
+def test_failing_rewrites_leave_the_working_diagram_as_it_was(w, basis):
+    """A rewrite checks its whole window before it edits a working
+    diagram, so one that raises leaves the events and slices as they were:
+    an exchange run whose second pair overlaps, a vertex rewrite whose
+    fallback splice meets a part that is not positive, a splice of a cup
+    whose weight is not positive, and a sign that a basis capped at 2
+    digits cannot decide."""
+    up, one = Dir.UP, w("1")
+    circles = FoamDiagram(basis, [], [Cup(0, one, up), Cup(2, one, up), Cap(0), Cap(0)])
+    sm = FoamDiagram(basis, [Strand(w("2"), up), Strand(w("-2"), up)],
+                     [Split(0, Order.L, w("1/2")), Merge(1, Order.L)])
+    capped = basis.with_precision_cap(2)
+    rational = [Weight.rational(capped, q) for q in (1, "1/2", "-191/100")]
+    exhausted = FoamDiagram(capped, [Strand(rational[0], up),
+                                     Strand(rational[2] + Weight.generator(capped, "r2"), up)],
+                            [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
+    cases = [
+        (circles, lambda d: moves.exchange_run(d, 0, 2), SchemaMismatch),
+        (sm, lambda d: moves._rewrite_pair(d, 0, Merge(0, Order.L), Split(0, Order.L, w("1/2"))),
+         NonPositiveWeight),
+        (circles, lambda d: d.spliced(1, 0, [Cup(0, w("-1"), up), Cap(0)]), NonPositiveWeight),
+        (exhausted, lambda d: moves._rewrite_pair(d, 0, Merge(0, Order.L),
+                                                  Split(0, Order.L, rational[1])),
+         PrecisionExhausted),
+    ]
+    for d, rewrite, error in cases:
+        work = foamdiag._WorkingDiagram(d)
+        with pytest.raises(error):
+            rewrite(work)
+        assert (work.events, work.slices) == (list(d.events), list(d.slices)), error
+    work = foamdiag._WorkingDiagram(circles)
+    assert moves.exchange_run(work, 0, 1) is work
+    assert work.frozen() == moves.exchange_run(circles, 0, 1) != circles
+
+
+def test_a_moved_event_keeps_its_other_fields():
+    """e._moved(p), the one way that exchanges and mirror move an event, is
+    e at position p with every other field kept, for every oriented and
+    planar event kind."""
+    basis = demo_basis("r2")
+    rng = random.Random(19)
+    weights = [Weight.rational(basis, 1), Weight.generator(basis, "r2")]
+    events = [E(rng.randint(0, 4), *_FIELDS[E](rng, weights)) for E in foamdiag.EVENT_KINDS]
+    events += [PMerge(1), PSplit(2, weights[1]), PCup(0, weights[0]), PCap(3)]
+    for e in events:
+        for p in (0, e.pos, 6):
+            moved = e._moved(p)
+            assert type(moved) is type(e) and moved.pos == p, e
+            assert all(getattr(moved, name) == getattr(e, name)
+                       for name, _ in e.json_fields[1:]), e
