@@ -1033,8 +1033,9 @@ def test_working_replays_equal_the_rules_own_splices():
                 assert (by_blocks.events, by_blocks.slices) == want, (d, n, m)
             schemas[m.schema] += 1
         assert not ref.events and stepped.frozen() == ref
-    assert set(schemas) >= {"exchange", "vertex_cobordism", "singular_saddle", "crossing_splitoff",
-                            "dot_splitoff", "dot_pair_birth", "dot_through_vertex", "circle_death"}, schemas
+    assert set(schemas) >= {"exchange", "vertex_cobordism", "singular_saddle",
+                            "crossing_splitoff", "dot_splitoff", "dot_pair_birth",
+                            "dot_through_vertex", "circle_death"}, schemas
     assert min(blocks[1], blocks[2], blocks[3]) > 20, blocks
 
 
