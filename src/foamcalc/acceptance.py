@@ -27,11 +27,16 @@ from .dsl import Document, parse_bytes, parse_document, print_document
 from .errors import FoamError
 from .exterior import WedgeValue, wedge
 from .foamdiag import (
+    Cap,
     Cross,
+    Cup,
     Dir,
     Dot,
     FoamDiagram,
     Label,
+    Merge,
+    Order,
+    Split,
     circle,
     disjoint_union,
     iet_closure,
@@ -203,6 +208,58 @@ def rand_dotted_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagra
     if rng.random() < 0.25:
         d = mirror(d)
     return d
+
+
+def rand_walk_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
+    """A closed diagram from a random walk, beyond the braid-closure class;
+    the basis must hold r2.  Ten random steps, each one of: a cup of weight
+    1 or r2 at a random position and direction; a dot; a cross; a merge of
+    a parallel pair with a random flag; or a split at 1/4, 1/2 or 3/4 of a
+    strand.  A step that cannot be made is skipped.  Then a greedy close of
+    at most 200 steps: cap the first equal-weight antiparallel pair; else
+    merge the first parallel pair; else split the heavier strand of the
+    first antiparallel pair so that its inner part equals the lighter
+    strand.  A draw that does not close is drawn again."""
+    weights = (Weight.rational(basis, 1), Weight.generator(basis, "r2"))
+    while True:
+        d = FoamDiagram(basis, [], [])
+        for _ in range(10):
+            cur = d.slices[-1]
+            n, kind, flag = len(cur), rng.randrange(5), rng.choice((Order.L, Order.R))
+            parallel = [p for p in range(n - 1) if cur[p].dir is cur[p + 1].dir]
+            if kind == 0:
+                e = Cup(rng.randint(0, n), rng.choice(weights), rng.choice((Dir.UP, Dir.DOWN)))
+            elif kind == 1 and n:
+                e = Dot(rng.randrange(n))
+            elif kind == 2 and n >= 2:
+                e = Cross(rng.randrange(n - 1))
+            elif kind == 3 and parallel:
+                e = Merge(rng.choice(parallel), flag)
+            elif kind == 4 and n:
+                p = rng.randrange(n)
+                e = Split(p, flag, cur[p].weight.scale(rng.choice(("1/4", "1/2", "3/4"))))
+            else:
+                continue
+            d = d.spliced(len(d.events), 0, [e])
+        try:
+            for _ in range(200):
+                cur, flag = d.slices[-1], rng.choice((Order.L, Order.R))
+                if not cur:
+                    return d
+                pairs = range(len(cur) - 1)
+                anti = [p for p in pairs if cur[p].dir is not cur[p + 1].dir]
+                p = next((p for p in anti if cur[p].weight == cur[p + 1].weight), None)
+                if p is not None:
+                    e = Cap(p)
+                elif len(anti) < len(pairs):
+                    e = Merge(next(p for p in pairs if p not in anti), flag)
+                else:
+                    p = anti[0]
+                    a, b = cur[p].weight, cur[p + 1].weight
+                    e = Split(p, flag, a - b) if weight_cmp(a, b) > 0 else Split(p + 1, flag, a)
+                d = d.spliced(len(d.events), 0, [e])
+        except FoamError:
+            pass
 
 
 def rand_signed_planar(rng: random.Random, basis: GeneratorBasis) -> PlanarFoam:

@@ -34,9 +34,8 @@ from .foamdiag import (
     _WorkingDiagram,
     nu_events,
 )
-from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _death, _disjoint_run,
-                    _first_applied, apply_move, exchange_run, move_from_json,
-                    split_off_and_kill)
+from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _death, _first_applied,
+                    apply_move, exchange_run, move_from_json, split_off_and_kill)
 from .weights import POSITIVE, Weight
 
 
@@ -230,21 +229,21 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     next last split is at most one above the previous one.
 
     The other moves need a window that overlaps the split, so it exchanges
-    exactly where it is disjoint from the event above.  A run of such
-    exchanges is recorded step by step and made by one ``exchange_run``,
-    which edits the run's window in place."""
+    exactly where it is disjoint from the event above.  One ``exchange_run``
+    moves the split up until it meets an event that it overlaps, editing
+    the run's window in place, and says how far it went.  The run is
+    recorded step by step, and one of the other moves is made where it
+    stopped."""
     j = len(d.events)
     while True:
         j = next((i for i in range(min(j + 1, len(d.events) - 1), -1, -1)
                   if isinstance(d.events[i], Split)), None)
         if j is None:
             return
-        count = _disjoint_run(d, j)
-        if count:
-            exchange_run(d, j, count)
-            trace += (MoveInstance("exchange", i) for i in range(j, j + count))
-            j += count - 1
-        elif not _first(d, trace, j, _PUSH_SPLIT):
+        made = exchange_run(d, j, len(d.events))[1]
+        trace += (MoveInstance("exchange", i) for i in range(j, j + made))
+        j += made
+        if not _first(d, trace, j, _PUSH_SPLIT):
             raise SchemaMismatch("split with nothing above it; diagram not closed")
 
 
@@ -324,24 +323,23 @@ def _positive_strands(d: FoamDiagram) -> bool:
 def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> int:
     """Replay the block of trace steps from step i on d in one call and
     return its length.  A block is a run of parameterless exchanges at k,
-    k+1, ..., cut where ``_disjoint_run`` says that event k meets an event
-    it overlaps, so ``exchange_run`` cannot fail; or, with ``pairs``, a
-    split-off followed by exactly the death move that ``split_off_and_kill``
-    returns, compared before the rewrite is made.  ``pairs`` says that every
-    strand weight is decided positive: then the block that the death
-    deletes validates, and ``split_off_and_kill`` raises only what
-    ``apply_move`` of the split-off raises.  Any other step, and the step
-    where a block stops, is one ``apply_move``."""
+    k+1, ..., which one ``exchange_run`` makes as far as it goes: it stops
+    before an event that event k overlaps, and the step there is left to
+    ``apply_move``.  Or, with ``pairs``, a block is a split-off followed by
+    exactly the death move that ``split_off_and_kill`` returns, compared
+    before the rewrite is made.  ``pairs`` says that every strand weight is
+    decided positive: then the block that the death deletes validates, and
+    ``split_off_and_kill`` raises only what ``apply_move`` of the split-off
+    raises.  Any other step, and a step where no exchange is made, is one
+    ``apply_move``."""
     m = trace[i]
-    if m.schema == "exchange" and 0 <= m.index < len(d.events):
+    if m.schema == "exchange":
         k, n = m.index, 0
-        most = min(_disjoint_run(d, k), len(trace) - i)
-        while (n < most and (s := trace[i + n]).schema == "exchange"
-               and s.index == k + n and not s.params):
+        while i + n < len(trace) and trace[i + n] == MoveInstance("exchange", k + n):
             n += 1
-        if n:
-            exchange_run(d, k, n)
-            return n
+        made = exchange_run(d, k, n)[1]
+        if made:
+            return made
     elif pairs and m.schema in _SPLIT_OFFS and trace[i + 1 : i + 2] == [_death(d, m)]:
         split_off_and_kill(d, m)
         return 2

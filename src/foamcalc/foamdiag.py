@@ -243,7 +243,8 @@ class SlicedDiagram:
     slice past the change that equals its old counterpart.  Both give the
     same slices and the same errors.  A rewrite that knows its new slices
     computes only its window: a run of exchanges of disjoint events
-    (``moves.exchange_run``) applies no event, and a two-event rewrite that
+    (``moves.exchange_run``, which stops at the first event that overlaps
+    and says how far it went) applies no event, and a two-event rewrite that
     keeps the slice above its window, such as a vertex cobordism
     (``moves._rewrite_pair``), applies one.
 

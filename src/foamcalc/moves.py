@@ -13,9 +13,10 @@ written once, and its reverse is the same rule with its sides swapped.
 A rewrite leaves the slice above its window as it was, so a move builds
 only the slices inside its window.  Most splice their new events in
 (``SlicedDiagram.spliced``).  An exchange assembles its middle slice from
-the slices around it (:func:`exchange_run`), and a two-event rewrite
-whose upper event is a merge or a split, such as a vertex cobordism,
-applies only its lower event and keeps the slice above
+the slices around it, and :func:`exchange_run` makes a run of them: it
+stops at the first event that overlaps and says how far it went.  A
+two-event rewrite whose upper event is a merge or a split, such as a
+vertex cobordism, applies only its lower event and keeps the slice above
 (:func:`_rewrite_pair`).  Each rewrite checks its whole window before it
 hands it to the diagram's ``_with_window``: an immutable diagram gives a
 new one, which is what :func:`apply_move` returns, and the one working
@@ -55,8 +56,9 @@ def move_from_json(basis, obj) -> MoveInstance:
     index = loc.get("index") if isinstance(loc, dict) else None
     if not (type(index) is int and isinstance(obj.get("schema"), str)):
         raise DslSemanticError(f"malformed move record {obj!r}")
+    weights = {key for key, _, kind in _PARAMS.values() if kind is Weight}
     params = {
-        key: weight_from_json(basis, val) if key in ("weight", "left") else val
+        key: weight_from_json(basis, val) if key in weights else val
         for key, val in loc.items() if key != "index"
     }
     return MoveInstance(obj["schema"], index, params)
@@ -213,7 +215,7 @@ _OVERLAP = "events overlap; exchange does not apply"
 
 def _passed(e, f) -> tuple | None:
     """Events e and f above it, exchanged: f and then e, positions shifted;
-    None where they overlap."""
+    None where they overlap.  This is the exchange rule's one overlap test."""
     if f.pos >= e.pos + e.produces:
         return _shifted(f, e.consumes - e.produces), e
     if f.pos + f.consumes <= e.pos:
@@ -221,11 +223,13 @@ def _passed(e, f) -> tuple | None:
     return None
 
 
-def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
-    """The exchanges at k, k+1, ..., k+count-1 in turn, which move event k
-    up past the ``count`` events above it; each pair must be disjoint.
+def exchange_run(d: FoamDiagram, k: int, most: int) -> tuple[FoamDiagram, int]:
+    """The exchanges at k, k+1, ... in turn, which move event k up past at
+    most ``most`` events, and how many were made: the run stops before the
+    first event that event k overlaps (:func:`_passed`), or at the top.  It
+    returns ``(d, 0)`` where it makes none, also where k is not an event.
 
-    They are made on lists of the window's events and slices, which go to
+    It reads its window from the diagram as it goes, and the window goes to
     the diagram once (``_with_window``).  Only the middle slice of each
     exchange changes, and it is assembled from its neighbours without
     applying an event: the strands below, with the strands that the upper
@@ -233,29 +237,34 @@ def exchange_run(d: FoamDiagram, k: int, count: int) -> FoamDiagram:
     slice above.  That is what f gives below the other event, because f
     reads only the strands it consumes, so the slices stay validated.
     :func:`_rewrite_pair` keeps the slice above a vertex rewrite the same
-    way.  A pair that overlaps raises the ``SchemaMismatch`` that
-    :func:`apply_move` raises for its step, before the diagram changes."""
-    if not 0 <= k <= k + count < len(d.events):
-        raise IndexError(f"exchange run of {count} at {k} out of range")
-    end = k + count + 1
-    events, slices = list(d.events[k:end]), list(d.slices[k : end + 1])
-    for i in range(count):
+    way."""
+    events, slices = d.events, d.slices
+    if not 0 <= k < len(events):
+        return d, 0
+    e, below = events[k], slices[k]
+    moved, middles = [], []
+    for i in range(k, min(k + most, len(events) - 1)):
         f = events[i + 1]
-        new = _passed(events[i], f)
+        new = _passed(e, f)
         if new is None:
-            raise SchemaMismatch(f"exchange at {k + i}: {_OVERLAP}")
-        below, above, q = slices[i], slices[i + 2], new[0].pos
-        slices[i + 1] = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
-        events[i : i + 2] = new
-    return d._with_window(k, count + 1, events, end, slices[1:-1])
+            break
+        g, e = new
+        q, above = g.pos, slices[i + 2]
+        below = below[:q] + above[f.pos : f.pos + f.produces] + below[q + f.consumes :]
+        moved.append(g)
+        middles.append(below)
+    made = len(moved)
+    if not made:
+        return d, 0
+    return d._with_window(k, made + 1, moved + [e], k + made + 1, middles), made
 
 
 def _exchanged(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:
     """The exchange rule: :func:`exchange_run`'s one-step case."""
-    try:
-        return exchange_run(d, k, 1)
-    except SchemaMismatch:
-        raise SchemaMismatch(_OVERLAP) from None
+    d, made = exchange_run(d, k, 1)
+    if not made:
+        raise SchemaMismatch(_OVERLAP)
+    return d
 
 
 def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
@@ -296,23 +305,6 @@ def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
     except FoamError:
         pass
     return d.spliced(k, removed, (e, f))
-
-
-def _disjoint_run(d: FoamDiagram, k: int) -> int:
-    """How many events above event k it passes by exchanges, one after
-    another, before it meets one that it overlaps or the top.  It tracks
-    only the position of event k, in :func:`_passed`'s order of tests, and
-    builds no event."""
-    events, e = d.events, d.events[k]
-    pos, width = e.pos, e.produces
-    for i in range(k + 1, len(events)):
-        f = events[i]
-        if f.pos >= pos + width:
-            continue
-        if f.pos + f.consumes > pos:
-            return i - k - 1
-        pos += f.produces - f.consumes
-    return len(events) - k - 1
 
 
 def _uncrossed(d: FoamDiagram, k: int, env: dict) -> FoamDiagram:

@@ -677,10 +677,12 @@ def test_split_off_and_kill_is_the_split_off_and_its_death():
 
 
 def test_exchange_run_is_a_run_of_exchange_steps(monkeypatch):
-    """exchange_run(d, k, count) builds one diagram, equal, slices
-    included, to count exchange steps at k, k+1, ...; where a step's events
-    overlap it raises that step's error.  A run as long as _disjoint_run
-    says goes through, and one step more overlaps."""
+    """exchange_run(d, k, most) gives (diagram, made).  The diagram, built
+    once, equals ``made`` exchange steps at k, k+1, ..., slices included,
+    and its slices are those of a full rebuild.  ``made`` is how far a walk
+    with _passed goes, capped at ``most``; where the run stops short of
+    ``most`` and of the top, the next step's events overlap.  With no
+    exchange made, and with k outside the events, it gives d itself and 0."""
     basis = demo_basis("r2", "r3")
     rng = random.Random(71)
     corpus = [rand_closed_diagram(rng, basis) for _ in range(30)]
@@ -688,32 +690,30 @@ def test_exchange_run_is_a_run_of_exchange_steps(monkeypatch):
     builds = _count_builds(monkeypatch)
     outcomes = collections.Counter()
     for d in corpus:
-        for k in range(len(d.events) - 1):
-            run = moves._disjoint_run(d, k)
-            for count in sorted({rng.randint(1, len(d.events) - 1 - k), run, run + 1} - {0}):
-                if k + count >= len(d.events):
-                    continue
-                want = d
-                for i in range(k, k + count):
-                    try:
-                        want = apply_move(want, MoveInstance("exchange", i))
-                    except SchemaMismatch as exc:
-                        want = str(exc)
-                        break
+        n = len(d.events)
+        for k in range(n):
+            run = _run_through_passed(d, k)
+            wants = [d]
+            for i in range(k, k + run):
+                wants.append(apply_move(wants[-1], MoveInstance("exchange", i)))
+            for most in sorted({rng.randint(0, n), run, run + 1, n}):
                 builds.clear()
-                try:
-                    got = moves.exchange_run(d, k, count)
-                except SchemaMismatch as exc:
-                    assert str(exc) == want and count > run
+                got, made = moves.exchange_run(d, k, most)
+                want = wants[made]
+                assert made == min(run, most), (d, k, most)
+                assert got == want and got.slices == want.slices, (d, k, most)
+                assert len(builds) == (made > 0) and (made > 0 or got is d)
+                assert got.slices == FoamDiagram(basis, d.start, got.events).slices
+                if made < most and k + made < n - 1:
+                    with pytest.raises(SchemaMismatch, match="events overlap"):
+                        apply_move(want, MoveInstance("exchange", k + made))
                     outcomes["overlap"] += 1
-                    continue
-                assert got == want and got.slices == want.slices, (d, k, count)
-                assert len(builds) == 1 and count <= run
-                outcomes["ok"] += 1
-    assert outcomes["ok"] > 50 and outcomes["overlap"] > 50, outcomes
-    for k, count in ((-1, 1), (0, len(d.events)), (len(d.events) - 1, 1)):
-        with pytest.raises(IndexError):
-            moves.exchange_run(d, k, count)
+                else:
+                    outcomes["top" if made < most else "most"] += 1
+    assert min(outcomes["overlap"], outcomes["top"], outcomes["most"]) > 50, outcomes
+    for k in (-1, -n, n, n + 3):
+        got, made = moves.exchange_run(d, k, 2)
+        assert got is d and made == 0
 
 
 # ------------------------------------------------ one match-and-apply per move
@@ -768,7 +768,8 @@ def test_enumerated_moves_equal_a_two_pass_enumeration():
 
 
 def _run_through_passed(d, k):
-    """_disjoint_run walked with _passed, building each shifted event."""
+    """How many events above event k it passes by exchanges: a walk with
+    _passed, building each shifted event."""
     e = d.events[k]
     for i in range(k + 1, len(d.events)):
         passed = moves._passed(e, d.events[i])
@@ -778,11 +779,12 @@ def _run_through_passed(d, k):
     return len(d.events) - k - 1
 
 
-def test_disjoint_run_counts_from_positions_alone(monkeypatch):
-    """_disjoint_run gives the count that a walk with _passed gives, at
-    every event of the flip corpus and of every diagram its traces pass
-    through, and builds no event.  flip_reduce shifts each event that a run
-    passes once, in exchange_run: one _passed call per exchange step.
+def test_exchange_run_stops_where_passed_stops(monkeypatch):
+    """exchange_run, uncapped, passes as many events as a walk with _passed
+    at every event of the flip corpus and of every diagram its traces pass
+    through.  flip_reduce tests each pair once: one _passed call per
+    exchange step, plus one per run, which stops where the split meets an
+    event that it overlaps and another move pushes it.
 
     In the hand diagram the cap at 1 has no width, so the cup above it at
     its own position passes it by either of _passed's tests.  Its first
@@ -797,24 +799,23 @@ def test_disjoint_run_counts_from_positions_alone(monkeypatch):
              for k in range(len(d.events))]
     want = [_run_through_passed(d, k) for d, k in sites]
     assert sum(map(bool, want)) > 100
-
-    def refused(*args):
-        raise AssertionError("_disjoint_run built an event")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(moves, "_passed", refused)
-        patch.setattr(moves, "_shifted", refused)
-        assert [moves._disjoint_run(d, k) for d, k in sites] == want
+    assert [moves.exchange_run(d, k, len(d.events))[1] for d, k in sites] == want
     calls = collections.Counter()
-    passed = moves._passed
+    passed, first = moves._passed, decorated._first
 
-    def counted(e, f):
+    def counted_passed(e, f):
         calls["passed"] += 1
         return passed(e, f)
 
-    monkeypatch.setattr(moves, "_passed", counted)
+    def counted_first(d, trace, k, candidates):
+        calls["runs"] += candidates is decorated._PUSH_SPLIT
+        return first(d, trace, k, candidates)
+
+    monkeypatch.setattr(moves, "_passed", counted_passed)
+    monkeypatch.setattr(decorated, "_first", counted_first)
     exchanges = sum(m.schema == "exchange" for d in _flip_corpus() for m in flip_reduce(d))
-    assert calls["passed"] == exchanges > 100
+    assert calls["passed"] == exchanges + calls["runs"]
+    assert exchanges > 100 and calls["runs"] > 50, (exchanges, calls)
 
 
 def test_a_param_that_the_schema_does_not_read_is_refused(w):
@@ -1042,10 +1043,11 @@ def test_working_replays_equal_the_rules_own_splices():
 def test_failing_rewrites_leave_the_working_diagram_as_it_was(w, basis):
     """A rewrite checks its whole window before it edits a working
     diagram, so one that raises leaves the events and slices as they were:
-    an exchange run whose second pair overlaps, a vertex rewrite whose
-    fallback splice meets a part that is not positive, a splice of a cup
-    whose weight is not positive, and a sign that a basis capped at 2
-    digits cannot decide."""
+    an exchange whose events overlap, a vertex rewrite whose fallback
+    splice meets a part that is not positive, a splice of a cup whose
+    weight is not positive, and a sign that a basis capped at 2 digits
+    cannot decide.  An exchange run whose second pair overlaps raises
+    nothing: it makes its first exchange, in place, and stops."""
     up, one = Dir.UP, w("1")
     circles = FoamDiagram(basis, [], [Cup(0, one, up), Cup(2, one, up), Cap(0), Cap(0)])
     sm = FoamDiagram(basis, [Strand(w("2"), up), Strand(w("-2"), up)],
@@ -1056,7 +1058,7 @@ def test_failing_rewrites_leave_the_working_diagram_as_it_was(w, basis):
                                      Strand(rational[2] + Weight.generator(capped, "r2"), up)],
                             [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
     cases = [
-        (circles, lambda d: moves.exchange_run(d, 0, 2), SchemaMismatch),
+        (sm, lambda d: apply_move(d, MoveInstance("exchange", 0)), SchemaMismatch),
         (sm, lambda d: moves._rewrite_pair(d, 0, Merge(0, Order.L), Split(0, Order.L, w("1/2"))),
          NonPositiveWeight),
         (circles, lambda d: d.spliced(1, 0, [Cup(0, w("-1"), up), Cap(0)]), NonPositiveWeight),
@@ -1070,8 +1072,9 @@ def test_failing_rewrites_leave_the_working_diagram_as_it_was(w, basis):
             rewrite(work)
         assert (work.events, work.slices) == (list(d.events), list(d.slices)), error
     work = foamdiag._WorkingDiagram(circles)
-    assert moves.exchange_run(work, 0, 1) is work
-    assert work.frozen() == moves.exchange_run(circles, 0, 1) != circles
+    got, made = moves.exchange_run(work, 0, 2)
+    assert got is work and made == 1
+    assert work.frozen() == moves.exchange_run(circles, 0, 1)[0] != circles
 
 
 def test_a_moved_event_keeps_its_other_fields():
