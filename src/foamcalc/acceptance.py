@@ -219,7 +219,8 @@ def rand_walk_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
     at most 200 steps: cap the first equal-weight antiparallel pair; else
     merge the first parallel pair; else split the heavier strand of the
     first antiparallel pair so that its inner part equals the lighter
-    strand.  A draw that does not close is drawn again."""
+    strand.  A draw that does not close, or closes empty, is drawn
+    again."""
     weights = (Weight.rational(basis, 1), Weight.generator(basis, "r2"))
     while True:
         d = FoamDiagram(basis, [], [])
@@ -245,7 +246,9 @@ def rand_walk_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
             for _ in range(200):
                 cur, flag = d.slices[-1], rng.choice((Order.L, Order.R))
                 if not cur:
-                    return d
+                    if d.events:
+                        return d
+                    break
                 pairs = range(len(cur) - 1)
                 anti = [p for p in pairs if cur[p].dir is not cur[p + 1].dir]
                 p = next((p for p in anti if cur[p].weight == cur[p + 1].weight), None)

@@ -171,7 +171,6 @@ _PUSH_SPLIT = _candidates(
     ("singular_saddle", {}),
     ("vertex_cobordism", {"pattern": "sm", "dir": "lr"}),
     ("vertex_cobordism", {"pattern": "ms", "dir": "lr"}),
-    ("exchange", {}),
 )
 _CIRCLE = _candidates(("circle_death", {}))
 
@@ -233,7 +232,8 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> None:
     moves the split up until it meets an event that it overlaps, editing
     the run's window in place, and says how far it went.  The run is
     recorded step by step, and one of the other moves is made where it
-    stopped."""
+    stopped; where none applies below the top, the split lies outside the
+    reducible class."""
     j = len(d.events)
     while True:
         j = next((i for i in range(min(j + 1, len(d.events) - 1), -1, -1)
@@ -244,6 +244,11 @@ def _collapse(d: FoamDiagram, trace: list[MoveInstance]) -> None:
         trace += (MoveInstance("exchange", i) for i in range(j, j + made))
         j += made
         if not _first(d, trace, j, _PUSH_SPLIT):
+            if j + 1 < len(d.events):
+                raise SchemaMismatch(
+                    f"split at {j} can neither cancel nor pass the event above it: "
+                    "outside the reducible braid-closure class"
+                )
             raise SchemaMismatch("split with nothing above it; diagram not closed")
 
 
@@ -334,8 +339,11 @@ def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> in
     ``apply_move``."""
     m = trace[i]
     if m.schema == "exchange":
-        k, n = m.index, 0
-        while i + n < len(trace) and trace[i + n] == MoveInstance("exchange", k + n):
+        k, n, end = m.index, 0, len(trace) - i
+        while n < end:
+            r = trace[i + n]
+            if r.schema != "exchange" or r.index != k + n or r.params:
+                break
             n += 1
         made = exchange_run(d, k, n)[1]
         if made:

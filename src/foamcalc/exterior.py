@@ -46,7 +46,7 @@ class WedgeValue(_Sparse):
                 clean[key] = clean.get(key, 0) + c
         self.basis = basis
         self.den, self.nums = _from_rationals(sorted((k, c) for k, c in clean.items() if c))
-        self._hash = None
+        self._hash = self._sign = None
 
     @classmethod
     def zero(cls, basis: GeneratorBasis) -> "WedgeValue":

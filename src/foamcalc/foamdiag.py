@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from enum import Enum
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
@@ -433,7 +434,7 @@ def iet_closure(t: Iet) -> FoamDiagram:
         events.append(Merge(1, Order.L))
     events.append(Cap(0))
     d = FoamDiagram(t.basis, [], events)
-    if nu(d) != saf(t).scale("1/2"):
+    if nu(d) != saf(t).scale(Fraction(1, 2)):
         raise InternalError("closure postcondition nu == SAF/2 violated")
     return d
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import DslSemanticError, FoamError, NonPositiveWeight, SchemaMismatch
 from .foamdiag import (EVENT_KINDS, Cap, Cup, Dir, Dot, FoamDiagram, Merge, Order, Split, Strand,
@@ -548,13 +549,13 @@ def _enumerated(d: FoamDiagram):
                 continue
             if out is not None:
                 yield MoveInstance(schema, k, dict(params)), out
-    unit = Weight.rational(d.basis, 1)
+    unit, half = Weight.rational(d.basis, 1), Fraction(1, 2)
     cands = []
     for k, cur in enumerate(d.slices):
         cands.append(MoveInstance("circle_birth", k, {"pos": 0, "weight": unit, "dir": "u"}))
         for p in range(len(cur)):
             cands.append(MoveInstance("singular_cap", k, {"pos": p, "order": "L",
-                                                          "left": cur[p].weight.scale("1/2")}))
+                                                          "left": cur[p].weight.scale(half)}))
         for p in range(len(cur) - 1):
             if cur[p].dir == cur[p + 1].dir:
                 cands.append(MoveInstance("singular_cup", k, {"pos": p, "order": "L"}))

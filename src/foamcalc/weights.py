@@ -23,16 +23,20 @@ A weight is stored as integers: a positive denominator ``den`` and a sorted
 tuple ``nums`` of ``(index, numerator)`` pairs with no zero numerator and
 ``gcd(den, *numerators) == 1``, so equal weights have equal fields and zero
 is ``(1, ())``.  Wedge values (``exterior.WedgeValue``) use the same form
-with generator pairs as keys.  Addition, subtraction and scaling of both go
-through one integer merge and one ``gcd``, in their shared base ``_Sparse``.
-A sum of many terms (``_Sparse.combination``, and ``exterior.wedge_sum``
-for wedges) adds every term's numerators over the lcm of the denominators
-and takes the ``gcd`` once.  The sign oracle reads the numerators as the
-``n_i`` above.  Fractions appear only at the edge: constructor input, the
-``coeffs`` (``terms``) tuple of ``(key, Fraction)`` pairs, built on each
-access, ``interval`` (the only form of the exact enclosure bounds) and JSON
-input.  The hash is that of ``(basis, den, nums)``, computed on first use.
-A float is refused wherever a coefficient or scalar comes in.
+with generator pairs as keys, and share the arithmetic of their base
+``_Sparse``.  A sum or difference of two is one merge of the two key-sorted
+``nums`` tuples, with no dict and no sort, and takes a ``gcd`` only where
+the denominator is not 1; scaling takes one ``gcd``.  A sum of many terms
+(``_Sparse.combination``, and ``exterior.wedge_sum`` for wedges) adds every
+term's numerators over the lcm of the denominators and takes the ``gcd``
+once.  The sign oracle reads the numerators as the ``n_i`` above.
+Fractions appear only at the edge: constructor input, the ``coeffs``
+(``terms``) tuple of ``(key, Fraction)`` pairs, built on each access,
+``interval`` (the only form of the exact enclosure bounds) and JSON input.
+The hash is that of ``(basis, den, nums)``, computed on first use, and a
+decided sign is kept on the weight the same way; an undecided sign is never
+kept, so it raises on every call.  A float is refused wherever a
+coefficient or scalar comes in.
 """
 
 from __future__ import annotations
@@ -187,14 +191,45 @@ def _normalised(den: int, terms: dict) -> tuple[int, tuple]:
 
 
 def _combine(da: int, a: tuple, db: int, b: tuple, sign: int) -> tuple[int, tuple]:
-    """``a/da + sign * b/db`` for two sparse integer vectors, normalised."""
-    g = gcd(da, db)
-    ma, mb = db // g, sign * da // g
-    acc = dict(a) if ma == 1 else {k: n * ma for k, n in a}
-    get = acc.get
-    for k, n in b:
-        acc[k] = get(k, 0) + n * mb
-    return _normalised(da * ma, acc)
+    """``a/da + sign * b/db`` for two sparse integer vectors, normalised as
+    :func:`_normalised` would: one merge of the two key-sorted tuples, and
+    a ``gcd`` only over a denominator other than 1."""
+    if da == db:
+        ma, mb = 1, sign
+    else:
+        g = gcd(da, db)
+        ma, mb = db // g, sign * da // g
+    out = []
+    append = out.append
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        ka, na = a[i]
+        kb, nb = b[j]
+        if ka == kb:
+            n = na * ma + nb * mb
+            if n:
+                append((ka, n))
+            i += 1
+            j += 1
+        elif ka < kb:
+            append((ka, na * ma))
+            i += 1
+        else:
+            append((kb, nb * mb))
+            j += 1
+    if i < la:
+        out += [(k, n * ma) for k, n in a[i:]]
+    if j < lb:
+        out += [(k, n * mb) for k, n in b[j:]]
+    if not out:
+        return 1, ()
+    den = da * ma
+    if den != 1:
+        g = gcd(den, *[n for _, n in out])
+        if g != 1:
+            return den // g, tuple([(k, n // g) for k, n in out])
+    return den, tuple(out)
 
 
 def _add_into(acc: dict, m: int, nums) -> None:
@@ -229,7 +264,7 @@ class _Sparse:
     zero n, over the positive denominator ``den``, with
     ``gcd(den, *n) == 1``.  So equal vectors have equal fields."""
 
-    __slots__ = ("basis", "den", "nums", "_hash")
+    __slots__ = ("basis", "den", "nums", "_hash", "_sign")
     _noun = "vectors"  # for the basis-mismatch message
 
     @classmethod
@@ -240,7 +275,7 @@ class _Sparse:
         v.basis = basis
         v.den = den
         v.nums = nums
-        v._hash = None
+        v._hash = v._sign = None
         return v
 
     @classmethod
@@ -280,11 +315,13 @@ class _Sparse:
             raise BasisMismatch(f"{self._noun} over different bases")
 
     def __add__(self, other):
-        self._check_basis(other)
+        if self.basis is not other.basis:
+            self._check_basis(other)
         return self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, 1))
 
     def __sub__(self, other):
-        self._check_basis(other)
+        if self.basis is not other.basis:
+            self._check_basis(other)
         return self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, -1))
 
     def __neg__(self):
@@ -315,7 +352,7 @@ class Weight(_Sparse):
         items.sort()
         self.basis = basis
         self.den, self.nums = _from_rationals(items)
-        self._hash = None
+        self._hash = self._sign = None
 
     @classmethod
     def rational(cls, basis: GeneratorBasis, q) -> "Weight":
@@ -340,27 +377,36 @@ class Weight(_Sparse):
         """NEGATIVE, ZERO or POSITIVE; raises PrecisionExhausted if undecided.
 
         Zero is structural (declared independence); otherwise the enclosure
-        ``center +/- spread`` (see the module docstring) must exclude 0.
+        ``center +/- spread`` (see the module docstring) must exclude 0.  A
+        decided sign is kept on the weight; an undecided one raises on
+        every call.
         """
+        s = self._sign
+        if s is not None:
+            return s
         nums = self.nums
         if not nums:
-            return ZERO
-        if len(nums) == 1 and nums[0][0] == 0:  # a rational
-            return POSITIVE if nums[0][1] > 0 else NEGATIVE
-        basis = self.basis
-        mid, rad = basis._mid, basis._rad
-        center = spread = 0
-        for i, n in nums:
-            center += n * mid[i]
-            spread += abs(n) * rad[i]
-        if center > spread:
-            return POSITIVE
-        if center < -spread:
-            return NEGATIVE
-        lo, hi = self.interval()
-        raise PrecisionExhausted(
-            f"sign of {self} straddles 0 in [{lo}, {hi}] at declared precision"
-        )
+            s = ZERO
+        elif len(nums) == 1 and nums[0][0] == 0:  # a rational
+            s = POSITIVE if nums[0][1] > 0 else NEGATIVE
+        else:
+            basis = self.basis
+            mid, rad = basis._mid, basis._rad
+            center = spread = 0
+            for i, n in nums:
+                center += n * mid[i]
+                spread += abs(n) * rad[i]
+            if center > spread:
+                s = POSITIVE
+            elif center < -spread:
+                s = NEGATIVE
+            else:
+                lo, hi = self.interval()
+                raise PrecisionExhausted(
+                    f"sign of {self} straddles 0 in [{lo}, {hi}] at declared precision"
+                )
+        self._sign = s
+        return s
 
     def __repr__(self) -> str:
         if not self.nums:

@@ -117,7 +117,8 @@ def test_flip_reduce_preconditions(w, basis):
      "antiparallel crossing with distinct weights: outside the reducible braid-closure class"),
     ("cup 0 r2 d; cup 1 r2 u; cap 0; cap 0", "residual diagram is not a union of circles"),
     ("cup 0 1+r2 d; split 0 L 1/2+1/2*r2; split 2 L 1/2+1/2*r2; cap 1; cap 0",
-     "exchange at 2: events overlap; exchange does not apply"),
+     "split at 2 can neither cancel nor pass the event above it: "
+     "outside the reducible braid-closure class"),
 ], ids=["antiparallel", "residual", "overlap"])
 def test_flip_reduce_fails_outside_its_domain(capsys, tmp_path, events, reason):
     """Closed diagrams outside the reducible braid-closure class fail with
@@ -149,16 +150,16 @@ def test_flip_reduce_random_corpus():
 def test_walk_diagrams_reduce_or_fail_with_a_pinned_text():
     """Walk diagrams reach beyond the braid-closure class.  Each reduces to
     a trace that validates, or fails with SchemaMismatch; the count of each
-    outcome, the texts with their digits stripped, is pinned.  These are
-    the counts that flip_reduce gave when the generator was committed;
-    making flip_reduce total on closed dotted diagrams moves them."""
+    outcome, the texts with their digits stripped, is pinned.  No draw is
+    the empty diagram.  Making flip_reduce total on closed dotted diagrams
+    moves these counts."""
     basis = demo_basis("r2", "r3")
     outcomes = collections.Counter()
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         for _ in range(200):
             d = rand_walk_diagram(rng, basis)
-            assert d.is_closed()
+            assert d.is_closed() and d.events
             try:
                 trace = flip_reduce(d)
             except SchemaMismatch as exc:
@@ -166,12 +167,12 @@ def test_walk_diagrams_reduce_or_fail_with_a_pinned_text():
                 continue
             assert validate_trace(d, trace), trace
             outcomes["ok"] += 1
+    outside = ": outside the reducible braid-closure class"
     assert outcomes == {
-        "ok": 269,
-        "residual diagram is not a union of circles": 123,
-        "antiparallel crossing with distinct weights: outside the reducible braid-closure "
-        "class": 114,
-        "exchange at : events overlap; exchange does not apply": 94,
+        "ok": 230,
+        "residual diagram is not a union of circles": 143,
+        "antiparallel crossing with distinct weights" + outside: 125,
+        "split at  can neither cancel nor pass the event above it" + outside: 102,
     }
 
 

@@ -625,6 +625,35 @@ def test_validate_trace_equals_a_step_by_step_replay():
     assert kinds <= set(failures), failures
 
 
+def test_an_exchange_with_a_param_is_replayed_on_its_own(monkeypatch):
+    """An exchange step that carries a param is not part of an exchange
+    run: at the start, in the middle or at the end of a run, it goes to
+    apply_move and fails at its own step, and the steps of the run below
+    it are replayed."""
+    basis = demo_basis("r2", "r3")
+    d = _dotted_closure(random.Random(1), basis, 8, dots=1, mirrored=False)
+    trace = flip_reduce(d)
+    start = next(i for i in range(len(trace) - 3)
+                 if all(trace[i + n] == MoveInstance("exchange", trace[i].index + n)
+                        for n in range(4)))
+    seen = []
+    apply = decorated.apply_move
+
+    def spied(d, m):
+        seen.append(m)
+        return apply(d, m)
+
+    monkeypatch.setattr(decorated, "apply_move", spied)
+    for i in (start, start + 1, start + 3):
+        m = MoveInstance("exchange", trace[i].index, {"pos": 0})
+        bad = trace[:i] + [m] + trace[i + 1 :]
+        seen.clear()
+        got = validate_trace(d, bad)
+        assert got == TraceCheck(False, len(bad), i, f"exchange at {m.index}: unknown param 'pos'")
+        assert got == _stepwise(d, bad, FoamDiagram(basis, [], []))
+        assert seen[-1] is m
+
+
 def test_split_off_pairs_on_unchecked_start_strands_replay_step_by_step(w, basis):
     """A start slice's weights are not checked, so a split-off there may
     put on a block that does not validate.  Such a pair is replayed step

@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +144,40 @@ def test_decided_sign_builds_no_fraction(w3, monkeypatch):
     assert y.sign() == POSITIVE
     monkeypatch.undo()
     assert made == []
+
+
+class _CountedReads(tuple):
+    """A tuple that counts the items read from it."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_decided_sign_is_kept_and_undecided_is_not(basis, monkeypatch):
+    """A second sign() of a weight reads no enclosure; an undecided sign
+    raises the same message on every call and is never stored."""
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    monkeypatch.setattr(basis, "_mid", _CountedReads(basis._mid))
+    x = Weight.generator(basis, "r2") - Weight.rational(basis, Fraction(7, 5))
+    assert x.sign() == POSITIVE
+    first = _CountedReads.reads
+    assert first > 0
+    assert x.sign() == POSITIVE and _CountedReads.reads == first
+
+    capped = basis.with_precision_cap(1)
+    monkeypatch.setattr(capped, "_mid", _CountedReads(capped._mid))
+    y = Weight.generator(capped, "r2") - Weight.rational(capped, Fraction(7, 5))
+    messages = []
+    for _ in range(2):
+        reads = _CountedReads.reads
+        with pytest.raises(PrecisionExhausted) as exc_info:
+            y.sign()
+        assert _CountedReads.reads > reads  # read again: nothing was stored
+        messages.append(str(exc_info.value))
+    assert messages[0] == messages[1] and y._sign is None
 
 
 def test_mixed_bases_rejected(basis, basis3):
@@ -326,6 +360,53 @@ def test_arithmetic_matches_public_constructor(data):
     _same_weight(a.scale(q), _public(basis, (a.coeffs, q)))
     assert (a - a).coeffs == () and a.scale(0).coeffs == ()
     assert hash(basis) == hash(basis.entries)
+
+
+def _dict_reference(x, y, sign):
+    """``(den, nums)`` of ``x + sign * y`` summed in a dict of Fractions:
+    keys sorted, zeros dropped, over the lcm of the reduced denominators."""
+    acc = {}
+    for v, m in ((x, 1), (y, sign)):
+        for k, c in v._as_fractions():
+            acc[k] = acc.get(k, 0) + m * c
+    items = sorted((k, c) for k, c in acc.items() if c)
+    den = lcm(*[c.denominator for _, c in items])
+    return den, tuple((k, c.numerator * (den // c.denominator)) for k, c in items)
+
+
+_SUM_BASIS = GeneratorBasis([Generator(f"g{k}", "1.5", 2) for k in range(4)])
+_SUM_KEYS = {Weight: list(range(5)), WedgeValue: [(i, j) for i in range(5) for j in range(i + 1, 5)]}
+
+
+@pytest.mark.parametrize("cls", [Weight, WedgeValue])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_sum_is_one_merge_matching_a_dict_sum(cls, data):
+    """``+`` and ``-`` of weights and of wedge values equal a sum in a dict
+    of Fractions: on arbitrary, disjoint and shared keys, where every term
+    or some terms cancel, and over unequal denominators."""
+    keys = _SUM_KEYS[cls]
+    a = data.draw(st.dictionaries(st.sampled_from(keys), _fracs, max_size=6))
+    sign = data.draw(st.sampled_from((1, -1)))
+    shape = data.draw(st.sampled_from(("any", "disjoint", "cancel", "partial")))
+    if shape == "disjoint":
+        rest = [k for k in keys if k not in a]
+        b = data.draw(st.dictionaries(st.sampled_from(rest), _fracs, max_size=6)) if rest else {}
+    else:
+        b = data.draw(st.dictionaries(st.sampled_from(keys), _fracs, max_size=6))
+    if shape in ("cancel", "partial"):
+        kept = a if shape == "cancel" else data.draw(st.sets(st.sampled_from(keys))) & a.keys()
+        b = {k: c for k, c in b.items() if shape == "partial" and k not in kept}
+        b |= {k: -sign * a[k] for k in kept}
+    else:
+        q = Fraction(data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+        b = {k: c * q for k, c in b.items()}
+    x, y = cls(_SUM_BASIS, a), cls(_SUM_BASIS, b)
+    got = x + y if sign == 1 else x - y
+    assert (got.den, got.nums) == _dict_reference(x, y, sign)
+    _integer_form(got)
+    if shape == "cancel":
+        assert got.is_zero() and (got.den, got.nums) == (1, ())
 
 
 def _integer_form(v):
