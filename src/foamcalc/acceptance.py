@@ -222,6 +222,7 @@ def rand_walk_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
     strand.  A draw that does not close, or closes empty, is drawn
     again."""
     weights = (Weight.rational(basis, 1), Weight.generator(basis, "r2"))
+    ratios = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
     while True:
         d = FoamDiagram(basis, [], [])
         for _ in range(10):
@@ -238,7 +239,7 @@ def rand_walk_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
                 e = Merge(rng.choice(parallel), flag)
             elif kind == 4 and n:
                 p = rng.randrange(n)
-                e = Split(p, flag, cur[p].weight.scale(rng.choice(("1/4", "1/2", "3/4"))))
+                e = Split(p, flag, cur[p].weight.scale(rng.choice(ratios)))
             else:
                 continue
             d = d.spliced(len(d.events), 0, [e])

@@ -17,12 +17,14 @@ the slices around it, and :func:`exchange_run` makes a run of them: it
 stops at the first event that overlaps and says how far it went.  A
 two-event rewrite whose upper event is a merge or a split, such as a
 vertex cobordism, applies only its lower event and keeps the slice above
-(:func:`_rewrite_pair`).  Each rewrite checks its whole window before it
-hands it to the diagram's ``_with_window``: an immutable diagram gives a
-new one, which is what :func:`apply_move` returns, and the one working
-diagram that ``flip_reduce`` or ``validate_trace`` holds is edited in
-place.  A rewrite that raises leaves the diagram as it was; only a
-split-off's block is checked after its rewrite is made (:func:`apply_move`).
+(:func:`_rewrite_pair`); an upper split's two parts are the strands at its
+position in that slice, so both are read there, not computed.  Each
+rewrite checks its whole window before it hands it to the diagram's
+``_with_window``: an immutable diagram gives a new one, which is what
+:func:`apply_move` returns, and the one working diagram that
+``flip_reduce`` or ``validate_trace`` holds is edited in place.  A rewrite
+that raises leaves the diagram as it was; only a split-off's block is
+checked after its rewrite is made (:func:`apply_move`).
 """
 
 from __future__ import annotations
@@ -122,11 +124,15 @@ def _compile(side: list, checks: list, rewritten) -> None:
     """Put in ``side[1]`` the function ``(foam, k, params, apply)`` of a side
     ``[kinds, _, free]``: None where its window does not match at event k,
     else the diagram rewritten (``apply``) or the window's bindings.
-    ``rewritten`` is the other side's event kinds and sources, or a one-way
-    rule's function.  Two events that replace two, the upper one a merge or
-    a split, go through :func:`_rewrite_pair`; other sides splice.  Each
-    check solves for its one unbound variable, or tests.  The source
-    compiles on first use, so that an import pays only for rules applied."""
+    ``rewritten`` is the other side's window (:func:`_window`), or a
+    one-way rule's function.  Two events that replace two, the upper one a merge or
+    a split, go through :func:`_rewrite_pair`; other sides splice.  There
+    an upper split's left part is read from the slice above the window,
+    which the rewrite keeps (``foam.slices[k + 2][pos].weight``), in place
+    of the rule's weight term; the term stays in the rule, for the other
+    side to solve from.  Each check solves for its one unbound variable, or
+    tests.  The source compiles on first use, so that an import pays only
+    for rules applied."""
     def first_call(*args):
         kinds, _, free = side
         n = len(kinds)
@@ -151,9 +157,12 @@ def _compile(side: list, checks: list, rewritten) -> None:
         if callable(rewritten):
             new = f"rhs(foam, k, {env})"
         else:
-            dst_kinds, events = rewritten
+            dst_kinds, dst_fields, _, events = rewritten
             new = f"foam.spliced(k, {n}, [{', '.join(events)}])"
             if n == 2 and len(dst_kinds) == 2 and dst_kinds[1] in (Merge, Split):
+                if dst_kinds[1] is Split:  # its left part: the kept slice's strand at its position
+                    pos, order = (_term(tok)[1] for f, tok in dst_fields if f.startswith("e1."))
+                    events = [events[0], f"Split({pos}, {order}, foam.slices[k + 2][{pos}].weight)"]
                 new = f"_rewrite_pair(foam, k, {', '.join(events)})"
         body.append(f"return {new} if apply else {env}")
         source = "def side(foam, k, params, apply):\n    " + "\n    ".join(body)
@@ -183,7 +192,10 @@ class Rule:
     rule.  ``sides[i]`` is ``[kinds, fn, free]``: ``fn(d, k, params,
     apply)`` is None where side i does not match at event k, else d with it
     rewritten (``apply``) or its bindings; ``free`` are the variables an
-    insertion takes from params."""
+    insertion takes from params.  A side that puts a split on top of a
+    two-event window reads that split's left part off the slice above
+    rather than evaluating its weight term (:func:`_compile`); the term is
+    still what the reverse side solves from."""
 
     def __init__(self, lhs: str, rhs="", reads: str = ""):
         self.texts = (lhs, rhs if isinstance(rhs, str) else "")
@@ -200,8 +212,7 @@ class Rule:
             names = dict.fromkeys(v for _, tok in dst[1] + dst[2] for v in _term(tok)[0])
             free = [] if kinds else [v for v in names if v not in read_vars]
             self.sides.append([kinds, None, free])
-            _compile(self.sides[-1], fields + read_checks + weights,
-                     rhs if callable(rhs) else (dst[0], dst[3]))
+            _compile(self.sides[-1], fields + read_checks + weights, rhs if callable(rhs) else dst)
 
 
 # --- moves that are not a fixed window ------------------------------------------
@@ -277,9 +288,11 @@ def _rewrite_pair(d: FoamDiagram, k: int, e, f, removed: int = 2,
     it; it goes to the diagram with the two events (``_with_window``).  The
     slice above comes from d, so f is checked only against what it reads:
     a merge, its range and equal directions; a split, its range and its
-    left part and then its right part, read from the slice above, decided
-    positive.  The identities that keep that slice, for the
-    ``vertex_cobordism`` patterns and for the crossing split-off
+    left part and then its right part decided positive.  A compiled rule
+    passes a split whose left part is the strand at its position in the
+    slice above (:func:`_compile`), so both parts are read from that slice
+    and no sum is made for them.  The identities that keep that slice, for
+    the ``vertex_cobordism`` patterns and for the crossing split-off
     (:func:`_uncrossed`):
 
     - ``mm``: (a + b) + c = a + (b + c);

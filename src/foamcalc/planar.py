@@ -16,6 +16,7 @@ fully resolve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cmp_to_key
 from itertools import zip_longest
 from math import gcd, inf
@@ -343,7 +344,7 @@ def tripod_block(x: Weight, y: Weight) -> list:
     """Closed standard tripod T(x, y): a vertex joining x and y with every
     leg capped by a looped half-weight lollipop.  Decomposes to [x, y] plus
     three self-cancelling [u, u] terms."""
-    half = "1/2"
+    half = Fraction(1, 2)
     return [
         PCup(0, x.scale(half)),
         PMerge(0),

@@ -35,8 +35,15 @@ Fractions appear only at the edge: constructor input, the ``coeffs``
 ``interval`` (the only form of the exact enclosure bounds) and JSON input.
 The hash is that of ``(basis, den, nums)``, computed on first use, and a
 decided sign is kept on the weight the same way; an undecided sign is never
-kept, so it raises on every call.  A float is refused wherever a
-coefficient or scalar comes in.
+kept, so it raises on every call.  A sum of two weights that keep the same
+decided sign keeps that sign, with no enclosure computed.  That is exact:
+over a common denominator the sum's numerators are ``n_i + n'_i``, so its
+center is the sum of the two centers and its spread at most the sum of the
+two spreads, and dividing out a common factor scales both alike.  Where
+both enclosures exclude 0 on one side, so does the sum's, and the oracle
+would decide the same sign without raising.  Wedge values have no sign,
+and their sums keep none.  A float is refused wherever a coefficient or
+scalar comes in.
 """
 
 from __future__ import annotations
@@ -317,7 +324,11 @@ class _Sparse:
     def __add__(self, other):
         if self.basis is not other.basis:
             self._check_basis(other)
-        return self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, 1))
+        v = self._of(self.basis, *_combine(self.den, self.nums, other.den, other.nums, 1))
+        s = self._sign
+        if s is not None and s == other._sign:  # like signs: see the module docstring
+            v._sign = s
+        return v
 
     def __sub__(self, other):
         if self.basis is not other.basis:

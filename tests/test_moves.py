@@ -995,6 +995,49 @@ def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
                               "must be positive, got Weight(-1)")
 
 
+def _vertex_rewrites():
+    """``(d, move, d rewritten)`` for every vertex_cobordism that
+    _enumerated finds on the flip corpus and on criterion 3's family of
+    random closed diagrams, then for every vertex_cobordism step of the
+    flip corpus's traces, replayed on a working diagram; there ``d`` is the
+    diagram before the step."""
+    rng = random.Random(3)
+    criterion_3 = [rand_closed_diagram(rng, demo_basis("r2")) for _ in range(100)]
+    for d in _flip_corpus() + criterion_3:
+        for m, out in moves._enumerated(d):
+            if m.schema == "vertex_cobordism":
+                yield d, m, out
+    for d in _flip_corpus():
+        work = foamdiag._WorkingDiagram(d)
+        for m in flip_reduce(d):
+            before = work.frozen()
+            apply_move(work, m)
+            if m.schema == "vertex_cobordism":
+                yield before, m, work
+
+
+def test_an_upper_split_reads_its_left_part_off_the_kept_slice():
+    """Where a vertex rewrite puts a split on top, the split's left part is
+    the very weight object that the slice above holds at its position: it
+    is read, not computed.  It equals the rule's own algebra, the upper
+    split of the rule's other side evaluated on the window's bindings
+    (``b + l`` in ms, ``l - m`` in ss)."""
+    seen = collections.Counter()
+    for d, m, out in _vertex_rewrites():
+        k = m.index
+        upper = out.events[k + 1]
+        if not isinstance(upper, Split):
+            continue
+        ((rule, side),) = moves._alternatives(m.schema, m.params)
+        env = rule.sides[side][1](d, k, {}, False)
+        want = eval(moves._window(rule.texts[1 - side])[3][1], _SCOPE, dict(env))
+        assert upper.left is out.slices[k + 2][upper.pos].weight, (m, d)
+        assert upper == want and upper.left == want.left, (m, d)
+        seen[m.params["pattern"], m.params.get("dir", "lr")] += 1
+    assert seen.keys() == {("ms", "lr"), ("ss", "lr"), ("ss", "rl"), ("sm", "lr")}, seen
+    assert min(seen.values()) >= 20, seen
+
+
 # ------------------------------------ the working diagram of reduce and replay
 
 

@@ -1,5 +1,6 @@
 """Weights: exact linear combinations over a declared generator basis."""
 
+import random
 import sys
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,17 +15,23 @@ from foamcalc import (
     DslSemanticError,
     Generator,
     GeneratorBasis,
+    Iet,
     NEGATIVE,
     POSITIVE,
     PrecisionExhausted,
     Weight,
     WedgeValue,
     ZERO,
+    flip_reduce,
+    iet_closure,
+    mirror,
     parse_weight,
+    validate_trace,
     wedge,
     weight_cmp,
     weight_from_json,
 )
+from foamcalc.acceptance import _insert_dots, rand_positive_weight
 
 # ---------------------------------------------------------------- basis
 
@@ -180,6 +187,31 @@ def test_decided_sign_is_kept_and_undecided_is_not(basis, monkeypatch):
     assert messages[0] == messages[1] and y._sign is None
 
 
+def test_the_flip_path_computes_no_enclosure(basis, monkeypatch):
+    """flip_reduce and validate_trace of dotted and mirrored IET closures
+    read no generator midpoint: every sign they ask for is kept on its
+    weight, or carried by a sum of like-signed weights, or read off the
+    slice that a vertex rewrite keeps."""
+    rng = random.Random(5)
+    diagrams = []
+    for r in range(3, 10):
+        perm = list(range(1, r + 1))
+        rng.shuffle(perm)
+        d = iet_closure(Iet([rand_positive_weight(rng, basis) for _ in range(r)], perm))
+        d = _insert_dots(rng, d, r % 4)
+        diagrams.append(mirror(d) if r % 3 == 0 else d)
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    monkeypatch.setattr(basis, "_mid", _CountedReads(basis._mid))
+    steps = 0
+    for d in diagrams:
+        trace = flip_reduce(d)
+        check = validate_trace(d, trace)
+        assert check.ok and check.steps == len(trace)
+        steps += len(trace)
+    assert steps > 400
+    assert _CountedReads.reads == 0
+
+
 def test_mixed_bases_rejected(basis, basis3):
     a = Weight.rational(basis, 1)
     b = Weight.rational(basis3, 1)
@@ -327,6 +359,29 @@ def test_sign_agrees_with_interval(data):
     x = data.draw(_weight_on(basis))
     assert _sign_outcome(x) == _interval_outcome(x)
     assert _sign_outcome(-x) == _interval_outcome(-x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_a_sum_of_like_decided_signs_keeps_that_sign(data):
+    """a + b holds a sign exactly where a and b hold the same decided sign,
+    and it is the sign that the oracle decides for a fresh copy of the sum,
+    which never raises, also over bases capped at 1 to 3 digits.  A sum
+    with an undecided operand holds none, and neither does a sum of wedge
+    values."""
+    basis = data.draw(_any_basis())
+    if data.draw(st.booleans()):
+        basis = basis.with_precision_cap(data.draw(st.integers(1, 3)))
+    a, b = data.draw(_weight_on(basis)), data.draw(_weight_on(basis))
+    for x in (a, b):
+        if data.draw(st.booleans()):
+            _sign_outcome(x)  # decides and keeps the sign, unless it straddles 0
+    s = a + b
+    kept = a._sign if a._sign is not None and a._sign == b._sign else None
+    assert s._sign == kept
+    if kept is not None:
+        assert Weight._of(basis, s.den, s.nums).sign() == kept
+    assert (wedge(a, b) + wedge(b, a))._sign is None
 
 
 def _public(basis, *terms):
