@@ -125,14 +125,14 @@ def _compile(side: list, checks: list, rewritten) -> None:
     ``[kinds, _, free]``: None where its window does not match at event k,
     else the diagram rewritten (``apply``) or the window's bindings.
     ``rewritten`` is the other side's window (:func:`_window`), or a
-    one-way rule's function.  Two events that replace two, the upper one a merge or
-    a split, go through :func:`_rewrite_pair`; other sides splice.  There
-    an upper split's left part is read from the slice above the window,
-    which the rewrite keeps (``foam.slices[k + 2][pos].weight``), in place
-    of the rule's weight term; the term stays in the rule, for the other
-    side to solve from.  Each check solves for its one unbound variable, or
-    tests.  The source compiles on first use, so that an import pays only
-    for rules applied."""
+    one-way rule's function.  Two events that replace two, the upper one a
+    merge or a split, go through :func:`_rewrite_pair`; other sides splice.
+    There an upper split's left part is read from the slice above the
+    window, which the rewrite keeps (``foam.slices[k + 2][pos].weight``),
+    in place of the rule's weight term; the term stays in the rule, for the
+    other side to solve from.  Each check solves for its one unbound
+    variable, or tests.  The source compiles on first use, so that an
+    import pays only for rules applied."""
     def first_call(*args):
         kinds, _, free = side
         n = len(kinds)
