@@ -148,8 +148,8 @@ def rand_iet_on_total(
     return Iet(lengths, perm, flips)
 
 
-def rand_closure(rng: random.Random, basis: GeneratorBasis, max_r: int = 3) -> FoamDiagram:
-    t = rand_iet_on_total(rng, basis, rand_total(rng, basis), max_r=max_r)
+def rand_closure(rng: random.Random, basis: GeneratorBasis) -> FoamDiagram:
+    t = rand_iet_on_total(rng, basis, rand_total(rng, basis), max_r=3)
     return iet_closure(t)
 
 
@@ -198,7 +198,7 @@ def rand_dotted_diagram(rng: random.Random, basis: GeneratorBasis) -> FoamDiagra
         d = u_diagram(rand_positive_weight(rng, basis), rand_positive_weight(rng, basis))
         d = _insert_dots(rng, d, rng.randint(0, 2))
     elif kind == 2:
-        d = rand_closure(rng, basis, max_r=3)
+        d = rand_closure(rng, basis)
         d = _insert_dots(rng, d, rng.randint(0, 3))
     else:
         a = circle(rand_positive_weight(rng, basis))
@@ -327,7 +327,7 @@ def rand_labeled_diagram(
     rng: random.Random, basis: GeneratorBasis, spec: AbelianGroupSpec
 ) -> FoamDiagram:
     """Closure with label pairs planted where label moves apply."""
-    d = rand_closure(rng, basis, max_r=3)
+    d = rand_closure(rng, basis)
 
     def rand_label() -> GroupLabel:
         free = tuple(rng.randint(-4, 4) for _ in range(spec.free_rank))

@@ -18,7 +18,6 @@ from typing import Iterable
 from .errors import (
     DslSemanticError,
     OpenDiagram,
-    PrecisionExhausted,
     SchemaMismatch,
     UnsupportedDecoration,
 )
@@ -36,7 +35,7 @@ from .foamdiag import (
 )
 from .moves import (_SPLIT_OFFS, MoveInstance, _candidates, _death, _first_applied,
                     apply_move, exchange_run, move_from_json, split_off_and_kill)
-from .weights import POSITIVE, Weight
+from .weights import Weight
 
 
 @dataclass(frozen=True)
@@ -315,28 +314,15 @@ def empty_diagram(basis) -> FoamDiagram:
     return FoamDiagram(basis, [], [])
 
 
-def _positive_strands(d: FoamDiagram) -> bool:
-    """Whether every strand weight of d's start slice is decided positive.
-    Then so is every strand weight of every diagram a trace reaches from d:
-    cups and splits check theirs, and a merge adds two positive weights."""
-    try:
-        return all(s.weight.sign() == POSITIVE for s in d.start)
-    except PrecisionExhausted:
-        return False
-
-
-def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> int:
+def _block(d: FoamDiagram, trace: list[MoveInstance], i: int) -> int:
     """Replay the block of trace steps from step i on d in one call and
     return its length.  A block is a run of parameterless exchanges at k,
     k+1, ..., which one ``exchange_run`` makes as far as it goes: it stops
     before an event that event k overlaps, and the step there is left to
-    ``apply_move``.  Or, with ``pairs``, a block is a split-off followed by
-    exactly the death move that ``split_off_and_kill`` returns, compared
-    before the rewrite is made.  ``pairs`` says that every strand weight is
-    decided positive: then the block that the death deletes validates, and
-    ``split_off_and_kill`` raises only what ``apply_move`` of the split-off
-    raises.  Any other step, and a step where no exchange is made, is one
-    ``apply_move``."""
+    ``apply_move``.  Or a block is a split-off followed by exactly the
+    death move that ``split_off_and_kill`` returns, compared before the
+    rewrite is made.  Any other step, and a step where no exchange is made,
+    is one ``apply_move``."""
     m = trace[i]
     if m.schema == "exchange":
         k, n, end = m.index, 0, len(trace) - i
@@ -348,7 +334,7 @@ def _block(d: FoamDiagram, trace: list[MoveInstance], i: int, pairs: bool) -> in
         made = exchange_run(d, k, n)[1]
         if made:
             return made
-    elif pairs and m.schema in _SPLIT_OFFS and trace[i + 1 : i + 2] == [_death(d, m)]:
+    elif m.schema in _SPLIT_OFFS and trace[i + 1 : i + 2] == [_death(d, m)]:
         split_off_and_kill(d, m)
         return 2
     apply_move(d, m)
@@ -370,12 +356,11 @@ def validate_trace(d: FoamDiagram, trace: Iterable[MoveInstance],
     if target is None:
         target = empty_diagram(d.basis)
     trace = list(trace)
-    pairs = _positive_strands(d)
     work = _WorkingDiagram(d)
     i = 0
     try:
         while i < len(trace):
-            i += _block(work, trace, i, pairs)
+            i += _block(work, trace, i)
     except SchemaMismatch as exc:
         return TraceCheck(False, len(trace), failed_at=i, reason=str(exc))
     if work.frozen() != target:

@@ -69,7 +69,7 @@ from .errors import (
 )
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
-from .planar import PEVENT_KINDS, BracketSum, PlanarFoam, _start_slice
+from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
 from .weights import MAX_DIGITS, Generator, GeneratorBasis, Weight, _normalised, _parse_decimal, _ratio
 
 Item = Union[Iet, FoamDiagram, PlanarFoam, BracketSum]
@@ -463,8 +463,10 @@ class _Parser:
         self.expect("]")
         self.expect(";")
         try:
-            cur = calc.start(start)
-        except DslSemanticError as exc:  # name the line of the start list
+            cur = calc.diagram.start_slice(start)
+        except PrecisionExhausted:
+            raise
+        except FoamError as exc:  # name the line of the start list
             self.semantic(f"in {kind} {name!r}", self.k - 1, f": {exc}")
         toks, keywords, step = self.toks, calc.keywords, calc.diagram.step
         events: list = []
@@ -670,11 +672,10 @@ def _event_line(e) -> str:
 class _Calculus:
     """A diagram item kind: its diagram class and the text of its strands."""
 
-    diagram: type  # a SlicedDiagram subclass: event kinds and slice rule
+    diagram: type  # a SlicedDiagram subclass: event kinds, start and slice rules
     unknown: str  # syntax error for an event keyword the kind lacks
     read_strand: Callable
     strand_text: Callable
-    start: Callable  # the start slice of a list of strands; raises on a bad one
 
     def __post_init__(self):
         # event keyword -> (event kind, its readers after the position)
@@ -684,10 +685,10 @@ class _Calculus:
 _CALCULI = {
     "foam": _Calculus(
         FoamDiagram, "unknown event", _Parser._strand,
-        lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}", tuple,
+        lambda s: f"{weight_to_text(s.weight)}:{s.dir.value}",
     ),
     "planarfoam": _Calculus(
-        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text, _start_slice,
+        PlanarFoam, "unknown planar event", _Parser.weight_expr, weight_to_text,
     ),
 }
 

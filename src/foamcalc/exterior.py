@@ -41,8 +41,12 @@ class WedgeValue(_Sparse):
     def __init__(self, basis: GeneratorBasis, terms=None):
         clean: dict = {}
         for (i, j), c in (terms or {}).items():
-            if i != j:
-                key, c = ((i, j), _rational(c)) if i < j else ((j, i), -_rational(c))
+            c = _rational(c)
+            if i != j and c:
+                for g in (i, j):
+                    if not 0 <= g < len(basis):
+                        raise BasisMismatch(f"generator index {g} outside basis")
+                key, c = ((i, j), c) if i < j else ((j, i), -c)
                 clean[key] = clean.get(key, 0) + c
         self.basis = basis
         self.den, self.nums = _from_rationals(sorted((k, c) for k, c in clean.items() if c))

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
+from operator import index
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
@@ -234,14 +235,15 @@ class SlicedDiagram:
     """Immutable sliced diagram: a start slice, a list of events, and the
     slices they derive; event k takes slice k to slice k+1.
 
-    A subclass names its event ``kinds`` and its ``step``, the rule that
-    takes a slice and an event to the next slice and raises
-    DslSemanticError when the event does not validate against it, or
-    NonPositiveWeight when a weight it needs positive is not.  The
-    constructor applies every event in turn.  :meth:`spliced` recomputes
-    only the slices a local change alters: it applies events from the slice
-    below the change into a short list and stops at the first recomputed
-    slice past the change that equals its old counterpart.  Both give the
+    A subclass names its event ``kinds``, its ``start_slice``, the rule that
+    checks the start strands, and its ``step``, the rule that takes a slice
+    and an event to the next slice and raises DslSemanticError when the
+    event does not validate against it, or NonPositiveWeight when a weight
+    it needs positive is not.  The constructor checks the start and
+    applies every event in turn.  :meth:`spliced` recomputes only the
+    slices a local change alters: it applies events from the slice below
+    the change into a short list and stops at the first recomputed slice
+    past the change that equals its old counterpart.  Both give the
     same slices and the same errors.  A rewrite that knows its new slices
     computes only its window: a run of exchanges of disjoint events
     (``moves.exchange_run``, which stops at the first event that overlaps
@@ -260,7 +262,7 @@ class SlicedDiagram:
 
     def __init__(self, basis: GeneratorBasis, start: Iterable, events: Iterable):
         self.basis = basis
-        self.start = tuple(start)
+        self.start = self.start_slice(start)
         self.events = tuple(events)
         self.slices = (self.start, *_extend_slices(self.step, self.start, self.events)[0])
 
@@ -324,7 +326,9 @@ class SlicedDiagram:
 
 
 class FoamDiagram(SlicedDiagram):
-    """Sliced diagram of an oriented foam: slices are tuples of Strands."""
+    """Sliced diagram of an oriented foam: slices are tuples of Strands.
+    Every strand weight is decided positive: the start slice's are checked,
+    cups and splits check theirs, and a merge adds two positive weights."""
 
     __slots__ = ()
 
@@ -333,6 +337,15 @@ class FoamDiagram(SlicedDiagram):
     # Its own entry, so that the benchmark tracer can wrap this class's
     # construction alone (perfbench/tracer.py).
     __init__ = SlicedDiagram.__init__
+
+    @staticmethod
+    def start_slice(start: Iterable[Strand]) -> tuple[Strand, ...]:
+        """``start`` as a start slice; raises ``NonPositiveWeight`` at a
+        weight that is not decided positive."""
+        start = tuple(start)
+        for i, s in enumerate(start):
+            _positive(s.weight, f"start strand {i}")
+        return start
 
     @staticmethod
     def step(cur: tuple[Strand, ...], e: Event) -> tuple[Strand, ...]:
@@ -487,7 +500,7 @@ def circle(w: Weight, d: Dir = Dir.UP) -> FoamDiagram:
 
 def zerofoam_class(points: Iterable[tuple[int, Weight]]) -> Weight:
     """Invariant of a weighted oriented 0-foam: the signed weight sum."""
-    points = list(points)
+    points = [(index(sign), w) for sign, w in points]
     if not points:
         raise DslSemanticError("zerofoam_class of nothing: pass at least one point")
     for sign, w in points:
@@ -495,4 +508,4 @@ def zerofoam_class(points: Iterable[tuple[int, Weight]]) -> Weight:
             raise NonPositiveWeight(f"0-foam point weight {w} is not positive")
         if sign not in (POSITIVE, NEGATIVE):
             raise DslSemanticError("0-foam point sign must be +1 or -1")
-    return Weight.combination(points[0][1].basis, [(int(sign), w) for sign, w in points])
+    return Weight.combination(points[0][1].basis, points)

@@ -23,8 +23,7 @@ rewrite checks its whole window before it hands it to the diagram's
 ``_with_window``: an immutable diagram gives a new one, which is what
 :func:`apply_move` returns, and the one working diagram that
 ``flip_reduce`` or ``validate_trace`` holds is edited in place.  A rewrite
-that raises leaves the diagram as it was; only a split-off's block is
-checked after its rewrite is made (:func:`apply_move`).
+that raises leaves the diagram as it was.
 """
 
 from __future__ import annotations
@@ -511,10 +510,8 @@ def _first_match(d: FoamDiagram, m: MoveInstance, apply: bool):
 
 def apply_move(d: FoamDiagram, m: MoveInstance) -> FoamDiagram:
     """d rewritten by the move m: a new diagram, or a working diagram
-    edited in place.  A split-off splices its block on after its rewrite
-    is made.  The block fails only on start strands whose weights are not
-    checked; on a working diagram that raise comes with the rewrite made,
-    and it ends the replay of ``validate_trace``."""
+    edited in place.  A split-off splices its block on after its rewrite;
+    the block's weights are positive strand weights, so it validates."""
     return _first_match(d, m, True)
 
 
@@ -530,9 +527,8 @@ def split_off_and_kill(d: FoamDiagram, m: MoveInstance,
     followed by the death of the block it puts on: the diagram after both
     steps and the death move.  Only the in-place rewrite is made, never the
     block nor the diagram that carries it; ``apply_move`` of m and then of
-    the death move gives the same diagram, wherever the block's strand
-    weights are positive.  ``env`` is m's window bindings, where the caller
-    has matched m already."""
+    the death move gives the same diagram.  ``env`` is m's window bindings,
+    where the caller has matched m already."""
     death = _death(d, m)
     rewrite = _SPLIT_OFFS[m.schema][0]
     return rewrite(d, m.index, _first_match(d, m, False) if env is None else env), death

@@ -62,15 +62,6 @@ def _nonzero(w: Weight, what: str) -> None:
         raise DslSemanticError(f"{what} must be nonzero")
 
 
-def _start_slice(start: Iterable[Weight]) -> tuple[Weight, ...]:
-    """``start`` as the start slice of a planar foam; raises
-    ``DslSemanticError`` at a zero weight."""
-    start = tuple(start)
-    for i, w in enumerate(start):
-        _nonzero(w, f"start strand {i}")
-    return start
-
-
 def apply_pevent(weights: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:
     n = len(weights)
     if isinstance(e, PMerge):
@@ -107,8 +98,14 @@ class PlanarFoam(SlicedDiagram):
 
     kinds = PEVENT_KINDS
 
-    def __init__(self, basis: GeneratorBasis, start: Iterable[Weight], events: Iterable):
-        super().__init__(basis, _start_slice(start), events)
+    @staticmethod
+    def start_slice(start: Iterable[Weight]) -> tuple[Weight, ...]:
+        """``start`` as a start slice; raises ``DslSemanticError`` at a
+        zero weight."""
+        start = tuple(start)
+        for i, w in enumerate(start):
+            _nonzero(w, f"start strand {i}")
+        return start
 
     @staticmethod
     def step(cur: tuple[Weight, ...], e: PEvent) -> tuple[Weight, ...]:

@@ -375,13 +375,19 @@ class Weight(_Sparse):
 
     coeffs = property(_Sparse._as_fractions, doc="The sorted ``(index, Fraction)`` pairs.")
 
+    def _enclosure(self) -> tuple[int, int]:
+        """The enclosure's numerators over ``den * basis._scale``."""
+        mid, rad = self.basis._mid, self.basis._rad
+        center = spread = 0
+        for i, n in self.nums:
+            center += n * mid[i]
+            spread += abs(n) * rad[i]
+        return center, spread
+
     def interval(self) -> tuple[Fraction, Fraction]:
         """Exact enclosure [lo, hi] of the real value."""
-        basis = self.basis
-        mid, rad = basis._mid, basis._rad
-        center = sum([n * mid[i] for i, n in self.nums])
-        spread = sum([abs(n) * rad[i] for i, n in self.nums])
-        scale = self.den * basis._scale
+        center, spread = self._enclosure()
+        scale = self.den * self.basis._scale
         return Fraction(center - spread, scale), Fraction(center + spread, scale)
 
     def sign(self) -> int:
@@ -401,12 +407,7 @@ class Weight(_Sparse):
         elif len(nums) == 1 and nums[0][0] == 0:  # a rational
             s = POSITIVE if nums[0][1] > 0 else NEGATIVE
         else:
-            basis = self.basis
-            mid, rad = basis._mid, basis._rad
-            center = spread = 0
-            for i, n in nums:
-                center += n * mid[i]
-                spread += abs(n) * rad[i]
+            center, spread = self._enclosure()
             if center > spread:
                 s = POSITIVE
             elif center < -spread:

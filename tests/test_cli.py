@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from foamcalc import WedgeValue, acceptance, cli, foamdiag, planar
+from foamcalc import WedgeValue, acceptance, cli, errors, foamdiag, planar
 from foamcalc.cli import main
 
 DOC = """
@@ -464,6 +465,19 @@ def test_golden_covers_every_subcommand():
 
 
 # ------------------------------------------------------------- failure paths
+
+
+def test_the_cli_doc_lists_the_error_codes():
+    """docs/cli.md lists the code of FoamError and of each subclass, and no
+    other."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "cli.md").read_text()
+    listed = doc[doc.index("The codes are stable strings:"):].split(".")[0]
+    classes, codes = [errors.FoamError], set()
+    while classes:
+        cls = classes.pop()
+        codes.add(cls.code)
+        classes += cls.__subclasses__()
+    assert set(re.findall(r"`([\w-]+)`", listed)) == codes
 
 
 def test_missing_file(capsys):

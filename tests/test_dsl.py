@@ -219,6 +219,17 @@ def test_a_zero_planar_start_strand_names_its_line():
     assert str(exc_info.value) == "in planarfoam 'p' (line 2): start strand 1 must be nonzero"
 
 
+def test_a_non_positive_foam_start_strand_names_its_line():
+    with pytest.raises(DslSemanticError) as exc_info:
+        parse_document("foam f {\n  start [1:u, -1:u];\n  end;\n}")
+    assert exc_info.value.code == "semantic"
+    assert str(exc_info.value) == ("in foam 'f' (line 2): start strand 1 must be positive, "
+                                   "got Weight(-1)")
+    with pytest.raises(PrecisionExhausted):
+        parse_document("basis {\n  r2 = 1.4142135623730951 digits 16;\n}\n"
+                       "foam f {\n  start [r2 - 1.4142135623730951:u];\n  end;\n}")
+
+
 def test_the_format_doc_lists_the_reserved_words():
     """docs/format.md names every reserved word of the parser, and no other."""
     doc = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()

@@ -58,6 +58,16 @@ def test_canonical_orientation(basis):
     assert WedgeValue(basis, {(1, 1): 7}).is_zero()
 
 
+def test_generator_indices_must_lie_in_the_basis(basis):
+    """As in a Weight, an index outside the basis is refused, never wrapped
+    round to name another generator."""
+    for pair in ((0, 9), (9, 0), (-1, 1)):
+        with pytest.raises(BasisMismatch, match=r"^generator index (9|-1) outside basis$"):
+            WedgeValue(basis, {pair: 1})
+    assert WedgeValue(basis, {(0, 1): 1}).to_json() == [{"left": "1", "right": "r2",
+                                                          "coeff": "1/1"}]
+
+
 def test_basis_mismatch(basis, basis3):
     u = WedgeValue(basis, {(0, 1): 1})
     v = WedgeValue(basis3, {(0, 1): 1})

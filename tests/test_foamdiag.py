@@ -382,6 +382,14 @@ def test_zerofoam_signed_sum(w):
     assert got == w("1/2 + 1*r2")
 
 
+def test_a_zerofoam_point_sign_must_be_an_integer(w):
+    for sign in (1.0, -1.0, 1.5, "1"):
+        with pytest.raises(TypeError):
+            zerofoam_class([(sign, w("1"))])
+    with pytest.raises(DslSemanticError, match="must be [+]1 or -1"):
+        zerofoam_class([(2, w("1"))])
+
+
 def test_zerofoam_needs_points():
     with pytest.raises(DslSemanticError, match="at least one point"):
         zerofoam_class([])

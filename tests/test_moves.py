@@ -654,23 +654,18 @@ def test_an_exchange_with_a_param_is_replayed_on_its_own(monkeypatch):
         assert seen[-1] is m
 
 
-def test_split_off_pairs_on_unchecked_start_strands_replay_step_by_step(w, basis):
-    """A start slice's weights are not checked, so a split-off there may
-    put on a block that does not validate.  Such a pair is replayed step
-    by step and fails, or raises, as it does there."""
-    reports = []
-    for text in ("-1", "0", "r2 - 1.4142135623730951", "1"):
-        start = [Strand(w(text), Dir.UP)]
-        d, target = FoamDiagram(basis, start, [Dot(0)]), FoamDiagram(basis, start, [])
-        trace = [MoveInstance("dot_splitoff", 0), MoveInstance("dotted_circle_death", 0)]
-        got = _report(validate_trace, d, trace, target)
-        assert got == _report(_stepwise, d, trace, target), (text, got)
-        reports.append(got)
-    assert reports[:2] == [
-        TraceCheck(False, 2, 0, "dot_splitoff at 0: event 0: cup weight must be positive, got Weight(-1)"),
-        TraceCheck(False, 2, 0, "dot_splitoff at 0: event 0: cup weight must be positive, got Weight(0)")]
-    assert reports[2][0] is PrecisionExhausted
-    assert reports[3] == TraceCheck(True, 2)
+def test_a_split_off_pair_on_a_start_strand_replays_as_one_block(w, basis, monkeypatch):
+    """Every strand weight is decided positive, start strands included, so
+    a split-off followed by its death is replayed as one block: the block
+    never goes to apply_move."""
+    start = [Strand(w("1"), Dir.UP)]
+    d, target = FoamDiagram(basis, start, [Dot(0)]), FoamDiagram(basis, start, [])
+    trace = [MoveInstance("dot_splitoff", 0), MoveInstance("dotted_circle_death", 0)]
+    seen = []
+    monkeypatch.setattr(decorated, "apply_move", lambda d, m: seen.append(m))
+    assert decorated._block(foamdiag._WorkingDiagram(d), trace, 0) == 2
+    assert validate_trace(d, trace, target) == TraceCheck(True, 2)
+    assert seen == []
 
 
 def test_split_off_and_kill_is_the_split_off_and_its_death():
@@ -954,45 +949,38 @@ def test_a_crossing_split_off_builds_its_middle_slice(monkeypatch):
 
 def test_failing_vertex_rewrites_fail_like_the_splice(w, basis):
     """Where a vertex rewrite does not validate it raises what splicing its
-    events in raises: a merge on a start strand that is not positive, an
-    ss rewrite whose part l - m is not positive, a crossing of a strand
-    that is not positive, and a sign that a precision-capped basis cannot
-    decide."""
+    events in raises: an sm rewrite whose lower split's right part is not
+    positive, an ss rewrite whose part l - m is not positive, and a sign
+    that a precision-capped basis cannot decide."""
     up = Dir.UP
-    # sm, left to right: split 0 L 1/2, then merge 1 L with the start strand -2.
-    sm = FoamDiagram(basis, [Strand(w("2"), up), Strand(w("-2"), up)],
-                     [Split(0, Order.L, w("1/2")), Merge(1, Order.L)])
+    # sm, right to left: split 0 L 3/2 of the start strand 1, then merge 1 L.
+    sm = FoamDiagram(basis, [Strand(w("1"), up), Strand(w("2"), up)],
+                     [Merge(0, Order.L), Split(0, Order.L, w("3/2"))])
     # ss: the rewrite of split 0 L 2; split 0 L 1 with m = 5/2 in place of 1.
     ss = FoamDiagram(basis, [Strand(w("3"), up)],
                      [Split(0, Order.L, w("2")), Split(0, Order.L, w("1"))])
     capped = basis.with_precision_cap(2)
-    rational = [Weight.rational(capped, q) for q in (1, "1/2", "-191/100")]
-    exhausted = FoamDiagram(capped, [Strand(rational[0], up),
-                                     Strand(rational[2] + Weight.generator(capped, "r2"), up)],
-                            [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
+    r2, one = Weight.generator(capped, "r2"), Weight.rational(capped, 1)
+    split = Split(0, Order.L, Weight.rational(capped, "141/100"))
+    # the same sm window: r2 - 141/100 is too close to 0 for 2 digits
+    exhausted = FoamDiagram(capped, [Strand(r2, up), Strand(one, up)], [Merge(0, Order.L), split])
     cases = [
-        (sm, (Merge(0, Order.L), Split(0, Order.L, w("1/2"))), NonPositiveWeight,
-         "event 1: right part of a split must be positive, got Weight(-1/2)"),
+        (sm, (Split(0, Order.L, w("3/2")), Merge(1, Order.L)), NonPositiveWeight,
+         "event 0: right part of a split must be positive, got Weight(-1/2)"),
         (ss, (Split(0, Order.L, w("5/2")), Split(1, Order.L, w("-1/2"))), NonPositiveWeight,
          "event 1: left part of a split must be positive, got Weight(-1/2)"),
-        (exhausted, (Merge(0, Order.L), Split(0, Order.L, rational[1])), PrecisionExhausted,
-         None),
+        (exhausted, (split, Merge(1, Order.L)), PrecisionExhausted, None),
     ]
     for d, added, kind, text in cases:
         want = _outcome(lambda: d.spliced(0, 2, added))
         assert want[0] is kind and text in (None, want[1]), want
         assert _outcome(lambda: moves._rewrite_pair(d, 0, *added)) == want
-    m = MoveInstance("vertex_cobordism", 0, {"pattern": "sm", "dir": "lr"})
+    m = MoveInstance("vertex_cobordism", 0, {"pattern": "sm", "dir": "rl"})
     with pytest.raises(SchemaMismatch) as exc:
         apply_move(sm, m)
     assert str(exc.value) == f"vertex_cobordism at 0: {cases[0][3]}"
     with pytest.raises(PrecisionExhausted):
         apply_move(exhausted, m)
-    crossed = FoamDiagram(basis, [Strand(w("-1"), up), Strand(w("1"), up)], [Cross(0)])
-    with pytest.raises(SchemaMismatch) as exc:
-        apply_move(crossed, MoveInstance("crossing_splitoff", 0))
-    assert str(exc.value) == ("crossing_splitoff at 0: event 1: right part of a split "
-                              "must be positive, got Weight(-1)")
 
 
 def _vertex_rewrites():
@@ -1090,7 +1078,6 @@ def test_working_replays_equal_the_rules_own_splices():
     schemas, blocks = collections.Counter(), collections.Counter()
     for d in _replay_corpus() + _flip_corpus():
         trace = flip_reduce(d)
-        pairs = decorated._positive_strands(d)
         ref, stepped, by_blocks = d, foamdiag._WorkingDiagram(d), foamdiag._WorkingDiagram(d)
         done = 0  # the steps that by_blocks has replayed
         for n, m in enumerate(trace, 1):
@@ -1099,7 +1086,7 @@ def test_working_replays_equal_the_rules_own_splices():
             want = (list(ref.events), list(ref.slices))
             assert (stepped.events, stepped.slices) == want, (d, n, m)
             if done < n:
-                size = decorated._block(by_blocks, trace, done, pairs)
+                size = decorated._block(by_blocks, trace, done)
                 blocks[min(size, 3)] += 1
                 done += size
             if done == n:
@@ -1122,20 +1109,18 @@ def test_failing_rewrites_leave_the_working_diagram_as_it_was(w, basis):
     nothing: it makes its first exchange, in place, and stops."""
     up, one = Dir.UP, w("1")
     circles = FoamDiagram(basis, [], [Cup(0, one, up), Cup(2, one, up), Cap(0), Cap(0)])
-    sm = FoamDiagram(basis, [Strand(w("2"), up), Strand(w("-2"), up)],
-                     [Split(0, Order.L, w("1/2")), Merge(1, Order.L)])
+    sm = FoamDiagram(basis, [Strand(w("1"), up), Strand(w("2"), up)],
+                     [Merge(0, Order.L), Split(0, Order.L, w("3/2"))])
     capped = basis.with_precision_cap(2)
-    rational = [Weight.rational(capped, q) for q in (1, "1/2", "-191/100")]
-    exhausted = FoamDiagram(capped, [Strand(rational[0], up),
-                                     Strand(rational[2] + Weight.generator(capped, "r2"), up)],
-                            [Split(0, Order.L, rational[1]), Merge(1, Order.L)])
+    r2, one = Weight.generator(capped, "r2"), Weight.rational(capped, 1)
+    split = Split(0, Order.L, Weight.rational(capped, "141/100"))
+    exhausted = FoamDiagram(capped, [Strand(r2, up), Strand(one, up)], [Merge(0, Order.L), split])
     cases = [
         (sm, lambda d: apply_move(d, MoveInstance("exchange", 0)), SchemaMismatch),
-        (sm, lambda d: moves._rewrite_pair(d, 0, Merge(0, Order.L), Split(0, Order.L, w("1/2"))),
+        (sm, lambda d: moves._rewrite_pair(d, 0, Split(0, Order.L, w("3/2")), Merge(1, Order.L)),
          NonPositiveWeight),
         (circles, lambda d: d.spliced(1, 0, [Cup(0, w("-1"), up), Cap(0)]), NonPositiveWeight),
-        (exhausted, lambda d: moves._rewrite_pair(d, 0, Merge(0, Order.L),
-                                                  Split(0, Order.L, rational[1])),
+        (exhausted, lambda d: moves._rewrite_pair(d, 0, split, Merge(1, Order.L)),
          PrecisionExhausted),
     ]
     for d, rewrite, error in cases:

@@ -9,11 +9,13 @@ from foamcalc import (
     POSITIVE,
     BasisMismatch,
     BracketSum,
+    Dir,
     Document,
     DslSemanticError,
     FoamDiagram,
     Generator,
     GeneratorBasis,
+    NonPositiveWeight,
     OpenDiagram,
     PCap,
     PCup,
@@ -21,6 +23,7 @@ from foamcalc import (
     PSplit,
     PlanarFoam,
     PrecisionExhausted,
+    Strand,
     WedgeValue,
     Weight,
     bracket,
@@ -66,6 +69,19 @@ def test_planar_start_strands_must_be_nonzero(w, basis):
     assert PlanarFoam(basis, [w("-1"), w("1*r2")], []).start == (w("-1"), w("1*r2"))
     with pytest.raises(DslSemanticError, match=r"^start strand 1 must be nonzero$"):
         PlanarFoam(basis, [w("1"), w("0")], [])
+
+
+def test_oriented_start_strands_must_be_positive(w, basis):
+    """An oriented start strand must be decided positive; one too close to
+    0 for the basis raises PrecisionExhausted."""
+    start = [Strand(w("1"), Dir.UP), Strand(w("1*r2"), Dir.DOWN)]
+    assert FoamDiagram(basis, start, []).start == tuple(start)
+    for text in ("-1", "0"):
+        with pytest.raises(NonPositiveWeight) as exc_info:
+            FoamDiagram(basis, [start[0], Strand(w(text), Dir.UP)], [])
+        assert str(exc_info.value) == f"start strand 1 must be positive, got Weight({text})"
+    with pytest.raises(PrecisionExhausted):
+        FoamDiagram(basis, [Strand(w("r2 - 1.4142135623730951"), Dir.UP)], [])
 
 
 def test_planar_and_oriented_diagrams_stay_apart(w, basis):
