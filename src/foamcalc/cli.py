@@ -33,12 +33,13 @@ from .dsl import (
     parse_bytes,
     parse_weight,
     print_document,
+    wedge_to_text,
     weight_to_text,
 )
 from .errors import DslSemanticError, FoamError
 from .exterior import WedgeValue
 from .foamdiag import FoamDiagram, iet_closure, nu, zerofoam_class
-from .iet import iet_apply, iet_compose, saf
+from .iet import Iet, iet_apply, iet_compose, saf
 from .planar import (
     DEFAULT_EUCLID_BOUND,
     BracketSum,
@@ -58,57 +59,45 @@ from .weights import Weight
 Z4_SUMMARY = "64/64 cocycle instances OK, psi([1,3])=1"
 
 
-class _CliError(Exception):
-    """Carries the exit code decided by the failure phase."""
+class _ParseFailure(Exception):
+    """A document or trace that failed to parse: exit 2."""
 
-    def __init__(self, exit_code: int, err: FoamError):
+    def __init__(self, err: FoamError):
         super().__init__(str(err))
-        self.exit_code = exit_code
         self.err = err
 
 
 # --- output helpers -----------------------------------------------------------
 
-
-def wedge_to_text(v: WedgeValue) -> str:
-    entries = v.to_json()
-    if not entries:
-        return "0"
-    return " + ".join(f"{t['coeff']}*({t['left']}^{t['right']})" for t in entries)
+# The canonical text of each kind of plain value, and the document kind of
+# each item.
+_TEXTS = {Weight: weight_to_text, WedgeValue: wedge_to_text, BracketSum: bracket_to_text}
+_ITEM_KINDS = {Iet: "iet", FoamDiagram: "foam", PlanarFoam: "planarfoam"}
 
 
-# The (JSON object, text) result of each kind of value.
-
-
-def _item_result(doc: Document, kind: str, value) -> tuple:
-    text = print_document(Document(doc.basis, ((kind, "result", value),)))
+def _result(doc: Document, value) -> tuple:
+    """The JSON object and text of a single value.  An item prints as a
+    one-item document named ``result`` over the document's basis."""
+    kind = _ITEM_KINDS.get(type(value))
+    if kind is None:
+        text = _TEXTS[type(value)](value)
+    else:
+        text = print_document(Document(doc.basis, ((kind, "result", value),)))
     return value.to_json(), text
-
-
-def _weight(w: Weight) -> tuple:
-    return w.to_json(), weight_to_text(w)
-
-
-def _wedge(v: WedgeValue) -> tuple:
-    return v.to_json(), wedge_to_text(v)
-
-
-def _brackets(s: BracketSum) -> tuple:
-    return s.to_json(), bracket_to_text(s)
 
 
 # --- document plumbing --------------------------------------------------------
 
 
 def _read_source(path: str) -> bytes:
-    """The bytes of the file, or of stdin for ``-``; exit 1 if unreadable."""
+    """The bytes of the file, or of stdin for ``-``."""
     try:
         if path == "-":
             return sys.stdin.buffer.read()
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise _CliError(1, FoamError(f"cannot read {path}: {exc}")) from None
+        raise FoamError(f"cannot read {path}: {exc}") from None
 
 
 def _load_document(args) -> Document:
@@ -116,7 +105,7 @@ def _load_document(args) -> Document:
     try:
         return parse_bytes(data, precision_cap=args.precision)
     except FoamError as exc:
-        raise _CliError(2, exc) from None
+        raise _ParseFailure(exc) from None
 
 
 def _resolve(doc: Document, name: str, kinds: tuple[str, ...]):
@@ -151,12 +140,6 @@ def _classify(args, doc, item) -> tuple:
     return verdict.to_json(), text
 
 
-def _make_positive(args, doc, item) -> tuple:
-    if isinstance(item, BracketSum):
-        return _brackets(bracket_sum_make_positive(item))
-    return _item_result(doc, "planarfoam", foam_make_positive(item))
-
-
 def _flip_reduce(args, doc, d) -> tuple:
     trace = flip_reduce(d)
     lines = [f"{k}: {m.schema} at {m.index}" for k, m in enumerate(trace)]
@@ -169,7 +152,7 @@ def _validate_trace(args, doc, d, trace_path) -> tuple:
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
-        raise _CliError(2, DslSemanticError(f"trace is not JSON: {exc}")) from None
+        raise _ParseFailure(DslSemanticError(f"trace is not JSON: {exc}")) from None
     chk = validate_trace(d, trace_from_json(doc.basis, data))
     if chk.ok:
         text = f"ok ({chk.steps} steps)"
@@ -266,29 +249,32 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 COMMANDS = (
     _Command("saf", "SAF invariant of a named IET", _item("iet"),
-             lambda args, doc, t: _wedge(saf(t))),
+             lambda args, doc, t: _result(doc, saf(t))),
     _Command("compose", "compose two named IETs (second . first)",
              (_Arg("file"), _Arg("second", ("iet",)), _Arg("first", ("iet",))),
-             lambda args, doc, s, t: _item_result(doc, "iet", iet_compose(s, t))),
+             lambda args, doc, s, t: _result(doc, iet_compose(s, t))),
     _Command("apply", "evaluate a named IET at a weight expression",
              _item("iet") + (_Arg("point"),),
-             lambda args, doc, t, point: _weight(iet_apply(t, parse_weight(point, doc.basis)))),
+             lambda args, doc, t, point: _result(doc, iet_apply(t, parse_weight(point, doc.basis)))),
     _Command("closure", "foam diagram closing a named IET", _item("iet"),
-             lambda args, doc, t: _item_result(doc, "foam", iet_closure(t))),
+             lambda args, doc, t: _result(doc, iet_closure(t))),
     _Command("nu", "nu invariant of a named closed foam", _item("foam"),
-             lambda args, doc, d: _wedge(nu(d))),
+             lambda args, doc, d: _result(doc, nu(d))),
     _Command("classify", "cobordism class of a foam, planar foam or bracket",
              _item("foam", "planarfoam", "bracket"), _classify),
     _Command("tripods", "tripod decomposition of a planar foam", _item("planarfoam"),
-             lambda args, doc, f: _brackets(tripod_decompose(f))),
+             lambda args, doc, f: _result(doc, tripod_decompose(f))),
     _Command("bracket-simplify", "normal form of a bracket sum", _item("bracket"),
-             lambda args, doc, s: _brackets(bracket_simplify(s, args.euclid_bound))),
+             lambda args, doc, s: _result(doc, bracket_simplify(s, args.euclid_bound))),
     _Command("theta", "wedge image of a bracket sum or planar foam",
              _item("bracket", "planarfoam"),
-             lambda args, doc, x: _wedge(theta(x if isinstance(x, BracketSum)
-                                               else tripod_decompose(x)))),
+             lambda args, doc, x: _result(doc, theta(x if isinstance(x, BracketSum)
+                                                     else tripod_decompose(x)))),
     _Command("make-positive", "positive form of a bracket or planar foam",
-             _item("bracket", "planarfoam"), _make_positive),
+             _item("bracket", "planarfoam"),
+             lambda args, doc, x: _result(doc, bracket_sum_make_positive(x)
+                                          if isinstance(x, BracketSum)
+                                          else foam_make_positive(x))),
     _Command("flip-reduce", "elimination trace for a dotted foam", _item("foam"),
              _flip_reduce),
     _Command("validate-trace", "check a move trace ends empty",
@@ -382,8 +368,8 @@ def _run(cmd: _Command, args) -> tuple[int, str]:
             value = getattr(args, a.name)
             values.append(_resolve(doc, value, a.kinds) if a.kinds else value)
         obj, text = cmd.run(args, doc, *values)
-    except _CliError as exc:
-        return exc.exit_code, _error(exc.err)
+    except _ParseFailure as exc:
+        return 2, _error(exc.err)
     except FoamError as exc:
         return 1, _error(exc)
     out = json.dumps(obj, indent=2, sort_keys=True) if args.output == "json" else text

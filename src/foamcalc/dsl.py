@@ -67,6 +67,7 @@ from .errors import (
     FoamSyntaxError,
     PrecisionExhausted,
 )
+from .exterior import WedgeValue
 from .foamdiag import EVENT_KINDS, Dir, FoamDiagram, Order, Strand
 from .iet import Iet
 from .planar import PEVENT_KINDS, BracketSum, PlanarFoam
@@ -629,6 +630,14 @@ def bracket_to_text(s: BracketSum) -> str:
     return " + ".join(
         f"{c}*[{weight_to_text(a)},{weight_to_text(b)}]" for c, a, b in s.terms
     )
+
+
+def wedge_to_text(v: WedgeValue) -> str:
+    """Canonical expression for a wedge value; ``0`` when it is zero."""
+    entries = v.to_json()
+    if not entries:
+        return "0"
+    return " + ".join(f"{t['coeff']}*({t['left']}^{t['right']})" for t in entries)
 
 
 def _label_text(g: GroupLabel) -> str:

@@ -31,6 +31,7 @@ from operator import index
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
+    BasisMismatch,
     DslSemanticError,
     FlippedIet,
     InternalError,
@@ -456,6 +457,8 @@ def disjoint_union(a: FoamDiagram, b: FoamDiagram) -> FoamDiagram:
     """Place b to the right of a.  Both must be closed."""
     if not (a.is_closed() and b.is_closed()):
         raise OpenDiagram("disjoint union of open diagrams is not supported")
+    if a.basis != b.basis:
+        raise BasisMismatch("diagrams over different bases")
     return a.replace_events(list(a.events) + list(b.events))
 
 

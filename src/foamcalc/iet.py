@@ -166,8 +166,6 @@ def iet_compose(second: Iet, first: Iet) -> Iet:
     Adjacent pieces that continue each other are coalesced, so inverse
     pairs compose to the one-piece identity.
     """
-    if first.basis != second.basis:
-        raise TotalMismatch("IETs over different bases")
     if not (first.total - second.total).is_zero():
         raise TotalMismatch("IETs have different total lengths")
 

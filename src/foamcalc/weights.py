@@ -48,6 +48,7 @@ scalar comes in.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -66,22 +67,15 @@ MAX_DIGITS = 4300
 
 
 def _parse_decimal(text: str) -> tuple[int, int]:
-    """``(n, e)`` with ``n / 10**e`` the exact value of a plain decimal
-    literal like '1.4142' or '-3'; e is the number of decimals."""
-    text = text.strip()
-    if not text:
-        raise ValueError("empty decimal literal")
-    sign = 1
-    if text[0] in "+-":
-        if text[0] == "-":
-            sign = -1
-        text = text[1:]
-    if not text or text.count(".") > 1:
+    """``(n, e)`` with ``n / 10**e`` the exact value of a decimal literal as
+    the document format writes one, like '1.4142' or '-3': an optional minus,
+    ASCII digits, then optionally a point and digits; e is the number of
+    decimals."""
+    m = re.fullmatch(r"(-?[0-9]+)(?:\.([0-9]+))?", text)
+    if m is None:
         raise ValueError(f"bad decimal literal {text!r}")
-    whole, _, frac = text.partition(".")
-    if not (whole or frac) or not (whole + frac).isdigit():
-        raise ValueError(f"bad decimal literal {text!r}")
-    return sign * int((whole or "0") + frac), len(frac)
+    whole, frac = m.groups("")
+    return int(whole + frac), len(frac)
 
 
 @dataclass(frozen=True)

@@ -480,10 +480,16 @@ def test_the_cli_doc_lists_the_error_codes():
     assert set(re.findall(r"`([\w-]+)`", listed)) == codes
 
 
-def test_missing_file(capsys):
-    code, got = run_json(capsys, "saf", "/nonexistent/x.dsl", "s")
+@pytest.mark.parametrize("argv", [
+    ("saf", "/nonexistent/x.dsl", "s"),
+    ("validate-trace", "DOC", "dotted", "/nonexistent/trace.json"),
+], ids=["file", "trace"])
+def test_missing_file(capsys, doc, argv):
+    argv = [doc if a == "DOC" else a for a in argv]
+    code, got = run_json(capsys, *argv)
     assert code == 1
     assert got["error"] == "error"
+    assert got["message"].startswith("cannot read /nonexistent/")
 
 
 def test_parse_error_exits_2(capsys, tmp_path):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from foamcalc import (
+    BasisMismatch,
     Cap,
     Cross,
     Cup,
@@ -142,6 +143,11 @@ def test_disjoint_union_adds(w):
     d = u_diagram(w("1"), w("1*r2"))
     e = iet_closure(Iet([w("1/2"), w("1*r2")], [2, 1]))
     assert nu(disjoint_union(d, e)) == nu(d) + nu(e)
+
+
+def test_disjoint_union_over_different_bases_is_refused(w, w3):
+    with pytest.raises(BasisMismatch, match="diagrams over different bases"):
+        disjoint_union(circle(w("1")), circle(w3("1*r3")))
 
 
 def test_nu_preconditions(w, basis):

@@ -21,6 +21,7 @@ from foamcalc import (
     FlippedIet,
     Generator,
     GeneratorBasis,
+    BasisMismatch,
     Iet,
     NonPositiveWeight,
     OutOfDomain,
@@ -158,6 +159,11 @@ def test_perm_refuses_non_integers(w):
 def test_compose_total_mismatch(w):
     with pytest.raises(TotalMismatch):
         iet_compose(Iet.identity(w("1")), Iet.identity(w("2")))
+
+
+def test_compose_over_different_bases_is_a_basis_mismatch(w, w3):
+    with pytest.raises(BasisMismatch, match="weights over different bases"):
+        iet_compose(Iet.identity(w("1")), Iet.identity(w3("1")))
 
 
 def test_apply_out_of_domain(w):

@@ -63,6 +63,16 @@ def test_generator_validation_checks_digits_first():
         GeneratorBasis([Generator("x", "1.2.3", 4)])
 
 
+@pytest.mark.parametrize("enclosure", ["+1.5", " 1.5", ".5", "5.", "\u0661.\u0665"])
+def test_an_enclosure_must_be_a_literal_the_format_writes(enclosure):
+    """A midpoint is an optional minus, ASCII digits, then optionally a
+    point and digits; anything else would print as a document that does
+    not parse back, or parses back to another generator."""
+    with pytest.raises(ValueError, match="bad decimal literal"):
+        GeneratorBasis([Generator("x", enclosure, 3)])
+    assert GeneratorBasis([Generator("x", "-1.5", 3)]).entries[1].enclosure == "-1.5"
+
+
 def test_digit_count_bound():
     assert weights.MAX_DIGITS == 4300
     at_bound = GeneratorBasis([Generator("x", "1.5", weights.MAX_DIGITS)])
