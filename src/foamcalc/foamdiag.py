@@ -454,7 +454,7 @@ def iet_closure(t: Iet) -> FoamDiagram:
 
 
 def disjoint_union(a: FoamDiagram, b: FoamDiagram) -> FoamDiagram:
-    """Place b to the right of a.  Both must be closed."""
+    """Place b to the right of a.  Both must be closed and over one basis."""
     if not (a.is_closed() and b.is_closed()):
         raise OpenDiagram("disjoint union of open diagrams is not supported")
     if a.basis != b.basis:
